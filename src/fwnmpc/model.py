@@ -3,8 +3,13 @@
 The airframe is abstracted at the autopilot interface: attitude references
 and throttle command go in; the stabilized attitude/rate response, the
 open-loop velocity-axis dynamics, and 3DOF position kinematics in wind come
-out. The same derivative is used as simulation plant and as NMPC prediction
-model.
+out. Each piece of the model (attitude rates, force balance, body
+accelerations) is written once, and one derivative serves the simulation
+plant, the NMPC prediction model, and the two identification structures of
+`fwnmpc.sysid`, which integrate the same rate functions over parameter
+columns. `_derivative_scalar` repeats the derivative on plain floats for
+single states, where it is an order of magnitude faster than a one-column
+array.
 
 Conventions: NED inertial axes (altitude is -d), all angles in radians,
 angles stored wrapped to (-pi, pi].
@@ -47,11 +52,6 @@ def wrap_angle(angle):
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
-
-
-def angle_diff(a, b):
-    """Smallest signed difference a - b, wrapped to (-pi, pi]."""
-    return wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,10 @@ class DynamicsDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Array core: every function below accepts state columns of shape (12,) or
-# (12, B) and broadcasts elementwise, so the same code serves scalar calls,
-# finite-difference batches, and parameter sweeps.
+# Array core: every function below broadcasts elementwise over its state
+# quantities and over parameter fields, which it reads by name and which may
+# be floats or arrays over columns. The same code serves scalar calls,
+# finite-difference batches, and the parameter trials of `sysid`.
 # ---------------------------------------------------------------------------
 
 def power_curve(delta_t, ol: OpenLoopParams):
@@ -293,44 +294,52 @@ def forces_array(v_a, alpha, delta_t, ol: OpenLoopParams, consts: PhysicalConsta
     return thrust, drag, lift
 
 
-def attitude_dynamics_array(x, u, cl: ClosedLoopParams):
-    """Rates of [phi, theta, p, q, r] for the stabilized attitude response."""
-    phi, theta = x[IDX_PHI], x[IDX_THETA]
-    p, q, r = x[IDX_P], x[IDX_Q], x[IDX_R]
-    v_a = x[IDX_VA]
-    alpha = theta - x[IDX_GAMMA]
-    phi_ref, theta_ref = u[IDX_PHI_REF], u[IDX_THETA_REF]
+def attitude_rates(phi, theta, p, q, r, v_a, gamma, phi_ref, theta_ref, cl):
+    """Rates of (phi, theta, p, q, r) for the stabilized attitude response.
 
-    phi_dot = p
-    theta_dot = q * np.cos(phi) - r * np.sin(phi)
-    p_dot = cl.l_p * p + cl.l_r * r + cl.l_ephi * (phi_ref - phi)
-    q_dot = v_a ** 2 * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
-                        + cl.m_etheta * (theta_ref - theta))
-    r_dot = cl.n_r * r + cl.n_phi * phi + cl.n_phiref * phi_ref
-    return np.stack(np.broadcast_arrays(phi_dot, theta_dot, p_dot, q_dot, r_dot))
-
-
-def velocity_dynamics_array(x, u, ol: OpenLoopParams, consts: PhysicalConstants,
-                            diag: DynamicsDiagnostics | None = None):
-    """Rates of [v_a, gamma, xi, delta_t] from the force balance."""
-    v_a, gamma, phi, theta = x[IDX_VA], x[IDX_GAMMA], x[IDX_PHI], x[IDX_THETA]
-    delta_t = x[IDX_DELTA_T]
-    u_t = u[IDX_U_T]
+    `cl` is read by field name only, so a `ClosedLoopParams` or any object
+    whose fields are arrays over parameter columns both serve.
+    """
     alpha = theta - gamma
+    return (p,
+            q * np.cos(phi) - r * np.sin(phi),
+            cl.l_p * p + cl.l_r * r + cl.l_ephi * (phi_ref - phi),
+            v_a ** 2 * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
+                        + cl.m_etheta * (theta_ref - theta)),
+            cl.n_r * r + cl.n_phi * phi + cl.n_phiref * phi_ref)
 
-    cos_gamma = np.cos(gamma)
-    if np.any(np.abs(cos_gamma) < COS_GAMMA_FLOOR):
-        raise ModelDomainError("flight path angle too close to vertical for heading dynamics")
 
+def force_balance(v_a, gamma, phi, theta, delta_t, u_t, ol, consts: PhysicalConstants,
+                  diag: DynamicsDiagnostics | None = None):
+    """Rates of (v_a, gamma, delta_t) and the normal force (N).
+
+    The normal force, thrust plus lift perpendicular to the airspeed vector
+    in the symmetry plane, also turns the heading (see `derivative_array`).
+    `ol` is read by field name only, like `cl` in `attitude_rates`.
+    """
+    alpha = theta - gamma
     thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts, diag)
     m, g = consts.m, consts.g
-    side_force = (thrust * np.sin(alpha) + lift)
-
+    normal_force = thrust * np.sin(alpha) + lift
     v_a_dot = (thrust * np.cos(alpha) - drag) / m - g * np.sin(gamma)
-    gamma_dot = (side_force * np.cos(phi) - m * g * cos_gamma) / (m * v_a)
-    xi_dot = np.sin(phi) * side_force / (m * v_a * cos_gamma)
+    gamma_dot = (normal_force * np.cos(phi) - m * g * np.cos(gamma)) / (m * v_a)
     delta_t_dot = (u_t - delta_t) / ol.tau_t
-    return np.stack(np.broadcast_arrays(v_a_dot, gamma_dot, xi_dot, delta_t_dot))
+    return v_a_dot, gamma_dot, delta_t_dot, normal_force
+
+
+def specific_forces(v_a, alpha, delta_t, ol, consts: PhysicalConstants,
+                    diag: DynamicsDiagnostics | None = None):
+    """x-body and z-body specific accelerations (m/s^2).
+
+    Note the rotation's (2,2) entry is -cos(alpha): positive lift maps to
+    negative a_z in the down-positive body axis.
+    """
+    thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts, diag)
+    f_xv = (thrust * np.cos(alpha) - drag) / consts.m
+    f_zv = (thrust * np.sin(alpha) + lift) / consts.m
+    a_x = np.cos(alpha) * f_xv + np.sin(alpha) * f_zv
+    a_z = np.sin(alpha) * f_xv - np.cos(alpha) * f_zv
+    return a_x, a_z
 
 
 def kinematics_array(x, wind: WindVector):
@@ -345,18 +354,9 @@ def kinematics_array(x, wind: WindVector):
 
 def body_accelerations_array(x, ol: OpenLoopParams, consts: PhysicalConstants,
                              diag: DynamicsDiagnostics | None = None):
-    """x-body and z-body specific accelerations (m/s^2).
-
-    Note the rotation's (2,2) entry is -cos(alpha): positive lift maps to
-    negative a_z in the down-positive body axis.
-    """
-    alpha = x[IDX_THETA] - x[IDX_GAMMA]
-    thrust, drag, lift = forces_array(x[IDX_VA], alpha, x[IDX_DELTA_T], ol, consts, diag)
-    f_xv = (thrust * np.cos(alpha) - drag) / consts.m
-    f_zv = (thrust * np.sin(alpha) + lift) / consts.m
-    a_x = np.cos(alpha) * f_xv + np.sin(alpha) * f_zv
-    a_z = np.sin(alpha) * f_xv - np.cos(alpha) * f_zv
-    return a_x, a_z
+    """`specific_forces` at state columns of shape (12,) or (12, B)."""
+    return specific_forces(x[IDX_VA], x[IDX_THETA] - x[IDX_GAMMA], x[IDX_DELTA_T],
+                           ol, consts, diag)
 
 
 def _derivative_scalar(x, u, wind: WindVector, params: ModelParams,
@@ -413,14 +413,19 @@ def derivative_array(x, u, wind: WindVector, params: ModelParams,
     u = np.asarray(u, dtype=float)
     if x.ndim == 1:
         return _derivative_scalar(x, u, wind, params, diag)
+    v_a, gamma, phi, theta = x[IDX_VA], x[IDX_GAMMA], x[IDX_PHI], x[IDX_THETA]
+    cos_gamma = np.cos(gamma)
+    if np.any(np.abs(cos_gamma) < COS_GAMMA_FLOOR):
+        raise ModelDomainError("flight path angle too close to vertical for heading dynamics")
     out = np.empty_like(x)
     out[IDX_N:IDX_D + 1] = kinematics_array(x, wind)
-    vel = velocity_dynamics_array(x, u, params.open_loop, params.constants, diag)
-    out[IDX_VA], out[IDX_GAMMA], out[IDX_XI] = vel[0], vel[1], vel[2]
-    out[IDX_DELTA_T] = vel[3]
-    att = attitude_dynamics_array(x, u, params.closed_loop)
-    out[IDX_PHI], out[IDX_THETA] = att[0], att[1]
-    out[IDX_P], out[IDX_Q], out[IDX_R] = att[2], att[3], att[4]
+    out[IDX_VA], out[IDX_GAMMA], out[IDX_DELTA_T], normal_force = force_balance(
+        v_a, gamma, phi, theta, x[IDX_DELTA_T], u[IDX_U_T], params.open_loop,
+        params.constants, diag)
+    out[IDX_XI] = np.sin(phi) * normal_force / (params.constants.m * v_a * cos_gamma)
+    out[IDX_PHI], out[IDX_THETA], out[IDX_P], out[IDX_Q], out[IDX_R] = attitude_rates(
+        phi, theta, x[IDX_P], x[IDX_Q], x[IDX_R], v_a, gamma,
+        u[IDX_PHI_REF], u[IDX_THETA_REF], params.closed_loop)
     return out
 
 
@@ -455,15 +460,6 @@ def angle_of_attack(state: AircraftState) -> float:
     return state.theta - state.gamma
 
 
-def attitude_dynamics(state: AircraftState, control: ControlInput,
-                      cl: ClosedLoopParams) -> np.ndarray:
-    """d/dt of [phi, theta, p, q, r]."""
-    x = state.as_array()
-    if not np.all(np.isfinite(x)):
-        raise ModelDomainError("non-finite state")
-    return attitude_dynamics_array(x, control.as_array(), cl)
-
-
 def forces(state: AircraftState, ol: OpenLoopParams, consts: PhysicalConstants,
            diag: DynamicsDiagnostics | None = None) -> tuple[float, float, float]:
     """(thrust, drag, lift) in Newtons at the given state."""
@@ -472,38 +468,11 @@ def forces(state: AircraftState, ol: OpenLoopParams, consts: PhysicalConstants,
     return float(t), float(d), float(l)
 
 
-def velocity_dynamics(state: AircraftState, control: ControlInput,
-                      ol: OpenLoopParams, consts: PhysicalConstants,
-                      diag: DynamicsDiagnostics | None = None) -> np.ndarray:
-    """d/dt of [v_a, gamma, xi, delta_t]."""
-    return velocity_dynamics_array(state.as_array(), control.as_array(), ol, consts, diag)
-
-
-def kinematics(state: AircraftState, wind: WindVector) -> np.ndarray:
-    """d/dt of [n, e, d]."""
-    return kinematics_array(state.as_array(), wind)
-
-
-def ground_velocity(state: AircraftState, wind: WindVector) -> np.ndarray:
-    """Inertial ground velocity vector (same expression as the kinematics)."""
-    return kinematics(state, wind)
-
-
 def body_accelerations(state: AircraftState, ol: OpenLoopParams,
                        consts: PhysicalConstants) -> tuple[float, float]:
     """(a_x, a_z) body-axis specific accelerations."""
     a_x, a_z = body_accelerations_array(state.as_array(), ol, consts)
     return float(a_x), float(a_z)
-
-
-def full_derivative(state: AircraftState, control: ControlInput, wind: WindVector,
-                    params: ModelParams,
-                    diag: DynamicsDiagnostics | None = None) -> np.ndarray:
-    """Concatenated state derivative in the canonical state layout."""
-    x = state.as_array()
-    if not np.all(np.isfinite(x)):
-        raise ModelDomainError("non-finite state")
-    return derivative_array(x, control.as_array(), wind, params, diag)
 
 
 def rk4_step(state: AircraftState, control: ControlInput, wind: WindVector,

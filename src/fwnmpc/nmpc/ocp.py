@@ -466,6 +466,38 @@ def raw_outputs(x: np.ndarray, u: np.ndarray, ctx: HorizonContext,
 # Shooting sensitivities.
 # ---------------------------------------------------------------------------
 
+def fd_batch(*points: np.ndarray):
+    """Repeat-and-perturb batch for forward differences at N points.
+
+    Each argument holds the (N, d_i) values of one input at the N points.
+    Every point gets 1 + sum(d_i) columns: column 0 holds the point as is,
+    and column 1 + j raises the j-th entry, counted across the inputs, by
+    its step. Returns the per-input (d_i, N * cols) batches and the (N,
+    sum(d_i)) steps.
+    """
+    cols = 1 + sum(p.shape[1] for p in points)
+    steps = [_FD_EPS * np.maximum(1.0, np.abs(p)) for p in points]
+    batches, offset = [], 1
+    for p, h in zip(points, steps):
+        batch = np.repeat(p.T, cols, axis=1)
+        for i in range(p.shape[1]):
+            batch[i, (offset + i)::cols] += h[:, i]
+        batches.append(batch)
+        offset += p.shape[1]
+    return batches, np.concatenate(steps, axis=1)
+
+
+def fd_jacobians(values: np.ndarray, steps: np.ndarray, angle_rows=()) -> np.ndarray:
+    """(N, R, sum(d_i)) forward-difference Jacobians from the (R, N * cols)
+    function values of an `fd_batch` batch; the differences of `angle_rows`
+    are wrapped."""
+    values = values.reshape(values.shape[0], steps.shape[0], -1)
+    diffs = values[:, :, 1:] - values[:, :, :1]
+    for row in angle_rows:
+        diffs[row] = md.wrap_angle(diffs[row])
+    return np.transpose(diffs / steps[None, :, :], (1, 0, 2))
+
+
 def rk4_jacobians(states: np.ndarray, controls: np.ndarray, wind: md.WindVector,
                   params: md.ModelParams, dt: float):
     """Forward-difference Jacobians of the shooting step for all intervals.
@@ -476,30 +508,8 @@ def rk4_jacobians(states: np.ndarray, controls: np.ndarray, wind: md.WindVector,
 
     Returns (A, B) with shapes (N, 12, 12) and (N, 12, 3).
     """
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    n = states.shape[0]
-    n_x, n_u = md.STATE_DIM, md.CONTROL_DIM
-    cols = 1 + n_x + n_u
-
-    h_x = _FD_EPS * np.maximum(1.0, np.abs(states))     # (N, 12)
-    h_u = _FD_EPS * np.maximum(1.0, np.abs(controls))   # (N, 3)
-
-    x_batch = np.repeat(states.T, cols, axis=1)          # (12, N*cols)
-    u_batch = np.repeat(controls.T, cols, axis=1)        # (3, N*cols)
-    for i in range(n_x):
-        x_batch[i, (1 + i)::cols] += h_x[:, i]
-    for j in range(n_u):
-        u_batch[j, (1 + n_x + j)::cols] += h_u[:, j]
-
+    (x_batch, u_batch), steps = fd_batch(np.asarray(states, dtype=float),
+                                         np.asarray(controls, dtype=float))
     next_batch = md.rk4_step_array(x_batch, u_batch, wind, params, dt)
-    next_batch = next_batch.reshape(n_x, n, cols)
-
-    base = next_batch[:, :, 0]                           # (12, N)
-    diffs = next_batch[:, :, 1:] - base[:, :, None]      # (12, N, 15)
-    for idx in md.ANGLE_STATES:
-        diffs[idx] = md.wrap_angle(diffs[idx])
-
-    a_mat = np.transpose(diffs[:, :, :n_x] / h_x[None, :, :], (1, 0, 2))
-    b_mat = np.transpose(diffs[:, :, n_x:] / h_u[None, :, :], (1, 0, 2))
-    return a_mat, b_mat
+    jac = fd_jacobians(next_batch, steps, md.ANGLE_STATES)
+    return jac[:, :, :md.STATE_DIM], jac[:, :, md.STATE_DIM:]

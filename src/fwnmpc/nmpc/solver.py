@@ -106,45 +106,22 @@ class AircraftShootingProblem:
         """Weighted output Jacobians (C_k wrt state, D_k wrt control) per stage
         plus the end-term state Jacobian, all by forward differences with
         wrap-aware angle rows."""
-        n, n_x, n_u = self.n, md.STATE_DIM, md.CONTROL_DIM
-        cols = 1 + n_x + n_u
-        states = horizon.states[:n]
-        h_x = ocp._FD_EPS * np.maximum(1.0, np.abs(states))
-        h_u = ocp._FD_EPS * np.maximum(1.0, np.abs(controls))
-
-        x_batch = np.repeat(states.T, cols, axis=1)
-        u_batch = np.repeat(controls.T, cols, axis=1)
-        for i in range(n_x):
-            x_batch[i, (1 + i)::cols] += h_x[:, i]
-        for j in range(n_u):
-            u_batch[j, (1 + n_x + j)::cols] += h_u[:, j]
-
-        ctx_batch = horizon.context.select(slice(0, n)).repeat(cols)
+        n, n_x = self.n, md.STATE_DIM
+        (x_batch, u_batch), steps = ocp.fd_batch(horizon.states[:n], controls)
+        ctx_batch = horizon.context.select(slice(0, n)).repeat(1 + steps.shape[1])
         raw = ocp.raw_outputs(x_batch, u_batch, ctx_batch, self.wind, self.params,
                               self.guidance_cfg, self.cfg)
-        raw = raw.reshape(ocp.N_OUT, n, cols)
-        base = raw[:, :, 0]
-        diff = raw[:, :, 1:] - base[:, :, None]
-        for row in ocp.ANGLE_OUTPUT_ROWS:
-            diff[row] = md.wrap_angle(diff[row])
-        c_stage = np.transpose(diff[:, :, :n_x] / h_x[None, :, :], (1, 0, 2))
-        d_stage = np.transpose(diff[:, :, n_x:] / h_u[None, :, :], (1, 0, 2))
-        c_stage *= self.stage_weight[None, :, None]
-        d_stage *= self.stage_weight[None, :, None]
+        jac = ocp.fd_jacobians(raw, steps, ocp.ANGLE_OUTPUT_ROWS)
+        jac *= self.stage_weight[None, :, None]
+        c_stage, d_stage = jac[:, :, :n_x], jac[:, :, n_x:]
 
         # end term: state Jacobian of the y-outputs only
-        x_end = horizon.states[-1]
-        h_end = ocp._FD_EPS * np.maximum(1.0, np.abs(x_end))
-        xe_batch = np.repeat(x_end[:, None], 1 + n_x, axis=1)
-        for i in range(n_x):
-            xe_batch[i, 1 + i] += h_end[i]
+        (xe_batch,), steps_end = ocp.fd_batch(horizon.states[n:])
         ctx_end = horizon.context.select(slice(n, n + 1)).repeat(1 + n_x)
-        raw_end = ocp.raw_outputs(xe_batch, np.zeros((n_u, 1 + n_x)), ctx_end,
+        raw_end = ocp.raw_outputs(xe_batch, np.zeros((md.CONTROL_DIM, 1 + n_x)), ctx_end,
                                   self.wind, self.params, self.guidance_cfg, self.cfg)
-        diff_end = raw_end[:ocp.N_Y, 1:] - raw_end[:ocp.N_Y, 0][:, None]
-        for row in ocp.ANGLE_OUTPUT_ROWS:
-            diff_end[row] = md.wrap_angle(diff_end[row])
-        c_end = (diff_end / h_end[None, :]) * self.end_weight[:, None]
+        c_end = ocp.fd_jacobians(raw_end[:ocp.N_Y], steps_end,
+                                 ocp.ANGLE_OUTPUT_ROWS)[0] * self.end_weight[:, None]
         return c_stage, d_stage, c_end
 
     def bounds(self):

@@ -136,7 +136,7 @@ def cold_start_heading_guard(state: md.AircraftState, queue: pth.PathQueue,
     If the initial error angle is near the wrap point the aircraft is re-aimed
     along the look-ahead direction before the first solve.
     """
-    v_g = md.ground_velocity(state, wind)
+    v_g = md.kinematics_array(state.as_array(), wind)
     cp = pth.closest_point(queue.current_segment, state.position)
     try:
         errs = gd.guidance_errors(state.position, v_g, queue.current_segment, cp, cfg)

@@ -8,14 +8,18 @@ the output set). Estimation is Levenberg-Marquardt on channel-weighted
 output residuals; static force/power curves are fit first by linear least
 squares on quasi-static samples to seed the nonlinear estimate.
 
-All simulators vectorize over a batch of parameter vectors, which makes the
-finite-difference residual Jacobians a single batched pass.
+Both structures integrate the rate functions of `fwnmpc.model` (the
+attitude rates; the force balance and the body accelerations), so one
+derivative serves the plant, the predictor and the identification
+structures. The simulators vectorize over a batch of parameter vectors,
+which makes the finite-difference residual Jacobians a single batched pass.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -176,18 +180,10 @@ def _as_param_matrix(params, names) -> np.ndarray:
     return vec
 
 
-def _interp_inputs(series: np.ndarray):
-    """Left, midpoint, and right samples per interval for the RK4 substeps."""
-    left = series[:-1]
-    right = series[1:]
-    return left, 0.5 * (left + right), right
-
-
-def _stack_inputs(datasets: list, names) -> dict:
-    """Column-stack one input channel per dataset: name -> (T, D)."""
-    return {name: np.column_stack([np.asarray(ds.inputs[name], dtype=float)
-                                   for ds in datasets])
-            for name in names}
+def _squeeze(params) -> bool:
+    if isinstance(params, (md.ClosedLoopParams, md.OpenLoopParams)):
+        return True
+    return np.asarray(params).ndim == 1
 
 
 # samples averaged for the simulator initial condition; maneuvers start from
@@ -206,159 +202,107 @@ def _expand(arr: np.ndarray, b: int) -> np.ndarray:
     return np.repeat(arr, b, axis=-1)
 
 
-def _cl_core(p: np.ndarray, n: int, h: float, subs: dict, init: np.ndarray) -> np.ndarray:
-    """Shared attitude-structure integration over stacked columns.
+def _cl_rates(s, u, cl, consts):
+    phi, theta, p, q, r = s
+    phi_ref, theta_ref, v_a, gamma = u
+    return np.stack(md.attitude_rates(phi, theta, p, q, r, v_a, gamma,
+                                      phi_ref, theta_ref, cl))
 
-    `p` is (10, M) with parameter columns already tiled to match the M =
-    n_datasets * n_params layout of `subs` (per-channel (3, n-1, M) substep
-    inputs) and `init` (5, M). Returns (5, n, M).
+
+def _ol_rates(s, u, ol, consts):
+    v_a, gamma, delta_t = s
+    phi, theta, u_t = u
+    v_a_dot, gamma_dot, delta_t_dot, _ = md.force_balance(v_a, gamma, phi, theta,
+                                                          delta_t, u_t, ol, consts)
+    return np.stack([v_a_dot, gamma_dot, delta_t_dot])
+
+
+# per structure: parameter names, input channels in the order the rates read
+# them, the channels whose first samples give the initial state, and the rates
+_STRUCTURES = {
+    "cl": (CL_PARAM_NAMES, CL_INPUTS, CL_OUTPUTS, _cl_rates),
+    "ol": (OL_PARAM_NAMES, OL_INPUTS, ("v_a", "gamma", "u_t"), _ol_rates),
+}
+
+
+def _structure(structure: str) -> tuple:
+    if structure not in _STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
+    return _STRUCTURES[structure]
+
+
+def _integrate(rates, par, consts, h: float, inputs: np.ndarray,
+               init: np.ndarray) -> np.ndarray:
+    """RK4 over the sample intervals with each input channel held at the
+    interval's left, midpoint and right samples.
+
+    `inputs` is (I, T, M), the channels in the order `rates` reads them, and
+    `init` the (S, M) initial state. Returns the (S, T, M) trajectory.
     """
-    l_p, l_r, l_ephi, m_0, m_alpha, m_q, m_etheta, n_r, n_phi, n_phiref = p
-    pr_in, th_in, va_in, ga_in = (subs[name] for name in CL_INPUTS)
-
-    def deriv(s, phi_ref, theta_ref, v_a, gamma):
-        phi, theta, pr, qr, rr = s
-        alpha = theta - gamma
-        return np.stack([
-            pr,
-            qr * np.cos(phi) - rr * np.sin(phi),
-            l_p * pr + l_r * rr + l_ephi * (phi_ref - phi),
-            v_a ** 2 * (m_0 + m_alpha * alpha + m_q * qr + m_etheta * (theta_ref - theta)),
-            n_r * rr + n_phi * phi + n_phiref * phi_ref,
-        ])
-
-    x = np.empty((5, n, init.shape[1]))
-    state = init
-    x[:, 0, :] = state
-    # unstable parameter trials may overflow; the estimator checks for
-    # non-finite cost explicitly, so silence the intermediate warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            k1 = deriv(state, pr_in[0, k], th_in[0, k], va_in[0, k], ga_in[0, k])
-            k2 = deriv(state + 0.5 * h * k1, pr_in[1, k], th_in[1, k], va_in[1, k],
-                       ga_in[1, k])
-            k3 = deriv(state + 0.5 * h * k2, pr_in[1, k], th_in[1, k], va_in[1, k],
-                       ga_in[1, k])
-            k4 = deriv(state + h * k3, pr_in[2, k], th_in[2, k], va_in[2, k],
-                       ga_in[2, k])
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x[:, k + 1, :] = state
+    left, right = inputs[:, :-1], inputs[:, 1:]
+    mid = 0.5 * (left + right)
+    x = np.empty((init.shape[0], inputs.shape[1], init.shape[1]))
+    x[:, 0] = state = init
+    # per interval, a tuple of the (M,) rows of each channel
+    intervals = zip(zip(*left), zip(*mid), zip(*right))
+    for k, (u_left, u_mid, u_right) in enumerate(intervals, start=1):
+        k1 = rates(state, u_left, par, consts)
+        k2 = rates(state + 0.5 * h * k1, u_mid, par, consts)
+        k3 = rates(state + 0.5 * h * k2, u_mid, par, consts)
+        k4 = rates(state + h * k3, u_right, par, consts)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x[:, k] = state
     return x
 
 
-def _stacked_subs(inputs: dict, b: int) -> dict:
-    """Per-channel substep arrays (left/mid/right) expanded to M columns."""
-    subs = {}
-    for name, arr in inputs.items():
-        left, mid, right = _interp_inputs(arr)
-        subs[name] = np.stack([_expand(left, b), _expand(mid, b), _expand(right, b)])
-    return subs
+def _simulate(structure: str, p: np.ndarray, group: list, h: float,
+              consts: md.PhysicalConstants) -> np.ndarray:
+    """Outputs of one structure over equal-length datasets for every
+    parameter column of `p` (P, B) at once: (n_outputs, T, D * B), with the
+    columns dataset-major."""
+    names, in_names, init_names, rates = _structure(structure)
+    b = p.shape[1]
+    # the model's rate functions read parameters by field name, so each
+    # field here is one row of parameter columns
+    par = SimpleNamespace(**dict(zip(names, np.tile(p, (1, len(group))))))
+    inputs = _expand(np.array([[ds.inputs[name] for ds in group] for name in in_names],
+                              dtype=float).transpose(0, 2, 1), b)
+    init = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
+                              for ds in group] for name in init_names]), b)
+    # unstable parameter trials may overflow; the estimator checks for
+    # non-finite cost explicitly, so silence the intermediate warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _integrate(rates, par, consts, h, inputs, init)
+        if structure == "cl":
+            return x
+        v_a, gamma, delta_t = x
+        theta = inputs[in_names.index("theta")]
+        a_x, a_z = md.specific_forces(v_a, theta - gamma, delta_t, par, consts)
+    return np.stack([v_a, gamma, a_x, a_z])
+
+
+def simulate_structure(structure: str, params, dataset: Dataset,
+                       constants: md.PhysicalConstants | None = None) -> np.ndarray:
+    """Simulate one structure over the dataset inputs.
+
+    Returns the structure's outputs with shape (n_outputs, T) for a single
+    parameter vector or (n_outputs, T, B) for a batch.
+    """
+    p = _as_param_matrix(params, _structure(structure)[0])
+    out = _simulate(structure, p, [dataset], dataset.dt,
+                    constants or md.PhysicalConstants())
+    return out[:, :, 0] if _squeeze(params) else out
 
 
 def simulate_cl(params, dataset: Dataset) -> np.ndarray:
-    """Simulate the stabilized attitude structure over the dataset inputs.
-
-    Returns outputs with shape (5, T) for a single parameter vector or
-    (5, T, B) for a batch.
-    """
-    p = _as_param_matrix(params, CL_PARAM_NAMES)
-    b = p.shape[1]
-    inputs = {name: np.asarray(dataset.inputs[name], dtype=float)[:, None]
-              for name in CL_INPUTS}
-    init = np.tile(np.array([[_initial_value(dataset.outputs[c])] for c in CL_OUTPUTS]),
-                   (1, b))
-    x = _cl_core(p, dataset.t.size, dataset.dt, _stacked_subs(inputs, b), init)
-    return x[:, :, 0] if _squeeze(params) else x
-
-
-def _squeeze(params) -> bool:
-    if isinstance(params, (md.ClosedLoopParams, md.OpenLoopParams)):
-        return True
-    return np.asarray(params).ndim == 1
-
-
-def _ol_core(p: np.ndarray, n: int, h: float, subs: dict, theta_rec: np.ndarray,
-             init: np.ndarray, consts: md.PhysicalConstants) -> np.ndarray:
-    """Shared velocity-axis integration over stacked columns.
-
-    `theta_rec` is the (n, M) pitch record used to reconstruct the body
-    accelerations at the sample instants. Returns (4, n, M).
-    """
-    c_t1, c_t2, c_t3, tau_t, c_d0, c_da, c_da2, c_l0, c_la, c_la2 = p
-    m, g = consts.m, consts.g
-    half_rho_s = 0.5 * consts.rho_air * consts.s_wing
-    ph_in, th_in, ut_in = (subs[name] for name in OL_INPUTS)
-
-    def forces(v_a, alpha, delta_t):
-        v_prop = np.maximum(v_a * np.cos(alpha), md.PROP_SPEED_FLOOR)
-        thrust = (c_t1 * delta_t + c_t2 * delta_t ** 2 + c_t3 * delta_t ** 3) / v_prop
-        qbar_s = half_rho_s * v_a ** 2
-        drag = qbar_s * (c_d0 + c_da * alpha + c_da2 * alpha ** 2)
-        lift = qbar_s * (c_l0 + c_la * alpha + c_la2 * alpha ** 2)
-        return thrust, drag, lift
-
-    def deriv(s, phi, theta, u_t):
-        v_a, gamma, delta_t = s
-        alpha = theta - gamma
-        thrust, drag, lift = forces(v_a, alpha, delta_t)
-        side = thrust * np.sin(alpha) + lift
-        return np.stack([
-            (thrust * np.cos(alpha) - drag) / m - g * np.sin(gamma),
-            (side * np.cos(phi) - m * g * np.cos(gamma)) / (m * v_a),
-            (u_t - delta_t) / tau_t,
-        ])
-
-    out = np.empty((4, n, init.shape[1]))
-    state = init
-
-    def record(k, s):
-        v_a, gamma, delta_t = s
-        alpha = theta_rec[k] - gamma
-        thrust, drag, lift = forces(v_a, alpha, delta_t)
-        f_xv = (thrust * np.cos(alpha) - drag) / m
-        f_zv = (thrust * np.sin(alpha) + lift) / m
-        out[0, k] = v_a
-        out[1, k] = gamma
-        out[2, k] = np.cos(alpha) * f_xv + np.sin(alpha) * f_zv
-        out[3, k] = np.sin(alpha) * f_xv - np.cos(alpha) * f_zv
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        record(0, state)
-        for k in range(n - 1):
-            k1 = deriv(state, ph_in[0, k], th_in[0, k], ut_in[0, k])
-            k2 = deriv(state + 0.5 * h * k1, ph_in[1, k], th_in[1, k], ut_in[1, k])
-            k3 = deriv(state + 0.5 * h * k2, ph_in[1, k], th_in[1, k], ut_in[1, k])
-            k4 = deriv(state + h * k3, ph_in[2, k], th_in[2, k], ut_in[2, k])
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            record(k + 1, state)
-    return out
+    """Simulate the stabilized attitude structure; outputs [phi, theta, p, q, r]."""
+    return simulate_structure("cl", params, dataset)
 
 
 def simulate_ol(params, dataset: Dataset,
                 constants: md.PhysicalConstants | None = None) -> np.ndarray:
     """Simulate the velocity-axis structure; outputs [v_a, gamma, a_x, a_z]."""
-    consts = constants or md.PhysicalConstants()
-    p = _as_param_matrix(params, OL_PARAM_NAMES)
-    b = p.shape[1]
-    inputs = {name: np.asarray(dataset.inputs[name], dtype=float)[:, None]
-              for name in OL_INPUTS}
-    init = np.tile(np.array([[_initial_value(dataset.outputs["v_a"])],
-                             [_initial_value(dataset.outputs["gamma"])],
-                             [_initial_value(dataset.inputs["u_t"])]]), (1, b))
-    theta_rec = _expand(inputs["theta"], b)
-    out = _ol_core(p, dataset.t.size, dataset.dt, _stacked_subs(inputs, b),
-                   theta_rec, init, consts)
-    return out[:, :, 0] if _squeeze(params) else out
-
-
-def simulate_structure(structure: str, params, dataset: Dataset,
-                       constants: md.PhysicalConstants | None = None) -> np.ndarray:
-    """Dispatch to the closed-loop or open-loop structure simulator."""
-    if structure == "cl":
-        return simulate_cl(params, dataset)
-    if structure == "ol":
-        return simulate_ol(params, dataset, constants)
-    raise ValueError(f"unknown structure {structure!r}")
+    return simulate_structure("ol", params, dataset, constants)
 
 
 def _output_names(structure: str) -> tuple:
@@ -380,14 +324,12 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
     Equal-length datasets are integrated together in one stacked pass, which
     is what keeps the finite-difference Jacobians cheap.
     """
-    if structure not in ("cl", "ol"):
-        raise ValueError(f"unknown structure {structure!r}")
+    names = _structure(structure)[0]
     w = _channel_weights(structure, weights)
     out_names = _output_names(structure)
-    in_names = CL_INPUTS if structure == "cl" else OL_INPUTS
     consts = constants or md.PhysicalConstants()
 
-    p = _as_param_matrix(params, CL_PARAM_NAMES if structure == "cl" else OL_PARAM_NAMES)
+    p = _as_param_matrix(params, names)
     b = p.shape[1]
 
     groups: dict = {}
@@ -395,23 +337,8 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
         groups.setdefault((ds.t.size, round(ds.dt, 12)), []).append(i)
 
     sims: list = [None] * len(datasets)
-    for (n, h), idxs in groups.items():
-        group = [datasets[i] for i in idxs]
-        d = len(group)
-        p_tiled = np.tile(p, (1, d))
-        stacked = _stack_inputs(group, in_names)
-        subs = _stacked_subs(stacked, b)
-        if structure == "cl":
-            init = _expand(np.array([[_initial_value(ds.outputs[c]) for ds in group]
-                                     for c in CL_OUTPUTS]), b)
-            x = _cl_core(p_tiled, n, h, subs, init)
-        else:
-            init = _expand(np.array(
-                [[_initial_value(ds.outputs["v_a"]) for ds in group],
-                 [_initial_value(ds.outputs["gamma"]) for ds in group],
-                 [_initial_value(ds.inputs["u_t"]) for ds in group]]), b)
-            theta_rec = _expand(stacked["theta"], b)
-            x = _ol_core(p_tiled, n, h, subs, theta_rec, init, consts)
+    for (_, h), idxs in groups.items():
+        x = _simulate(structure, p, [datasets[i] for i in idxs], h, consts)
         for j, i in enumerate(idxs):
             sims[i] = x[:, :, j * b:(j + 1) * b]
 
@@ -447,16 +374,20 @@ def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = N
     """Linear least squares for the lift/drag quadratics and the cubic power
     polynomial from quasi-static samples.
 
-    Samples with any body rate above the threshold are discarded. Solves the
-    joint system given by the body-axis acceleration rows, which is linear in
-    all nine force/power coefficients. The throttle lag cannot be observed
-    statically, so `tau_t_default` seeds it.
+    Samples with any body rate above the threshold are discarded. The body
+    accelerations of the model are linear in all nine force/power
+    coefficients, so the model evaluated at each unit coefficient vector
+    gives one regressor column of the joint least-squares system. The
+    throttle lag cannot be observed statically, so `tau_t_default` seeds it.
 
-    Returns (OpenLoopParams initial guess, diagnostics dict). Raises
-    RankDeficiencyError when the excitation cannot separate the coefficients
-    (e.g. a single angle of attack).
+    Returns (OpenLoopParams initial guess, diagnostics dict with the
+    acceleration residual norm in m/s^2). Raises RankDeficiencyError when
+    the excitation cannot separate the coefficients (e.g. a single angle of
+    attack).
     """
     consts = constants or md.PhysicalConstants()
+    names = tuple(n for n in OL_PARAM_NAMES if n != "tau_t")
+    unit = SimpleNamespace(**dict(zip(names, np.eye(len(names))[:, :, None])))
     rows, rhs = [], []
     n_total = n_kept = 0
     for ds in datasets:
@@ -465,36 +396,21 @@ def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = N
         missing = [c for c in need if c not in chans]
         if missing:
             raise SysidError(f"static dataset missing channels {missing}")
-        v_a = np.asarray(chans["v_a"], dtype=float)
-        alpha = np.asarray(chans["theta"], dtype=float) - np.asarray(chans["gamma"], dtype=float)
-        delta = np.asarray(chans["u_t"], dtype=float)
-        a_x = np.asarray(chans["a_x"], dtype=float)
-        a_z = np.asarray(chans["a_z"], dtype=float)
+        chans = {c: np.asarray(chans[c], dtype=float) for c in need}
         quiet = (np.abs(chans["p"]) < rate_threshold) \
             & (np.abs(chans["q"]) < rate_threshold) \
             & (np.abs(chans["r"]) < rate_threshold)
-        n_total += v_a.size
+        n_total += quiet.size
         n_kept += int(np.count_nonzero(quiet))
-        v, al, de = v_a[quiet], alpha[quiet], delta[quiet]
-        ax, az = a_x[quiet], a_z[quiet]
-        qbar_s = 0.5 * consts.rho_air * v ** 2 * consts.s_wing
-        m = consts.m
-        # x-axis combination: P/v - qS*C_D = m(cos(a) a_x + sin(a) a_z)
-        for i in range(v.size):
-            rows.append([de[i] / v[i], de[i] ** 2 / v[i], de[i] ** 3 / v[i],
-                         -qbar_s[i], -qbar_s[i] * al[i], -qbar_s[i] * al[i] ** 2,
-                         0.0, 0.0, 0.0])
-            rhs.append(m * (np.cos(al[i]) * ax[i] + np.sin(al[i]) * az[i]))
-            # z-axis combination: P tan(a)/v + qS*C_L = m(sin(a) a_x - cos(a) a_z)
-            tan_a = np.tan(al[i])
-            rows.append([de[i] * tan_a / v[i], de[i] ** 2 * tan_a / v[i],
-                         de[i] ** 3 * tan_a / v[i], 0.0, 0.0, 0.0,
-                         qbar_s[i], qbar_s[i] * al[i], qbar_s[i] * al[i] ** 2])
-            rhs.append(m * (np.sin(al[i]) * ax[i] - np.cos(al[i]) * az[i]))
-    if not rows:
+        q = {c: chans[c][quiet] for c in need}
+        a_x, a_z = md.specific_forces(q["v_a"], q["theta"] - q["gamma"], q["u_t"],
+                                      unit, consts)
+        rows += [a_x.T, a_z.T]
+        rhs += [q["a_x"], q["a_z"]]
+    if n_kept == 0:
         raise RankDeficiencyError("no quasi-static samples left after rate filtering")
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
+    a_mat = np.concatenate(rows)
+    b_vec = np.concatenate(rhs)
     if np.linalg.matrix_rank(a_mat, tol=1e-8) < 9:
         raise RankDeficiencyError("static excitation is rank deficient; vary "
                                   "airspeed, angle of attack, and throttle")
@@ -552,9 +468,9 @@ def estimate(structure: str, initial_params, datasets: list,
     n_accepted = 0
     message = "max iterations reached"
     converged = False
-    jac = None
+    jac = jac_at = None
     for _ in range(max_iter):
-        jac = jacobian(p, r)
+        jac, jac_at = jacobian(p, r), p
         grad = jac.T @ r
         if np.linalg.norm(grad, np.inf) < grad_tol:
             converged = True
@@ -592,7 +508,9 @@ def estimate(structure: str, initial_params, datasets: list,
         return _failed_report(structure, names, p, init, cost, "diverged",
                               datasets, weights, constants)
 
-    if jac is None:
+    # an accepted last step (step tolerance or iteration cap) moved p away
+    # from the point of the last Jacobian
+    if jac_at is not p:
         jac = jacobian(p, r)
     dof = max(r.size - n_par, 1)
     sigma_sq = cost / dof
@@ -941,26 +859,36 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset written by `save_dataset`; malformed files raise SysidError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        tag = next(reader)
+        tag = next(reader, [])
         if len(tag) != 1 or not tag[0].startswith("structure="):
             raise SysidError(f"{path}: missing structure tag line")
         structure = tag[0].split("=", 1)[1]
-        header = next(reader)
-        if header[0] != "time":
+        header = next(reader, [])
+        if not header or header[0] != "time":
             raise SysidError(f"{path}: first column must be time")
-        data = np.array([[float(v) for v in row] for row in reader])
-    t = data[:, 0]
-    inputs, outputs = {}, {}
+        rows = list(reader)
+    if not rows:
+        raise SysidError(f"{path}: no data rows")
+    for line, row in enumerate(rows, start=3):
+        if len(row) != len(header):
+            raise SysidError(f"{path}: line {line} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+    columns = {"in:": {}, "out:": {}}
     for j, name in enumerate(header[1:], start=1):
-        if name.startswith("in:"):
-            inputs[name[3:]] = data[:, j]
-        elif name.startswith("out:"):
-            outputs[name[4:]] = data[:, j]
-        else:
+        prefix = "in:" if name.startswith("in:") else "out:"
+        if not name.startswith(prefix):
             raise SysidError(f"{path}: channel {name!r} lacks in:/out: prefix")
-    return Dataset(structure=structure, t=t, inputs=inputs, outputs=outputs)
+        columns[prefix][name[len(prefix):]] = j
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+        return Dataset(structure=structure, t=data[:, 0],
+                       inputs={n: data[:, j] for n, j in columns["in:"].items()},
+                       outputs={n: data[:, j] for n, j in columns["out:"].items()})
+    except ValueError as exc:
+        raise SysidError(f"{path}: {exc}") from exc
 
 
 def report_text(report: FitReport) -> str:

@@ -1,5 +1,8 @@
 """Tests for the control-augmented flight model and integrator."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,29 +60,44 @@ class TestAngleOfAttack:
         assert m.angle_of_attack(m.AircraftState(theta=-0.05, gamma=0.05)) == pytest.approx(-0.10)
 
 
+def attitude_rates(state, control, cl):
+    return np.array(m.attitude_rates(state.phi, state.theta, state.p, state.q, state.r,
+                                     state.v_a, state.gamma, control.phi_ref,
+                                     control.theta_ref, cl))
+
+
+def force_balance(state, control, params):
+    return np.array(m.force_balance(state.v_a, state.gamma, state.phi, state.theta,
+                                    state.delta_t, control.u_t, params.open_loop,
+                                    params.constants))
+
+
+def batch_derivative(state, control, wind, params):
+    """One column through the batch path of `derivative_array`."""
+    return m.derivative_array(state.as_array()[:, None], control.as_array()[:, None],
+                              wind, params)[:, 0]
+
+
 class TestAttitudeDynamics:
     def test_phi_dot_is_p(self, params):
         st_ = m.AircraftState(phi=0.0, p=0.2)
-        rates = m.attitude_dynamics(st_, m.ControlInput(), params.closed_loop)
+        rates = attitude_rates(st_, m.ControlInput(), params.closed_loop)
         assert rates[0] == pytest.approx(0.2)
 
     def test_theta_dot_at_wings_level(self, params):
         st_ = m.AircraftState(phi=0.0, q=0.1, r=0.3)
-        rates = m.attitude_dynamics(st_, m.ControlInput(), params.closed_loop)
+        rates = attitude_rates(st_, m.ControlInput(), params.closed_loop)
         assert rates[1] == pytest.approx(0.1)
 
     def test_full_row_matches_oracle(self, params, trim):
         state = m.AircraftState(v_a=13.5, gamma=0.01, xi=0.3, phi=0.2, theta=0.06,
                                 p=0.05, q=-0.02, r=0.11, delta_t=0.4)
         control = m.ControlInput(u_t=0.5, phi_ref=0.25, theta_ref=0.04)
-        rates = m.attitude_dynamics(state, control, params.closed_loop)
         expected = oracle_attitude_rates(state, control, params.closed_loop)
+        rates = attitude_rates(state, control, params.closed_loop)
         np.testing.assert_allclose(rates, expected, rtol=0, atol=1e-14)
-
-    def test_rejects_non_finite_state(self, params):
-        bad = m.AircraftState(v_a=np.nan)
-        with pytest.raises(m.ModelDomainError):
-            m.attitude_dynamics(bad, m.ControlInput(), params.closed_loop)
+        der = batch_derivative(state, control, m.WindVector(), params)
+        np.testing.assert_allclose(der[m.IDX_PHI:m.IDX_R + 1], expected, rtol=0, atol=1e-14)
 
     def test_affine_in_references(self, params):
         """Superposition in (phi_ref, theta_ref) holds to machine precision."""
@@ -88,7 +106,7 @@ class TestAttitudeDynamics:
         cl = params.closed_loop
 
         def rates(phi_ref, theta_ref):
-            return m.attitude_dynamics(state, m.ControlInput(0.4, phi_ref, theta_ref), cl)
+            return attitude_rates(state, m.ControlInput(0.4, phi_ref, theta_ref), cl)
 
         base = rates(0.0, 0.0)
         d_phi = rates(0.3, 0.0) - base
@@ -137,41 +155,42 @@ class TestForces:
 class TestVelocityDynamics:
     def test_throttle_lag_equilibrium(self, params):
         st_ = m.AircraftState(v_a=13.5, delta_t=0.37)
-        rates = m.velocity_dynamics(st_, m.ControlInput(u_t=0.37), params.open_loop,
-                                    params.constants)
-        assert rates[3] == pytest.approx(0.0, abs=1e-15)
+        rates = force_balance(st_, m.ControlInput(u_t=0.37), params)
+        assert rates[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_trim_force_balance(self, params, trim):
-        rates = m.velocity_dynamics(trim.state(), trim.control(), params.open_loop,
-                                    params.constants)
+        rates = force_balance(trim.state(), trim.control(), params)
         assert rates[0] == pytest.approx(0.0, abs=1e-10)
         assert rates[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_wings_level_no_heading_rate(self, params):
         st_ = m.AircraftState(v_a=13.5, phi=0.0, delta_t=0.4)
-        rates = m.velocity_dynamics(st_, m.ControlInput(u_t=0.4), params.open_loop,
-                                    params.constants)
-        assert rates[2] == 0.0
+        der = batch_derivative(st_, m.ControlInput(u_t=0.4), m.WindVector(), params)
+        assert der[m.IDX_XI] == 0.0
 
     def test_vertical_flight_rejected(self, params):
         st_ = m.AircraftState(v_a=13.5, gamma=np.pi / 2 - 0.01)
         with pytest.raises(m.ModelDomainError):
-            m.velocity_dynamics(st_, m.ControlInput(), params.open_loop, params.constants)
+            batch_derivative(st_, m.ControlInput(), m.WindVector(), params)
+        with pytest.raises(m.ModelDomainError):
+            m.derivative_array(st_.as_array(), m.ControlInput().as_array(),
+                               m.WindVector(), params)
 
 
 class TestKinematics:
     def test_north_cruise(self):
         st_ = m.AircraftState(v_a=10.0, gamma=0.0, xi=0.0)
-        np.testing.assert_allclose(m.kinematics(st_, m.WindVector()), [10.0, 0.0, 0.0])
+        np.testing.assert_allclose(m.kinematics_array(st_.as_array(), m.WindVector()),
+                                   [10.0, 0.0, 0.0])
 
     def test_wind_cancels_airspeed(self):
         st_ = m.AircraftState(v_a=10.0, gamma=0.0, xi=np.pi / 2)
-        rates = m.kinematics(st_, m.WindVector(w_e=-10.0))
+        rates = m.kinematics_array(st_.as_array(), m.WindVector(w_e=-10.0))
         np.testing.assert_allclose(rates, [0.0, 0.0, 0.0], atol=1e-15)
 
     def test_climbing_north(self):
         st_ = m.AircraftState(v_a=10.0, gamma=np.pi / 6, xi=0.0)
-        rates = m.kinematics(st_, m.WindVector())
+        rates = m.kinematics_array(st_.as_array(), m.WindVector())
         np.testing.assert_allclose(rates, [10.0 * np.cos(np.pi / 6), 0.0, -5.0], atol=1e-12)
 
     @given(v_a=st.floats(5.0, 30.0), gamma=st.floats(-1.0, 1.0),
@@ -179,7 +198,7 @@ class TestKinematics:
     @settings(max_examples=50, deadline=None)
     def test_zero_wind_ground_speed_is_airspeed(self, v_a, gamma, xi):
         st_ = m.AircraftState(v_a=v_a, gamma=gamma, xi=xi)
-        speed = np.linalg.norm(m.kinematics(st_, m.WindVector()))
+        speed = np.linalg.norm(m.kinematics_array(st_.as_array(), m.WindVector()))
         assert speed == pytest.approx(v_a, rel=1e-13)
 
 
@@ -226,12 +245,17 @@ class TestFullDerivative:
                                 phi=0.1, theta=0.05, p=0.01, q=0.02, r=0.03, delta_t=0.5)
         control = m.ControlInput(0.5, 0.1, 0.03)
         wind = m.WindVector(1.0, -2.0, 0.5)
-        der = m.full_derivative(state, control, wind, params)
-        np.testing.assert_allclose(der[:3], m.kinematics(state, wind), rtol=1e-15)
-        vel = m.velocity_dynamics(state, control, params.open_loop, params.constants)
-        np.testing.assert_allclose(der[3:6], vel[:3], rtol=1e-15)
-        assert der[m.IDX_DELTA_T] == pytest.approx(vel[3], rel=1e-15)
-        att = m.attitude_dynamics(state, control, params.closed_loop)
+        der = batch_derivative(state, control, wind, params)
+        np.testing.assert_allclose(der[:3], m.kinematics_array(state.as_array(), wind),
+                                   rtol=1e-15)
+        v_a_dot, gamma_dot, delta_t_dot, normal_force = force_balance(state, control, params)
+        assert der[m.IDX_VA] == pytest.approx(v_a_dot, rel=1e-15)
+        assert der[m.IDX_GAMMA] == pytest.approx(gamma_dot, rel=1e-15)
+        assert der[m.IDX_DELTA_T] == pytest.approx(delta_t_dot, rel=1e-15)
+        xi_dot = np.sin(state.phi) * normal_force / (
+            params.constants.m * state.v_a * np.cos(state.gamma))
+        assert der[m.IDX_XI] == pytest.approx(xi_dot, rel=1e-15)
+        att = attitude_rates(state, control, params.closed_loop)
         np.testing.assert_allclose(der[6:11], att, rtol=1e-15)
 
     def test_batched_matches_scalar(self, params):
@@ -246,6 +270,54 @@ class TestFullDerivative:
         for i in range(5):
             single = m.derivative_array(xs[:, i], us[:, i], wind, params)
             np.testing.assert_allclose(batch[:, i], single, rtol=1e-15)
+
+
+class TestParameterColumns:
+    """A parameter object whose fields are (M,) arrays gives, column by
+    column, the bits of the dataclass built from that column."""
+
+    M = 6
+
+    def columns(self, vec, seed):
+        rng = np.random.default_rng(seed)
+        return vec[:, None] * rng.uniform(0.8, 1.2, (vec.size, self.M))
+
+    def states(self, seed):
+        rng = np.random.default_rng(seed)
+        names = ("v_a", "gamma", "phi", "theta", "p", "q", "r", "delta_t",
+                 "u_t", "phi_ref", "theta_ref")
+        lo = [11.0, -0.1, -0.5, -0.1, -0.3, -0.3, -0.3, 0.0, 0.0, -0.5, -0.2]
+        hi = [18.0, 0.1, 0.5, 0.2, 0.3, 0.3, 0.3, 1.0, 1.0, 0.5, 0.2]
+        return dict(zip(names, rng.uniform(lo, hi, (self.M, len(names))).T))
+
+    def assert_columns_match(self, fn, cols, make):
+        names = [f.name for f in fields(make)]
+        wide = fn(SimpleNamespace(**dict(zip(names, cols))))
+        for j in range(self.M):
+            narrow = fn(make.from_array(cols[:, j]))
+            for got, want in zip(wide, narrow):
+                assert got[j].tobytes() == want[j].tobytes()
+
+    def test_attitude_rates(self, params):
+        s = self.states(1)
+        self.assert_columns_match(
+            lambda cl: m.attitude_rates(s["phi"], s["theta"], s["p"], s["q"], s["r"],
+                                        s["v_a"], s["gamma"], s["phi_ref"],
+                                        s["theta_ref"], cl),
+            self.columns(params.closed_loop.as_array(), 2), m.ClosedLoopParams)
+
+    def test_force_balance_and_specific_forces(self, params):
+        s = self.states(3)
+        consts = params.constants
+
+        def rates(ol):
+            return (m.force_balance(s["v_a"], s["gamma"], s["phi"], s["theta"],
+                                    s["delta_t"], s["u_t"], ol, consts)
+                    + m.specific_forces(s["v_a"], s["theta"] - s["gamma"], s["delta_t"],
+                                        ol, consts))
+
+        self.assert_columns_match(rates, self.columns(params.open_loop.as_array(), 4),
+                                  m.OpenLoopParams)
 
 
 class TestRk4Step:
@@ -320,7 +392,8 @@ class TestTrim:
         assert 0.3 < trim.u_t < 0.7
 
     def test_state_is_equilibrium(self, params, trim):
-        der = m.full_derivative(trim.state(), trim.control(), m.WindVector(), params)
+        der = m.derivative_array(trim.state().as_array(), trim.control().as_array(),
+                                 m.WindVector(), params)
         np.testing.assert_allclose(der[3:], np.zeros(9), atol=1e-9)
 
     def test_lateral_subsystem_stable(self, params):

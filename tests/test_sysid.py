@@ -218,14 +218,29 @@ class TestEstimate:
         assert np.max(rel) <= 1e-5
 
     def test_decoupling_cl_ignores_ol_params(self, params, cl_sets):
-        """The attitude-structure cost is invariant to the force coefficients."""
-        base = sysid.output_error_cost("cl", params.closed_loop.as_array(), cl_sets)
-        # nothing in the CL path touches OpenLoopParams; assert by construction:
-        # the residual only consumes the dataset and the 10 CL parameters
-        import inspect
-        src = inspect.getsource(sysid.simulate_cl) + inspect.getsource(sysid._cl_core)
-        assert "open_loop" not in src and "OpenLoopParams" not in src
-        assert base <= 1e-20
+        """The attitude-structure residual does not depend on the airframe
+        constants that the force balance reads."""
+        truth = params.closed_loop.as_array()
+        base = sysid.residual_vector("cl", truth, cl_sets)
+        other = sysid.residual_vector("cl", truth, cl_sets, constants=md.PhysicalConstants(
+            m=4.1, g=9.79, s_wing=0.55, rho_air=1.05))
+        assert base.tobytes() == other.tobytes()
+        assert base @ base <= 1e-20
+
+    def test_covariance_at_returned_params(self, params, cl_sets):
+        """The reported std comes from the Jacobian at the returned
+        parameters, also when the fit stops right after an accepted step."""
+        init = sysid.perturb_params(params.closed_loop, 0.2, seed=3)
+        report = sysid.estimate("cl", init, cl_sets, max_iter=1)
+        assert report.n_iter == 1
+        vec = report.params
+        r0 = sysid.residual_vector("cl", vec, cl_sets)
+        steps = np.maximum(5e-8 * np.abs(vec), 1e-10)  # mirror the LM internals
+        batch = np.repeat(vec[:, None], vec.size, axis=1)
+        batch[np.arange(vec.size), np.arange(vec.size)] += steps
+        jac = (sysid.residual_vector("cl", batch, cl_sets) - r0[:, None]) / steps
+        cov = (r0 @ r0) / (r0.size - vec.size) * np.linalg.inv(jac.T @ jac)
+        np.testing.assert_allclose(report.param_std, np.sqrt(np.diag(cov)), rtol=1e-9)
 
     def test_identifiable_mask_flags_weak_directions(self, params, ol_sets):
         noisy = [sysid.add_output_noise(ds, seed=7 + i) for i, ds in enumerate(ol_sets)]
@@ -275,6 +290,18 @@ class TestDatasetCsv:
         for name in sysid.CL_OUTPUTS:
             np.testing.assert_allclose(loaded.outputs[name], cl_sets[0].outputs[name],
                                        atol=0)
+
+    @pytest.mark.parametrize("body", [
+        "structure=cl\ntime,in:phi_ref,out:phi\n",
+        "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n0.025,0\n",
+        "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n0.025,x,0\n",
+        "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n",
+    ], ids=["header_only", "ragged_row", "not_a_number", "single_row"])
+    def test_malformed_file_names_its_path(self, tmp_path, body):
+        path = tmp_path / "bad_set.csv"
+        path.write_text(body)
+        with pytest.raises(sysid.SysidError, match="bad_set.csv"):
+            sysid.load_dataset(path)
 
     def test_nonuniform_sampling_rejected(self):
         with pytest.raises(ValueError):
