@@ -5,6 +5,12 @@ shooting gaps vanish identically), linearizes dynamics and weighted outputs,
 condenses the continuity constraints into a dense control-space QP with box
 bounds, solves it with the primal active-set method, and applies the full
 step with objective-increase fallback to step halving.
+
+Condensing builds H = J^T J and g = J^T r stage by stage with a forward
+sensitivity pass and a backward adjoint pass (Andersson et al. 2013), in
+O(N^2) and without forming the condensed Jacobian J. A period in which a QP
+stops at its iteration limit keeps its line-searched controls and is
+flagged degraded.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ class OcpSolution:
     objective: float
     objective_before: float
     kkt_residual: float
-    qp_status: str
+    qp_status: str                # first non-optimal QP status of the period, else "optimal"
     qp_active_set: int
     sqp_iters: int
     halvings: int
     obj_nonincrease_ok: bool
-    degraded: bool = False
+    degraded: bool = False        # a solver failure, or a QP at its iteration limit
     wall_time_s: float = 0.0
 
 
@@ -143,12 +149,75 @@ class SqpIterationResult:
     accepted: bool
 
 
+def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
+                               c_stage: np.ndarray, d_stage: np.ndarray,
+                               c_end: np.ndarray, residual: np.ndarray):
+    """Gauss-Newton normal equations H = J^T J, g = J^T r of the condensed
+    problem, without forming the condensed Jacobian J.
+
+    Takes the stage blocks A_k = a_mat[k], B_k = b_mat[k], C_k = c_stage[k],
+    D_k = d_stage[k], the end block C_N = c_end, and the stacked stage and
+    end residuals; every dimension is read from the shapes. A forward pass
+    builds the condensed output rows J_k = C_k S_k + D_k E_k, with the state
+    sensitivity S_{k+1} = A_k S_k + B_k E_k (E_k selects node k's controls),
+    so J_k is zero beyond column n_u (k+1). A backward adjoint pass forms
+    L_k = C_k^T J_k + A_k^T L_{k+1} from L_N = C_N^T J_N, and row block k of
+    H as D_k^T J_k + B_k^T L_{k+1}: one product [D_k^T B_k^T; C_k^T A_k^T]
+    [J_k; L_{k+1}] per node over the lower triangle, with the residual as an
+    extra column that yields g. The upper triangle is mirrored, so H is
+    exactly symmetric. The cost grows as O(N^2), and no product is large
+    enough for a threaded BLAS to split, so the bits do not depend on the
+    thread count.
+    """
+    n, n_x, n_u = b_mat.shape
+    n_out = c_stage.shape[1]
+    n_dec = n * n_u
+
+    # forward: rows[k] = [r_k | J_k]; sens[:, :m] holds S_k's nonzero columns
+    rows = np.empty((n, n_out, 1 + n_dec))
+    rows[:, :, 0] = residual[:n * n_out].reshape(n, n_out)
+    sens, sens_next = np.empty((n_x, n_dec)), np.empty((n_x, n_dec))
+    for k in range(n):
+        m = k * n_u
+        np.matmul(c_stage[k], sens[:, :m], out=rows[k, :, 1:1 + m])
+        rows[k, :, 1 + m:1 + m + n_u] = d_stage[k]
+        np.matmul(a_mat[k], sens[:, :m], out=sens_next[:, :m])
+        sens_next[:, m:m + n_u] = b_mat[k]
+        sens, sens_next = sens_next, sens
+    end_rows = np.empty((c_end.shape[0], 1 + n_dec))
+    end_rows[:, 0] = residual[n * n_out:]
+    np.matmul(c_end, sens, out=end_rows[:, 1:])
+
+    # backward: stack[:n_out] = [r_k | J_k] over stack[n_out:] = L_{k+1}, the
+    # residual's adjoint in column 0; each node keeps the columns node k-1 reads
+    lhs = np.empty((n, n_u + n_x, n_out + n_x))
+    lhs[:, :n_u, :n_out] = d_stage.transpose(0, 2, 1)
+    lhs[:, :n_u, n_out:] = b_mat.transpose(0, 2, 1)
+    lhs[:, n_u:, :n_out] = c_stage.transpose(0, 2, 1)
+    lhs[:, n_u:, n_out:] = a_mat.transpose(0, 2, 1)
+    stack = np.empty((n_out + n_x, 1 + n_dec))
+    np.matmul(c_end.T, end_rows, out=stack[n_out:])
+    prod = np.empty((n_u + n_x, 1 + n_dec))
+    h_mat = np.empty((n_dec, n_dec))
+    g_vec = np.empty(n_dec)
+    for k in range(n - 1, -1, -1):
+        m = k * n_u
+        width = 1 + m + n_u
+        stack[:n_out, :width] = rows[k, :, :width]
+        np.matmul(lhs[k], stack[:, :width], out=prod[:, :width])
+        g_vec[m:m + n_u] = prod[:n_u, 0]
+        h_mat[m:m + n_u, :m + n_u] = prod[:n_u, 1:width]
+        stack[n_out:, :1 + m] = prod[n_u:, :1 + m]
+    for i in range(n_dec - 1):
+        h_mat[i, i + 1:] = h_mat[i + 1:, i]
+    return h_mat, g_vec
+
+
 def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
                 controls: np.ndarray, horizon: ocp.Horizon | None = None,
                 residual: np.ndarray | None = None,
                 reg: float = 1e-8) -> SqpIterationResult:
     """One Gauss-Newton iteration with condensing and box-constrained QP."""
-    n, n_u = problem.n, md.CONTROL_DIM
     if horizon is None:
         horizon = problem.rollout(x0, controls)
     if residual is None:
@@ -162,43 +231,14 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
         bad = int(np.argmax(~np.all(np.isfinite(a_mat), axis=(1, 2))))
         raise md.ModelDomainError(f"non-finite linearization at shooting node {bad}")
 
-    n_res = residual.shape[0]
-    jac = np.zeros((n_res, n * n_u))
-    sens = np.zeros((md.STATE_DIM, n * n_u))
-    n_out = ocp.N_OUT
-    for k in range(n):
-        rows = slice(k * n_out, (k + 1) * n_out)
-        if k > 0:
-            jac[rows] = c_stage[k] @ sens
-        cols = slice(k * n_u, (k + 1) * n_u)
-        jac[rows, cols] += d_stage[k]
-        sens = a_mat[k] @ sens
-        sens[:, cols] += b_mat[k]
-    jac[n * n_out:] = c_end @ sens
-
-    # Threaded BLAS contractions are not bit-reproducible across thread-count
-    # settings. The normal equations are accumulated over per-node blocks of
-    # one output stack each, which is no guarantee either: with OpenBLAS a
-    # dense 11x210 `block.T @ block` differs between one and two threads.
-    # The per-node products of the built-in scenarios' condensed Jacobians
-    # came out bit-identical at one and two threads, and a single
-    # `jac.T @ jac` differs on dense input too, so the loop stays.
-    n_dec = n * n_u
-    h_mat = np.zeros((n_dec, n_dec))
-    g_vec = np.zeros(n_dec)
-    tmp = np.empty((n_dec, n_dec))
-    for k in range(n + 1):
-        rows = slice(k * n_out, min((k + 1) * n_out, n_res))
-        block = jac[rows]
-        np.matmul(block.T, block, out=tmp)
-        h_mat += tmp
-        g_vec += block.T @ residual[rows]
+    h_mat, g_vec = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage,
+                                              c_end, residual)
     h_mat[np.diag_indices_from(h_mat)] += reg
 
     u_lb, u_ub = problem.bounds()
     qp = solve_box_qp(h_mat, g_vec, (u_lb - controls).ravel(),
                       (u_ub - controls).ravel())
-    delta = qp.x.reshape(n, n_u)
+    delta = qp.x.reshape(controls.shape)
     step_norm = float(np.max(np.abs(delta), initial=0.0))
 
     # full step, halving on objective increase
@@ -299,6 +339,7 @@ class NmpcController:
         nonincrease_ok = True
         first_obj = None
         result = None
+        qp_status = None      # the first QP status of the period that is not optimal
         iters_run = 0
         for _ in range(max(n_iter, 1)):
             result = sqp_iterate(problem, x0, controls, horizon=horizon,
@@ -306,6 +347,8 @@ class NmpcController:
             iters_run += 1
             if first_obj is None:
                 first_obj = result.objective_before
+            if qp_status is None and result.qp_status != "optimal":
+                qp_status = result.qp_status
             nonincrease_ok &= result.objective <= result.objective_before \
                 * (1.0 + 1e-9) + 1e-9
             controls, horizon, residual = result.controls, result.horizon, result.residual
@@ -318,9 +361,10 @@ class NmpcController:
             states=result.horizon.states, controls=controls,
             seg_index=result.horizon.seg_index.copy(), x_sw=result.horizon.x_sw.copy(),
             objective=result.objective, objective_before=float(first_obj),
-            kkt_residual=result.kkt_residual, qp_status=result.qp_status,
+            kkt_residual=result.kkt_residual, qp_status=qp_status or result.qp_status,
             qp_active_set=result.qp_active_set, sqp_iters=iters_run,
-            halvings=result.halvings, obj_nonincrease_ok=bool(nonincrease_ok))
+            halvings=result.halvings, obj_nonincrease_ok=bool(nonincrease_ok),
+            degraded=qp_status == "iteration_limit")
 
     def _degraded_solution(self) -> OcpSolution:
         n = self.cfg.n_steps

@@ -1,12 +1,18 @@
-"""Shared independent oracles used by unit and acceptance tests.
+"""Shared independent oracles and test tooling used by unit and acceptance tests.
 
-Everything here is deliberately written from first principles (grid searches,
+Every oracle here is deliberately written from first principles (grid searches,
 central differences) and must not call into the code paths it checks, beyond
 plain data access.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import fwnmpc
 from fwnmpc import model as md
 from fwnmpc import paths
 
@@ -93,3 +99,17 @@ def central_difference_jacobians(x, u, wind, params, dt):
             diff[idx] = md.wrap_angle(diff[idx])
         b_mat[:, j] = diff / (2 * h)
     return a_mat, b_mat
+
+
+def run_at_thread_count(code, *args, threads):
+    """Run `code` (with `args` as its argv) in a new interpreter whose
+    BLAS/OpenMP pools have `threads` threads, importing this checkout's
+    package; return its stdout."""
+    src = str(Path(fwnmpc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.update({"OMP_NUM_THREADS": str(threads), "OPENBLAS_NUM_THREADS": str(threads),
+                "MKL_NUM_THREADS": str(threads)})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         check=True, env=env, capture_output=True, text=True)
+    return run.stdout

@@ -6,8 +6,6 @@ through session fixtures; the determinism criterion re-runs them.
 """
 
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -20,7 +18,7 @@ from fwnmpc import sim, sysid
 from fwnmpc.nmpc import ocp as nmpc_ocp
 from fwnmpc.scenarios import scenario_dubins_course, scenario_helix, scenario_motor_failure
 from oracles import brute_force_arc_point, central_difference_jacobians, \
-    random_envelope_states
+    random_envelope_states, run_at_thread_count
 
 
 def _csv_bytes(log) -> bytes:
@@ -341,11 +339,7 @@ class TestCriterion7Determinism:
 
         # run under a different BLAS/OpenMP thread-count setting
         sub_path = tmp_path / f"{name}_threads1.csv"
-        env = dict(os.environ)
-        env.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"})
-        subprocess.run([sys.executable, "-c", _SUBPROCESS_SNIPPET, name,
-                        str(sub_path)], check=True, env=env)
+        run_at_thread_count(_SUBPROCESS_SNIPPET, name, sub_path, threads=1)
         assert sub_path.read_bytes() == baseline
         print(f"\nCRITERION 7 PASS ({name}): CSV byte-identical across two runs"
               f" and across thread-count settings")

@@ -1,5 +1,7 @@
 """Tests for the NMPC layer: outputs, sensitivities, SQP, and controller."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp, solver
 from fwnmpc.nmpc.qp import solve_box_qp
-from oracles import central_difference_jacobians, random_envelope_states
+from oracles import central_difference_jacobians, random_envelope_states, run_at_thread_count
 
 
 @pytest.fixture(scope="module")
@@ -176,37 +178,22 @@ class LinearToyProblem:
 
 
 def toy_sqp_iterate(problem, x0, controls):
-    """Drive the generic condensing/QP pipeline for the toy problem.
+    """Drive the production normal equations and the QP for the toy problem.
 
-    Mirrors sqp_iterate's algebra with the toy's exact Jacobians so the
-    Riccati comparison isolates the QP/condensing path.
+    Feeds the toy's exact Jacobians to `condensed_normal_equations`, so the
+    Riccati comparison checks the algebra that sqp_iterate runs.
     """
     states = problem.rollout(x0, controls)
     residual = problem.residuals(states, controls)
     obj0 = problem.objective(residual)
     a_mat, b_mat = problem.dynamics_jacobians(states, controls)
     c_stage, d_stage, c_end = problem.residual_jacobians(states, controls)
-
-    n, n_u, n_x = problem.n, problem.n_u, problem.n_x
-    n_out = c_stage.shape[1]
-    jac = np.zeros((residual.shape[0], n * n_u))
-    sens = np.zeros((n_x, n * n_u))
-    for k in range(n):
-        rows = slice(k * n_out, (k + 1) * n_out)
-        if k > 0:
-            jac[rows] = c_stage[k] @ sens
-        cols = slice(k * n_u, (k + 1) * n_u)
-        jac[rows, cols] += d_stage[k]
-        sens = a_mat[k] @ sens
-        sens[:, cols] += b_mat[k]
-    jac[n * n_out:] = c_end @ sens
-
-    h_mat = jac.T @ jac
+    h_mat, g_vec = solver.condensed_normal_equations(a_mat, b_mat, c_stage, d_stage,
+                                                     c_end, residual)
     h_mat[np.diag_indices_from(h_mat)] += 1e-12
-    g_vec = jac.T @ residual
     lb, ub = problem.bounds()
     qp = solve_box_qp(h_mat, g_vec, (lb - controls).ravel(), (ub - controls).ravel())
-    controls_new = np.clip(controls + qp.x.reshape(n, n_u), lb, ub)
+    controls_new = np.clip(controls + qp.x.reshape(controls.shape), lb, ub)
     states_new = problem.rollout(x0, controls_new)
     return controls_new, states_new, problem.objective(
         problem.residuals(states_new, controls_new)), obj0
@@ -322,6 +309,101 @@ def _unit(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+def random_stage_blocks(rng, n, n_u, n_x=12, n_out=11, n_end=7):
+    """Seeded dense stage blocks A, B, C, D, the end block and a residual."""
+    return dict(a=rng.normal(scale=0.3, size=(n, n_x, n_x)), b=rng.normal(size=(n, n_x, n_u)),
+                c=rng.normal(size=(n, n_out, n_x)), d=rng.normal(size=(n, n_out, n_u)),
+                c_end=rng.normal(size=(n_end, n_x)), r=rng.normal(size=n * n_out + n_end))
+
+
+def dense_condensed_jacobian(a, b, c, d, c_end):
+    """Condensed Jacobian built one output row at a time from the state
+    sensitivity S_k = dx_k/du, S_0 = 0, S_{k+1} = A_k S_k + B_k E_k."""
+    n, n_x, n_u = b.shape
+    n_out = c.shape[1]
+    jac = np.zeros((n * n_out + c_end.shape[0], n * n_u))
+    sens = np.zeros((n_x, n * n_u))
+    for k in range(n):
+        cols = slice(k * n_u, (k + 1) * n_u)
+        for i in range(n_out):
+            jac[k * n_out + i] = c[k, i] @ sens
+            jac[k * n_out + i, cols] += d[k, i]
+        sens = a[k] @ sens
+        sens[:, cols] += b[k]
+    for i in range(c_end.shape[0]):
+        jac[n * n_out + i] = c_end[i] @ sens
+    return jac
+
+
+def assert_matches_dense_oracle(h_mat, g_vec, blk):
+    """H = J^T J and g = J^T r of the dense condensed Jacobian, to 1e-12 of
+    their largest entries."""
+    jac = dense_condensed_jacobian(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"])
+    h_ref, g_ref = jac.T @ jac, jac.T @ blk["r"]
+    np.testing.assert_allclose(h_mat, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
+    np.testing.assert_allclose(g_vec, g_ref, rtol=0, atol=1e-12 * np.max(np.abs(g_ref)))
+
+
+_NORMAL_EQUATIONS_SNIPPET = """
+import sys
+import numpy as np
+from fwnmpc.nmpc.solver import condensed_normal_equations
+blk = np.load(sys.argv[1])
+h, g = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+print(h.tobytes().hex(), g.tobytes().hex())
+"""
+
+
+class TestCondensedNormalEquations:
+    @pytest.mark.parametrize("n", [2, 3, 70])
+    @pytest.mark.parametrize("n_u", [1, 3])
+    def test_matches_dense_oracle(self, n, n_u):
+        blk = random_stage_blocks(np.random.default_rng(10 * n + n_u), n, n_u)
+        h_mat, g_vec = solver.condensed_normal_equations(
+            blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+        assert h_mat.shape == (n * n_u, n * n_u) and g_vec.shape == (n * n_u,)
+        assert_matches_dense_oracle(h_mat, g_vec, blk)
+        assert np.array_equal(h_mat, h_mat.T)
+
+    @pytest.mark.parametrize("n_u", [1, 3])
+    def test_zero_blocks_stay_exactly_zero(self, n_u):
+        """With A = 0 the outputs of node k depend on the controls of nodes
+        k-1 and k only: H is block tridiagonal, every other block exactly
+        zero, and g_k = D_k^T r_k + B_k^T C_{k+1}^T r_{k+1}."""
+        n, n_out = 6, 11
+        blk = random_stage_blocks(np.random.default_rng(5), n, n_u)
+        blk["a"][:] = 0.0
+        h_mat, g_vec = solver.condensed_normal_equations(
+            blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+        blocks = h_mat.reshape(n, n_u, n, n_u)
+        for i in range(n):
+            for j in range(n):
+                nonzero = bool(np.any(blocks[i, :, j, :] != 0.0))
+                assert nonzero == (abs(i - j) <= 1), (i, j)
+        r = blk["r"][:n * n_out].reshape(n, n_out)
+        for k in range(n):
+            c_next, r_next = (blk["c"][k + 1], r[k + 1]) if k + 1 < n else \
+                (blk["c_end"], blk["r"][n * n_out:])
+            expected = blk["d"][k].T @ r[k] + blk["b"][k].T @ (c_next.T @ r_next)
+            np.testing.assert_allclose(g_vec[k * n_u:(k + 1) * n_u], expected,
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_bytes_equal_at_one_and_two_blas_threads(self, tmp_path):
+        """H and g of a dense 70-node problem, built in processes with one and
+        with two BLAS/OpenMP threads, have the same bits. (A BLAS that caps
+        its threads at the CPU count runs one thread in both processes on a
+        one-CPU machine, where the check cannot fail.)"""
+        blk = random_stage_blocks(np.random.default_rng(70), 70, 3)
+        path = tmp_path / "blocks.npz"
+        np.savez(path, **blk)
+        outputs = [run_at_thread_count(_NORMAL_EQUATIONS_SNIPPET, path, threads=threads).split()
+                   for threads in (1, 2)]
+        assert outputs[0] == outputs[1]
+        h_hex, g_hex = outputs[0]
+        assert_matches_dense_oracle(np.frombuffer(bytes.fromhex(h_hex)).reshape(210, 210),
+                                    np.frombuffer(bytes.fromhex(g_hex)), blk)
 
 
 class TestAircraftSqp:
@@ -500,6 +582,34 @@ class TestController:
             _, sol = ctrl.step(state, queue, md.WindVector())
             assert np.all(sol.controls >= cfg.control_lower())
             assert np.all(sol.controls <= cfg.control_upper())
+
+    def test_qp_iteration_limit_degrades_the_period(self, params, refs, trim, monkeypatch):
+        """A QP that stops at its iteration limit on the 2nd of 3 cold-start
+        iterations flags the period degraded and names that status; the
+        line-searched controls are kept."""
+        queue = line_queue()
+        cfg = ocp.OcpConfig(n_steps=20, cold_start_sqp_iter=3)
+        state = trim.state(e=8.0, d=-50.0)
+        _, clean = solver.NmpcController(params, cfg, ocp.default_weights(), refs).step(
+            state, queue, md.WindVector())
+        assert clean.sqp_iters == 3 and clean.qp_status == "optimal" and not clean.degraded
+
+        solve = solver.solve_box_qp
+        statuses = []
+
+        def limit_on_second(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            statuses.append(result.status)
+            return replace(result, status="iteration_limit") if len(statuses) == 2 else result
+
+        monkeypatch.setattr(solver, "solve_box_qp", limit_on_second)
+        control, sol = solver.NmpcController(params, cfg, ocp.default_weights(), refs).step(
+            state, queue, md.WindVector())
+        assert statuses == ["optimal"] * 3 and sol.sqp_iters == 3
+        assert sol.degraded
+        assert sol.qp_status == "iteration_limit"
+        np.testing.assert_array_equal(sol.controls, clean.controls)
+        assert control == md.ControlInput.from_array(clean.controls[0])
 
     def test_degraded_flag_on_solver_failure(self, params, refs):
         queue = line_queue()

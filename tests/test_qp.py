@@ -1,16 +1,12 @@
 """Tests for the box-constrained active-set QP solver."""
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fwnmpc
 from fwnmpc.nmpc.qp import _FreeBasis, solve_box_qp
+from oracles import run_at_thread_count
 
 
 def enumerate_box_qp(h_mat, g_vec, lb, ub):
@@ -241,16 +237,8 @@ class TestThreadCountIndependence:
         qp_path = tmp_path / "qp.npz"
         np.savez(qp_path, h=h, g=g, lb=lb, ub=ub)
 
-        src = str(Path(fwnmpc.__file__).resolve().parent.parent)
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ)
-            env.update({"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
-                        "MKL_NUM_THREADS": threads})
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run([sys.executable, "-c", _THREADS_SNIPPET, str(qp_path)],
-                                 check=True, env=env, capture_output=True, text=True)
-            outputs.append(run.stdout.split())
+        outputs = [run_at_thread_count(_THREADS_SNIPPET, qp_path, threads=threads).split()
+                   for threads in (1, 2)]
         status, n_iter, n_active, x_hex = outputs[0]
         assert status == "optimal"
         assert 0 < int(n_active) < n
