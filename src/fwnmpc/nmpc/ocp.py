@@ -201,28 +201,54 @@ class HorizonContext:
                    anchor_d=z(), chi_p=z(), gamma_p=z(), r_signed=z(), leg=z(),
                    delta_chi=z(), lam=z(), seg_index=np.zeros(m, dtype=int))
 
-    def fill(self, i: int, queue: pth.PathQueue, r: np.ndarray,
-             leg_cap: int | None) -> int | None:
-        """Record node i's frozen segment data; returns the updated leg cap."""
-        seg = queue.current_segment
-        self.seg_index[i] = queue.current_index
+    def fill_run(self, run: slice, seg, pos: np.ndarray) -> int:
+        """Record the frozen data of the nodes in `run`, all on segment `seg`,
+        from their (M, 3) positions `pos`.
+
+        Nodes of an arc choose their helix leg under a cap: the leg of the
+        previous node in the run, so legs already passed are refused. A node
+        within AXIS_EPS of an arc or loiter axis has no closest point; it
+        gets delta_chi = 0 and leg 0, and the cap restarts there. Returns
+        the number of such near-axis nodes.
+        """
         if isinstance(seg, pth.LineSegment):
-            self.kind[i] = KIND_LINE
-            self.anchor_n[i], self.anchor_e[i], self.anchor_d[i] = seg.b
-            self.chi_p[i] = seg.chi_p
-            self.gamma_p[i] = seg.gamma_p
-            return None
-        cp = pth.closest_point_arc(seg, r, leg_cap=leg_cap)
+            self.kind[run] = KIND_LINE
+            self.anchor_n[run], self.anchor_e[run], self.anchor_d[run] = seg.b
+            self.chi_p[run] = seg.chi_p
+            self.gamma_p[run] = seg.gamma_p
+            return 0
         is_loiter = isinstance(seg, pth.LoiterSegment)
-        self.kind[i] = KIND_LOITER if is_loiter else KIND_ARC
-        self.anchor_n[i], self.anchor_e[i], self.anchor_d[i] = seg.c
-        self.chi_p[i] = 0.0 if is_loiter else seg.chi_p
-        self.gamma_p[i] = 0.0 if is_loiter else seg.gamma_p
-        self.r_signed[i] = seg.r_signed
-        self.leg[i] = cp.leg
-        self.delta_chi[i] = cp.delta_chi
-        self.lam[i] = float(np.arctan2(r[1] - seg.c[1], r[0] - seg.c[0]))
-        return cp.leg if not is_loiter else None
+        self.kind[run] = KIND_LOITER if is_loiter else KIND_ARC
+        self.anchor_n[run], self.anchor_e[run], self.anchor_d[run] = seg.c
+        self.r_signed[run] = seg.r_signed
+        d_n, d_e = pos[:, 0] - seg.c[0], pos[:, 1] - seg.c[1]
+        lam = np.arctan2(d_e, d_n)
+        self.lam[run] = lam
+        on_axis = np.hypot(d_n, d_e) < pth.AXIS_EPS
+        if is_loiter:
+            return int(np.count_nonzero(on_axis))
+
+        self.chi_p[run] = seg.chi_p
+        self.gamma_p[run] = seg.gamma_p
+        direction = pth.arc_direction(seg)
+        radius = abs(seg.r_signed)
+        lam_b = seg.chi_p - direction * np.pi / 2
+        delta_chi = np.mod(direction * (lam_b - lam), md.TWO_PI)
+        slope = np.tan(seg.gamma_p)
+        if abs(slope) < pth.FLAT_SLOPE_EPS:
+            leg = np.zeros(lam.shape)
+        else:
+            pitch = md.TWO_PI * radius * slope
+            # + 0.0 turns a rounded -0.0 into the 0.0 of an integer leg
+            leg = np.round((pos[:, 2] - (seg.c[2] + delta_chi * radius * slope))
+                           / pitch) + 0.0
+        delta_chi[on_axis] = 0.0
+        leg[on_axis] = 0.0
+        cuts = np.flatnonzero(on_axis)
+        self.delta_chi[run] = delta_chi
+        self.leg[run] = np.concatenate(
+            [np.minimum.accumulate(part) for part in np.split(leg, cuts) if part.size])
+        return int(cuts.size)
 
     def select(self, idx) -> "HorizonContext":
         return HorizonContext(*[getattr(self, f)[idx] for f in _CTX_FIELDS])
@@ -242,6 +268,7 @@ class Horizon:
     states: np.ndarray        # (N+1, 12)
     context: HorizonContext   # M = N+1 entries
     x_sw: np.ndarray          # (N+1,)
+    axis_nodes: int = 0       # arc/loiter nodes within AXIS_EPS of the axis
 
     @property
     def seg_index(self) -> np.ndarray:
@@ -253,20 +280,18 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
                       switch_cfg: pth.SwitchConfig) -> Horizon:
     """Integrate the horizon, advancing the switching state node by node.
 
-    The switching recursion is the same Euler/latch logic as the plant-side
-    queue advance, inlined on plain floats for speed. Helix legs already
-    passed within the horizon are refused: the frozen leg index per node is
-    capped by the previous node's, so altitude transients can never
-    re-select a lower leg.
+    The per-node loop works on plain floats only: the switching recursion,
+    the same Euler/latch logic as the plant-side queue advance, inlined, and
+    one `rk4_step_floats` step. The frozen path context is then built in
+    one vectorized pass per run of nodes on the same segment (see
+    `HorizonContext.fill_run`), which refuses helix legs already passed
+    within the horizon, so altitude transients can never re-select a lower
+    leg.
     """
     n = cfg.n_steps
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (n, md.CONTROL_DIM):
         raise ValueError(f"expected controls of shape ({n}, {md.CONTROL_DIM})")
-
-    states = np.empty((n + 1, md.STATE_DIM))
-    x_sw = np.empty(n + 1)
-    ctx = HorizonContext.allocate(n + 1)
 
     segments = queue.segments
     n_seg = len(segments)
@@ -291,23 +316,9 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
     sw = float(queue.x_sw)
     idx = int(queue.current_index)
 
-    x = np.asarray(x0, dtype=float).copy()
-    leg_cap: int | None = None
-    last_index = idx
-
-    for k in range(n + 1):
-        states[k] = x
-        x_sw[k] = sw
-        if idx != last_index:
-            leg_cap = None
-            last_index = idx
-        work_queue = pth.PathQueue(segments=segments, x_sw=sw, current_index=idx)
-        new_cap = ctx.fill(k, work_queue, x[:3], leg_cap)
-        if new_cap is not None:
-            leg_cap = new_cap
-        if k == n:
-            break
-
+    x = np.asarray(x0, dtype=float).tolist()
+    rows, sw_nodes, idx_nodes = [x], [sw], [idx]
+    for u in controls.tolist():
         # terminal conditions on plain floats
         term = terminal_data(idx)
         met = False
@@ -318,7 +329,7 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
             if is_line:
                 met = travel
             elif travel and dn * dn + de * de + dd * dd < r_acpt_sq:
-                v_a, gamma, xi = float(x[3]), float(x[4]), float(x[5])
+                v_a, gamma, xi = x[3], x[4], x[5]
                 cg = math.cos(gamma)
                 v_gn = v_a * cg * math.cos(xi) + wind.w_n
                 v_ge = v_a * cg * math.sin(xi) + wind.w_e
@@ -328,10 +339,21 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
                     met = (v_gn * tb_n + v_ge * tb_e + v_gd * tb_d) / speed > cos_acpt
         if met or (sw - idx) > switch_cfg.sw_threshold:
             sw = min(sw + switch_cfg.rho_sw * cfg.t_step, float(n_seg))
-        idx = max(min(int(np.floor(sw)), n_seg - 1), idx)
+        idx = max(min(math.floor(sw), n_seg - 1), idx)
 
-        x = md.rk4_step_array(x, controls[k], wind, params, cfg.t_step)
-    return Horizon(states=states, context=ctx, x_sw=x_sw)
+        x = md.rk4_step_floats(x, u, wind, params, cfg.t_step)
+        rows.append(x)
+        sw_nodes.append(sw)
+        idx_nodes.append(idx)
+
+    states = np.array(rows)
+    ctx = HorizonContext.allocate(n + 1)
+    ctx.seg_index[:] = idx_nodes
+    bounds = [0, *(np.flatnonzero(np.diff(ctx.seg_index)) + 1), n + 1]
+    axis_nodes = sum(ctx.fill_run(slice(a, b), segments[idx_nodes[a]], states[a:b, :3])
+                     for a, b in zip(bounds, bounds[1:]))
+    return Horizon(states=states, context=ctx, x_sw=np.array(sw_nodes),
+                   axis_nodes=axis_nodes)
 
 
 # ---------------------------------------------------------------------------

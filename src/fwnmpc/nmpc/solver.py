@@ -44,10 +44,11 @@ class OcpSolution:
     qp_status: str                # first non-optimal QP status of the period, else "optimal"
     qp_active_set: int
     sqp_iters: int
-    halvings: int
+    halvings: int                 # line-search halvings summed over the period's iterations
     obj_nonincrease_ok: bool
     degraded: bool = False        # a solver failure, or a QP at its iteration limit
     wall_time_s: float = 0.0
+    axis_nodes: int = 0           # near-axis arc/loiter nodes of the final horizon
 
 
 class AircraftShootingProblem:
@@ -226,10 +227,14 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
 
     a_mat, b_mat = problem.dynamics_jacobians(horizon, controls)
     c_stage, d_stage, c_end = problem.residual_jacobians(horizon, controls)
-    if not (np.all(np.isfinite(a_mat)) and np.all(np.isfinite(b_mat))
-            and np.all(np.isfinite(c_stage)) and np.all(np.isfinite(d_stage))):
-        bad = int(np.argmax(~np.all(np.isfinite(a_mat), axis=(1, 2))))
-        raise md.ModelDomainError(f"non-finite linearization at shooting node {bad}")
+    finite = np.empty(a_mat.shape[0] + 1, dtype=bool)
+    finite[:-1] = np.logical_and.reduce(
+        [np.isfinite(block).all(axis=(1, 2)) for block in (a_mat, b_mat, c_stage, d_stage)])
+    finite[-1] = np.isfinite(c_end).all()
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        where = " (end term)" if bad == a_mat.shape[0] else ""
+        raise md.ModelDomainError(f"non-finite linearization at shooting node {bad}{where}")
 
     h_mat, g_vec = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage,
                                               c_end, residual)
@@ -341,10 +346,12 @@ class NmpcController:
         result = None
         qp_status = None      # the first QP status of the period that is not optimal
         iters_run = 0
+        halvings = 0
         for _ in range(max(n_iter, 1)):
             result = sqp_iterate(problem, x0, controls, horizon=horizon,
                                  residual=residual)
             iters_run += 1
+            halvings += result.halvings
             if first_obj is None:
                 first_obj = result.objective_before
             if qp_status is None and result.qp_status != "optimal":
@@ -363,8 +370,8 @@ class NmpcController:
             objective=result.objective, objective_before=float(first_obj),
             kkt_residual=result.kkt_residual, qp_status=qp_status or result.qp_status,
             qp_active_set=result.qp_active_set, sqp_iters=iters_run,
-            halvings=result.halvings, obj_nonincrease_ok=bool(nonincrease_ok),
-            degraded=qp_status == "iteration_limit")
+            halvings=halvings, obj_nonincrease_ok=bool(nonincrease_ok),
+            degraded=qp_status == "iteration_limit", axis_nodes=result.horizon.axis_nodes)
 
     def _degraded_solution(self) -> OcpSolution:
         n = self.cfg.n_steps

@@ -113,6 +113,8 @@ class SimLog:
     degraded: np.ndarray
     wall_time_s: np.ndarray        # solver wall time; report-only, never in CSV
     events_applied: tuple
+    # near-axis rollout nodes per period; report-only, never in CSV
+    axis_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 def _segment_kind(seg) -> str:
@@ -258,6 +260,7 @@ def run(scenario: Scenario) -> SimLog:
         degraded=np.array([r[7].degraded for r in rows], dtype=bool),
         wall_time_s=np.array([r[7].wall_time_s for r in rows]),
         events_applied=tuple(applied),
+        axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
     )
     return log
 
@@ -360,6 +363,7 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f"  max {np.max(wall_ms):.1f}",
         f"objective non-increase satisfied: {bool(np.all(log.obj_nonincrease))}",
         f"degraded periods: {int(np.count_nonzero(log.degraded))}",
+        f"periods with near-axis rollout nodes: {int(np.count_nonzero(log.axis_nodes))}",
         "",
         "segment switches:",
     ]

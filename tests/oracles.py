@@ -2,9 +2,12 @@
 
 Every oracle here is deliberately written from first principles (grid searches,
 central differences) and must not call into the code paths it checks, beyond
-plain data access.
+plain data access. The `reference_*` functions keep the plain per-node forms
+of optimized code paths, which must match them byte for byte.
 """
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import numpy as np
 import fwnmpc
 from fwnmpc import model as md
 from fwnmpc import paths
+from fwnmpc.nmpc import ocp
 
 TWO_PI = 2.0 * np.pi
 
@@ -99,6 +103,137 @@ def central_difference_jacobians(x, u, wind, params, dt):
             diff[idx] = md.wrap_angle(diff[idx])
         b_mat[:, j] = diff / (2 * h)
     return a_mat, b_mat
+
+
+def _reference_derivative(x, u, wind, params, diag=None):
+    """Plain-float state derivative returned as an array, as the scalar RK4
+    path computed it before the fused float step."""
+    v_a, gamma, xi = float(x[md.IDX_VA]), float(x[md.IDX_GAMMA]), float(x[md.IDX_XI])
+    phi, theta = float(x[md.IDX_PHI]), float(x[md.IDX_THETA])
+    p, q, r = float(x[md.IDX_P]), float(x[md.IDX_Q]), float(x[md.IDX_R])
+    delta_t = float(x[md.IDX_DELTA_T])
+    u_t, phi_ref, theta_ref = float(u[0]), float(u[1]), float(u[2])
+    ol, cl, consts = params.open_loop, params.closed_loop, params.constants
+
+    cos_gamma = math.cos(gamma)
+    if abs(cos_gamma) < md.COS_GAMMA_FLOOR:
+        raise md.ModelDomainError("flight path angle too close to vertical for heading dynamics")
+    alpha = theta - gamma
+    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+
+    v_prop = v_a * cos_a
+    if v_prop < md.PROP_SPEED_FLOOR:
+        if diag is not None:
+            diag.prop_guard_count += 1
+        v_prop = md.PROP_SPEED_FLOOR
+    power = ol.c_t1 * delta_t + ol.c_t2 * delta_t ** 2 + ol.c_t3 * delta_t ** 3
+    thrust = power / v_prop
+    qbar_s = 0.5 * consts.rho_air * v_a * v_a * consts.s_wing
+    drag = qbar_s * (ol.c_d0 + ol.c_dalpha * alpha + ol.c_dalpha2 * alpha * alpha)
+    lift = qbar_s * (ol.c_l0 + ol.c_lalpha * alpha + ol.c_lalpha2 * alpha * alpha)
+    side_force = thrust * sin_a + lift
+    m, g = consts.m, consts.g
+
+    return np.array([
+        v_a * cos_gamma * math.cos(xi) + wind.w_n,
+        v_a * cos_gamma * math.sin(xi) + wind.w_e,
+        -v_a * math.sin(gamma) + wind.w_d,
+        (thrust * cos_a - drag) / m - g * math.sin(gamma),
+        (side_force * cos_phi - m * g * cos_gamma) / (m * v_a),
+        sin_phi * side_force / (m * v_a * cos_gamma),
+        p,
+        q * cos_phi - r * sin_phi,
+        cl.l_p * p + cl.l_r * r + cl.l_ephi * (phi_ref - phi),
+        v_a * v_a * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
+                     + cl.m_etheta * (theta_ref - theta)),
+        cl.n_r * r + cl.n_phi * phi + cl.n_phiref * phi_ref,
+        (u_t - delta_t) / ol.tau_t,
+    ])
+
+
+def reference_rk4_step(x, u, wind, params, dt, diag=None):
+    """Single-state RK4 step with array stage sums and post-step angle wrap,
+    the form of the scalar path before the fused float step."""
+    x = np.asarray(x, dtype=float)
+    k1 = _reference_derivative(x, u, wind, params, diag)
+    k2 = _reference_derivative(x + 0.5 * dt * k1, u, wind, params, diag)
+    k3 = _reference_derivative(x + 0.5 * dt * k2, u, wind, params, diag)
+    k4 = _reference_derivative(x + dt * k3, u, wind, params, diag)
+    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for idx in md.ANGLE_STATES:
+        x_next[idx] = math.pi - ((math.pi - x_next[idx]) % TWO_PI)
+    if not np.all(np.isfinite(x_next)):
+        raise md.ModelDomainError("non-finite state after integration step")
+    return x_next
+
+
+def reference_propagate_horizon(x0, controls, queue, wind, params, cfg, switch_cfg):
+    """Node-by-node horizon rollout: a `PathQueue` and a capped
+    `closest_point_arc` per node, the inlined switching recursion, and
+    `reference_rk4_step`. Returns (states, x_sw, context fields by name)."""
+    n = cfg.n_steps
+    segments = queue.segments
+    n_seg = len(segments)
+    states = np.empty((n + 1, md.STATE_DIM))
+    x_sw = np.empty(n + 1)
+    ctx = ocp.HorizonContext.allocate(n + 1)
+    cos_acpt = float(np.cos(switch_cfg.eta_acpt))
+    sw = float(queue.x_sw)
+    idx = int(queue.current_index)
+    x = np.asarray(x0, dtype=float).copy()
+    leg_cap, last_index = None, idx
+
+    for k in range(n + 1):
+        states[k] = x
+        x_sw[k] = sw
+        if idx != last_index:
+            leg_cap, last_index = None, idx
+        seg = paths.PathQueue(segments=segments, x_sw=sw, current_index=idx).current_segment
+        r = x[:3]
+        ctx.seg_index[k] = idx
+        if isinstance(seg, paths.LineSegment):
+            ctx.kind[k] = ocp.KIND_LINE
+            ctx.anchor_n[k], ctx.anchor_e[k], ctx.anchor_d[k] = seg.b
+            ctx.chi_p[k], ctx.gamma_p[k] = seg.chi_p, seg.gamma_p
+        else:
+            cp = paths.closest_point_arc(seg, r, leg_cap=leg_cap)
+            is_loiter = isinstance(seg, paths.LoiterSegment)
+            ctx.kind[k] = ocp.KIND_LOITER if is_loiter else ocp.KIND_ARC
+            ctx.anchor_n[k], ctx.anchor_e[k], ctx.anchor_d[k] = seg.c
+            ctx.chi_p[k] = 0.0 if is_loiter else seg.chi_p
+            ctx.gamma_p[k] = 0.0 if is_loiter else seg.gamma_p
+            ctx.r_signed[k] = seg.r_signed
+            ctx.leg[k] = cp.leg
+            ctx.delta_chi[k] = cp.delta_chi
+            ctx.lam[k] = float(np.arctan2(r[1] - seg.c[1], r[0] - seg.c[0]))
+            if not is_loiter:
+                leg_cap = cp.leg
+        if k == n:
+            break
+
+        met = False
+        if not isinstance(seg, paths.LoiterSegment):
+            b, t_b = paths.terminal_point(seg), paths.terminal_tangent(seg)
+            dn, de, dd = x[0] - float(b[0]), x[1] - float(b[1]), x[2] - float(b[2])
+            tb_n, tb_e, tb_d = float(t_b[0]), float(t_b[1]), float(t_b[2])
+            travel = dn * tb_n + de * tb_e + dd * tb_d > 0.0
+            if isinstance(seg, paths.LineSegment):
+                met = travel
+            elif travel and dn * dn + de * de + dd * dd < switch_cfg.r_acpt ** 2:
+                v_a, gamma, xi = float(x[3]), float(x[4]), float(x[5])
+                cg = math.cos(gamma)
+                v_gn = v_a * cg * math.cos(xi) + wind.w_n
+                v_ge = v_a * cg * math.sin(xi) + wind.w_e
+                v_gd = -v_a * math.sin(gamma) + wind.w_d
+                speed = math.sqrt(v_gn * v_gn + v_ge * v_ge + v_gd * v_gd)
+                if speed > 0.0:
+                    met = (v_gn * tb_n + v_ge * tb_e + v_gd * tb_d) / speed > cos_acpt
+        if met or (sw - idx) > switch_cfg.sw_threshold:
+            sw = min(sw + switch_cfg.rho_sw * cfg.t_step, float(n_seg))
+        idx = max(min(int(np.floor(sw)), n_seg - 1), idx)
+        x = reference_rk4_step(x, controls[k], wind, params, cfg.t_step)
+    return states, x_sw, {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx)}
 
 
 def run_at_thread_count(code, *args, threads):

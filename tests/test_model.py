@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwnmpc import model as m
+from oracles import random_envelope_states, reference_rk4_step
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,50 @@ class TestRk4Step:
         for _ in range(20):
             state = m.rk4_step(state, control, m.WindVector(), params, 0.1)
             assert 0.0 <= state.delta_t <= 1.0
+
+
+class TestRk4StepFloats:
+    """The fused plain-float step against the array-stage scalar RK4 oracle."""
+
+    WIND = m.WindVector(1.5, -2.0, 0.3)
+
+    def test_bytes_equal_oracle_on_random_states(self, params):
+        rng = np.random.default_rng(7)
+        states = random_envelope_states(rng, 500)
+        controls = np.column_stack([rng.uniform(0.0, 1.0, 500),
+                                    rng.uniform(-0.5, 0.5, 500),
+                                    rng.uniform(-0.25, 0.25, 500)])
+        for x, u in zip(states, controls):
+            expected = reference_rk4_step(x, u, self.WIND, params, 0.1)
+            got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.1)
+            assert np.array(got).tobytes() == expected.tobytes()
+            assert m.rk4_step_array(x, u, self.WIND, params, 0.1).tobytes() \
+                == expected.tobytes()
+
+    def test_prop_guard_count_matches_oracle(self, params, trim):
+        """Below PROP_SPEED_FLOOR every clamped stage is counted, as before."""
+        x = trim.state(xi=0.3).as_array()
+        x[m.IDX_VA] = 0.6 * m.PROP_SPEED_FLOOR
+        u = trim.control().as_array()
+        diag, diag_ref = m.DynamicsDiagnostics(), m.DynamicsDiagnostics()
+        got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.01, diag)
+        expected = reference_rk4_step(x, u, self.WIND, params, 0.01, diag_ref)
+        assert np.array(got).tobytes() == expected.tobytes()
+        assert diag.prop_guard_count == diag_ref.prop_guard_count > 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 1.55, "vertical"),
+        ("delta_t", float("nan"), "non-finite"),
+    ])
+    def test_domain_errors_match_oracle(self, params, trim, field, value, message):
+        x = trim.state().as_array()
+        x[[f.name for f in fields(m.AircraftState)].index(field)] = value
+        u = trim.control().as_array()
+        with pytest.raises(m.ModelDomainError, match=message) as expected:
+            reference_rk4_step(x, u, self.WIND, params, 0.1)
+        with pytest.raises(m.ModelDomainError, match=message) as got:
+            m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.1)
+        assert str(got.value) == str(expected.value)
 
 
 class TestAngleWrap:

@@ -10,7 +10,9 @@ from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp, solver
 from fwnmpc.nmpc.qp import solve_box_qp
-from oracles import central_difference_jacobians, random_envelope_states, run_at_thread_count
+from fwnmpc.scenarios import scenario_helix
+from oracles import central_difference_jacobians, random_envelope_states, \
+    reference_propagate_horizon, run_at_thread_count
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +482,37 @@ class TestAircraftSqp:
         assert np.all(sol.controls <= cfg.control_upper() + 0.0)
 
 
+class TestNonFiniteLinearization:
+    """A non-finite Jacobian entry in any block names its shooting node."""
+
+    @staticmethod
+    def poisoned_problem(params, refs, block, entry):
+        """A 10-node problem whose output Jacobian `block` (1 = D, 2 = C_N)
+        holds a NaN at `entry`."""
+        problem = make_problem(params, refs, line_queue(), n_steps=10)
+        jacobians = problem.residual_jacobians
+
+        def poisoned(horizon, controls):
+            blocks = [a.copy() for a in jacobians(horizon, controls)]
+            blocks[block][entry] = np.nan
+            return tuple(blocks)
+
+        problem.residual_jacobians = poisoned
+        return problem
+
+    def test_nan_in_end_term_names_end_node(self, params, refs, trim):
+        problem = self.poisoned_problem(params, refs, 2, (0, 0))
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (10, 1))
+        with pytest.raises(md.ModelDomainError, match=r"shooting node 10 \(end term\)"):
+            solver.sqp_iterate(problem, trim.state(d=-50.0).as_array(), controls)
+
+    def test_nan_in_one_stage_control_block_names_that_node(self, params, refs, trim):
+        problem = self.poisoned_problem(params, refs, 1, (5, 0, 0))
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (10, 1))
+        with pytest.raises(md.ModelDomainError, match=r"shooting node 5$"):
+            solver.sqp_iterate(problem, trim.state(d=-50.0).as_array(), controls)
+
+
 class TestPropagateHorizon:
     def test_matches_public_switch_functions(self, params, refs, trim):
         """The inlined in-horizon switching equals the public queue advance."""
@@ -510,6 +543,105 @@ class TestPropagateHorizon:
             q = pth.advance_switch_state(q, conds, swcfg, cfg.t_step)
             x = md.rk4_step_array(x, controls[k], wind, params, cfg.t_step)
             np.testing.assert_allclose(horizon.states[k + 1], x, atol=1e-12)
+
+    @staticmethod
+    def assert_bytes_equal_reference(x0, controls, queue, wind, params, cfg, swcfg):
+        horizon = ocp.propagate_horizon(x0, controls, queue, wind, params, cfg, swcfg)
+        states, x_sw, fields = reference_propagate_horizon(x0, controls, queue, wind,
+                                                           params, cfg, swcfg)
+        assert horizon.states.tobytes() == states.tobytes()
+        assert horizon.x_sw.tobytes() == x_sw.tobytes()
+        assert len(fields) == 11
+        for name, expected in fields.items():
+            got = getattr(horizon.context, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        return horizon
+
+    def test_bytes_equal_reference_on_helix_with_binding_leg_cap(self, params, trim):
+        """Level flight along the 1.75-turn climbing helix of the helix
+        scenario: the nearest leg rises during the horizon, and the cap
+        holds the leg at the one already reached."""
+        sc = scenario_helix()
+        helix = sc.segments[0]
+        cfg = ocp.OcpConfig()
+        x0 = replace(sc.initial_state, gamma=0.0, theta=trim.theta,
+                     delta_t=trim.delta_t).as_array()
+        bank = float(np.arctan(13.5 ** 2 / (params.constants.g * helix.r_signed)))
+        controls = np.tile([trim.u_t, bank, trim.theta_ref], (cfg.n_steps, 1))
+        horizon = self.assert_bytes_equal_reference(
+            x0, controls, pth.PathQueue(segments=sc.segments), md.WindVector(0.8, 0.4, 0.0),
+            params, cfg, sc.switching)
+        uncapped = [pth.closest_point_arc(helix, r).leg for r in horizon.states[:, :3]]
+        assert np.any(np.array(uncapped) > horizon.context.leg)
+        assert horizon.axis_nodes == 0
+
+    def test_bytes_equal_reference_just_above_final_helix_leg(self, params):
+        """Climbing a quarter turn before the helix exit, 1 m above the path:
+        the nearest leg rounds from just below zero, which must store 0.0
+        as the integer leg did, never -0.0."""
+        sc = scenario_helix()
+        helix = sc.segments[0]
+        climb = md.solve_trim(params, 13.5, helix.gamma_p)
+        slope = np.tan(helix.gamma_p)
+        start = replace(sc.initial_state, n=float(helix.c[0]) - helix.r_signed,
+                        e=float(helix.c[1]), xi=-np.pi / 2,
+                        d=float(helix.c[2]) + np.pi / 2 * helix.r_signed * slope - 1.0)
+        bank = float(np.arctan((13.5 * np.cos(helix.gamma_p)) ** 2
+                               / (params.constants.g * helix.r_signed)))
+        cfg = ocp.OcpConfig(n_steps=20)
+        controls = np.tile([climb.u_t, bank, climb.theta_ref], (cfg.n_steps, 1))
+        self.assert_bytes_equal_reference(
+            start.as_array(), controls, pth.PathQueue(segments=sc.segments),
+            md.WindVector(), params, cfg, sc.switching)
+
+    def test_bytes_equal_reference_line_arc_loiter_in_wind(self, params, trim):
+        """The queue of the public-switch replay, with the switch mid-horizon."""
+        segs = (
+            pth.LineSegment(b=np.array([60.0, 0.0, -50.0]), chi_p=0.0, gamma_p=0.0),
+            pth.ArcSegment(c=np.array([60.0, 40.0, -50.0]), r_signed=40.0,
+                           chi_p=np.pi / 2, gamma_p=0.0),
+            pth.LoiterSegment(c=np.array([100.0, 80.0, -50.0]), r_signed=40.0),
+        )
+        cfg = ocp.OcpConfig(n_steps=60)
+        x0 = trim.state(n=20.0, e=0.0, d=-50.0).as_array()
+        controls = np.tile([trim.u_t, 0.2, trim.theta_ref], (60, 1))
+        horizon = self.assert_bytes_equal_reference(
+            x0, controls, pth.PathQueue(segments=segs), md.WindVector(0.5, -0.5, 0.0),
+            params, cfg, pth.SwitchConfig())
+        assert horizon.seg_index[0] == 0 < horizon.seg_index[-1]
+
+    def test_bytes_equal_reference_across_helix_axis(self, params, trim):
+        """Node 5 lies exactly on the axis of a descending helix: it has no
+        closest point, and the leg cap restarts there, so the leg after it
+        may lie above the legs before it."""
+        cfg = ocp.OcpConfig(n_steps=30)
+        x0 = trim.state(d=-50.0).as_array()
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (30, 1))
+        free = ocp.propagate_horizon(x0, controls, line_queue(), md.WindVector(),
+                                     params, cfg, pth.SwitchConfig())
+        c_n, c_e = free.states[5, :2]
+        helix = pth.ArcSegment(c=np.array([c_n, c_e, -74.0]), r_signed=-12.0,
+                               chi_p=2.0, gamma_p=np.radians(-10.0))
+        horizon = self.assert_bytes_equal_reference(
+            x0, controls, pth.PathQueue(segments=(helix,)), md.WindVector(),
+            params, cfg, pth.SwitchConfig())
+        assert horizon.axis_nodes == 1
+        assert horizon.context.delta_chi[5] == 0.0 and horizon.context.leg[5] == 0.0
+        assert horizon.context.leg[4] < horizon.context.leg[6] < 0.0
+
+    def test_rollout_from_helix_axis_reports_axis_node(self, params, trim):
+        """A rollout started on the helix axis counts the node instead of
+        hiding it; the node carries delta_chi = 0 and leg 0."""
+        sc = scenario_helix()
+        helix = sc.segments[0]
+        cfg = ocp.OcpConfig()
+        x0 = replace(sc.initial_state, n=float(helix.c[0]), e=float(helix.c[1])).as_array()
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (cfg.n_steps, 1))
+        horizon = ocp.propagate_horizon(x0, controls, pth.PathQueue(segments=sc.segments),
+                                        md.WindVector(), params, cfg, sc.switching)
+        assert horizon.axis_nodes >= 1
+        assert horizon.context.kind[0] == ocp.KIND_ARC
+        assert horizon.context.delta_chi[0] == 0.0 and horizon.context.leg[0] == 0.0
 
     def test_segment_switch_at_correct_node(self, params, refs, trim):
         """Terminal conditions crossing inside the horizon switch the node index."""
@@ -610,6 +742,35 @@ class TestController:
         assert sol.qp_status == "iteration_limit"
         np.testing.assert_array_equal(sol.controls, clean.controls)
         assert control == md.ControlInput.from_array(clean.controls[0])
+
+    def test_halvings_summed_over_the_period(self, params, refs, trim, monkeypatch):
+        """A halving on the 1st of 3 cold-start iterations is reported, not
+        overwritten by the last iteration's count."""
+        queue = line_queue()
+        cfg = ocp.OcpConfig(n_steps=20, cold_start_sqp_iter=3)
+        iterate = solver.sqp_iterate
+        calls = []
+
+        def halve_on_first(*args, **kwargs):
+            result = iterate(*args, **kwargs)
+            calls.append(result.halvings)
+            return replace(result, halvings=1) if len(calls) == 1 else result
+
+        monkeypatch.setattr(solver, "sqp_iterate", halve_on_first)
+        _, sol = solver.NmpcController(params, cfg, ocp.default_weights(), refs).step(
+            trim.state(e=8.0, d=-50.0), queue, md.WindVector())
+        assert calls == [0, 0, 0] and sol.sqp_iters == 3
+        assert sol.halvings == 1
+
+    def test_solution_carries_axis_nodes_of_final_horizon(self, params, refs, trim):
+        """A period measured on a helix axis reports its near-axis nodes."""
+        sc = scenario_helix()
+        helix = sc.segments[0]
+        cfg = ocp.OcpConfig(n_steps=20)
+        state = replace(sc.initial_state, n=float(helix.c[0]), e=float(helix.c[1]))
+        _, sol = solver.NmpcController(params, cfg, ocp.default_weights(), refs).step(
+            state, pth.PathQueue(segments=sc.segments), md.WindVector())
+        assert not sol.degraded and sol.axis_nodes >= 1
 
     def test_degraded_flag_on_solver_failure(self, params, refs):
         queue = line_queue()

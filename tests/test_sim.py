@@ -235,6 +235,11 @@ class TestCsvAndReport:
         assert "max |e_lat|" in report
         assert "solver wall time" in report
         assert "events" in report
+        assert "periods with near-axis rollout nodes: 0" in report
+        axis_nodes = np.zeros_like(log.axis_nodes)
+        axis_nodes[[1, 3]] = [2, 1]
+        report = sim.emit_report(dataclasses.replace(log, axis_nodes=axis_nodes))
+        assert "periods with near-axis rollout nodes: 2" in report
 
 
 SCENARIO_YAML = textwrap.dedent("""\
