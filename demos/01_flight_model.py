@@ -35,7 +35,8 @@ control = md.ControlInput(u_t=trim.u_t, phi_ref=np.radians(10.0),
                           theta_ref=trim.theta_ref)
 wind = md.WindVector()
 for step in range(200):
-    state = md.rk4_step(state, control, wind, params, 0.01)
+    state = md.AircraftState.from_array(
+        md.rk4_step_array(state.as_array(), control.as_array(), wind, params, 0.01))
     if step % 40 == 39:
         print(f"  t={0.01 * (step + 1):4.2f} s  phi={np.degrees(state.phi):6.2f} deg"
               f"  p={np.degrees(state.p):7.2f} deg/s")

@@ -3,11 +3,15 @@
 Library layers, bottom to top:
 
 - :mod:`fwnmpc.model` -- control-augmented flight dynamics and integrator
-- :mod:`fwnmpc.paths` -- 3D Dubins path primitives and segment switching
-- :mod:`fwnmpc.guidance` -- look-ahead lateral/longitudinal guidance errors
-- :mod:`fwnmpc.nmpc` -- multiple-shooting NMPC with an active-set QP core
+- :mod:`fwnmpc.paths` -- 3D Dubins path primitives, the closest-point kernel
+  over frozen segment contexts, and the float segment-switching step
+- :mod:`fwnmpc.guidance` -- the look-ahead guidance kernel: lateral and
+  longitudinal errors and the roll feed-forward
+- :mod:`fwnmpc.nmpc` -- multiple-shooting NMPC with an active-set QP core,
+  whose outputs compose the closest-point and guidance kernels
 - :mod:`fwnmpc.sysid` -- grey-box output-error parameter identification
-- :mod:`fwnmpc.sim` -- deterministic closed-loop scenario harness
+- :mod:`fwnmpc.sim` -- deterministic closed-loop scenario harness, logging
+  through the same kernels at one position
 """
 
 from fwnmpc.model import (
@@ -19,7 +23,6 @@ from fwnmpc.model import (
     PhysicalConstants,
     WindVector,
     default_params,
-    rk4_step,
     solve_trim,
 )
 from fwnmpc.paths import ArcSegment, LineSegment, LoiterSegment, PathQueue, SwitchConfig
@@ -34,7 +37,6 @@ __all__ = [
     "PhysicalConstants",
     "WindVector",
     "default_params",
-    "rk4_step",
     "solve_trim",
     "ArcSegment",
     "LineSegment",

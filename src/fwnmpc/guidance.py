@@ -5,8 +5,9 @@ vector blended from the path tangent and the direction back to the path. The
 longitudinal error is a vertical-rate offset normalized by the climb/sink
 envelope, which stays meaningful even at near-zero horizontal ground speed.
 
-Formulas accept scalars or arrays and broadcast elementwise; only the
-strictly scalar entry points raise on degenerate inputs.
+`guidance_columns` evaluates the errors for columns, the form the NMPC
+outputs use; `guidance_errors` is its one-position call for the closed-loop
+log and is the only entry point that raises on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fwnmpc.model import wrap_angle
-from fwnmpc.paths import ClosestPoint, LineSegment, path_tangent_2d
+from fwnmpc.model import PhysicalConstants, wrap_angle
+from fwnmpc.paths import ClosestPoint, LineSegment
 
 
 class ZeroGroundSpeedError(ValueError):
@@ -47,25 +48,16 @@ class GuidanceConfig:
 
 @dataclass(frozen=True)
 class GuidanceErrors:
-    """Scalar guidance errors plus the intermediate tracking quantities."""
+    """Guidance errors plus the intermediate tracking quantities: floats at
+    one position, (M,) arrays for columns."""
 
     eta_lat: float         # rad, wrapped to (-pi, pi]
     eta_lon: float         # dimensionless vertical-rate error
     e_lat: float           # m, signed lateral track error
     e_lon: float           # m, signed vertical track error
-    l_hat: np.ndarray      # unit look-ahead vector (horizontal)
     d_dot_sp: float        # m/s, vertical velocity setpoint
-
-
-def lateral_track_error(t_bar, p, r):
-    """Signed lateral track error from the horizontal unit tangent.
-
-    Positive when the aircraft is left of the path looking along the tangent.
-    """
-    t_bar = np.asarray(t_bar, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return t_bar[0] * (p[1] - r[1]) - t_bar[1] * (p[0] - r[0])
+    e_prime: float         # lateral track error over its bound, in [0, 1]
+    phi_ff: float          # rad, roll feed-forward of the turn
 
 
 def track_error_bound(speed, t_b):
@@ -93,106 +85,80 @@ def lookahead_mapping(e_prime):
     return theta
 
 
-def lateral_lookahead(t_bar, e_vec, theta_l) -> np.ndarray:
-    """Blend the path tangent with the unit error direction, then normalize.
+def guidance_columns(r, v_g, p, t, r_signed, g: float, cfg: GuidanceConfig) -> GuidanceErrors:
+    """Guidance errors for columns of positions `r`, ground velocities
+    `v_g`, closest points `p` and unit path tangents `t`, each a (3, M)
+    array or three (M,) rows. `r_signed` (M,) is the signed radius of each
+    column's turn, 0 on lines; `g` is the gravity of the feed-forward bank.
 
-    The raw blend of two unit vectors is not unit length; since only the
-    direction feeds the error angle, the result is renormalized. A vanishing
-    blend (anti-parallel inputs at theta_l = 0.5) falls back to the tangent.
+    Lateral: the look-ahead direction blends the horizontal unit tangent
+    with the unit direction back to the path by `lookahead_mapping` of the
+    normalized track error e_prime; an anti-parallel blend falls back to
+    the tangent. Only its direction enters eta_lat, so it is not
+    normalized. At zero horizontal ground speed the velocity course reads 0.
+
+    Longitudinal: the on-track vertical rate is the ground speed projected
+    on the tangent's down component, clamped to the climb/sink envelope,
+    and blended toward the envelope limit by the normalized vertical error.
+
+    Feed-forward: the coordinated-turn bank for the horizontal ground speed
+    (zero on lines), faded out smoothly as e_prime approaches 1.
     """
-    t_bar = np.asarray(t_bar, dtype=float)
-    e_vec = np.asarray(e_vec, dtype=float)[:2]
-    e_norm = float(np.hypot(e_vec[0], e_vec[1]))
-    if theta_l == 0.0 or e_norm == 0.0:
-        return t_bar.copy()
-    e_bar = e_vec / e_norm
-    l_vec = (1.0 - theta_l) * t_bar + theta_l * e_bar
-    l_norm = float(np.hypot(l_vec[0], l_vec[1]))
-    if l_norm < 1e-12:
-        return t_bar.copy()
-    return l_vec / l_norm
+    r_n, r_e, r_d = r
+    v_gn, v_ge, v_gd = v_g
+    p_n, p_e, p_d = p
+    t_n, t_e, t_d = t
 
+    t_norm = np.maximum(np.hypot(t_n, t_e), 1e-12)
+    tb_n, tb_e = t_n / t_norm, t_e / t_norm
+    err_n, err_e = p_n - r_n, p_e - r_e
+    # positive when the aircraft is left of the path looking along the tangent
+    e_lat = tb_n * err_e - tb_e * err_n
+    speed_lat = np.hypot(v_gn, v_ge)
+    e_prime = np.clip(np.abs(e_lat) / track_error_bound(speed_lat, cfg.t_b_lat), 0.0, 1.0)
+    theta_l = lookahead_mapping(e_prime)
 
-def eta_lat(l_hat, v_g_lat) -> float:
-    """Error angle between the look-ahead vector and the ground velocity."""
-    v_g_lat = np.asarray(v_g_lat, dtype=float)
-    if np.hypot(v_g_lat[0], v_g_lat[1]) <= 0.0:
-        raise ZeroGroundSpeedError("lateral guidance undefined at zero ground speed")
-    l_hat = np.asarray(l_hat, dtype=float)
-    return float(wrap_angle(np.arctan2(l_hat[1], l_hat[0])
-                            - np.arctan2(v_g_lat[1], v_g_lat[0])))
+    err_norm = np.hypot(err_n, err_e)
+    safe_err = np.maximum(err_norm, 1e-12)
+    eb_n = np.where(err_norm > 1e-12, err_n / safe_err, 0.0)
+    eb_e = np.where(err_norm > 1e-12, err_e / safe_err, 0.0)
+    l_n = (1.0 - theta_l) * tb_n + theta_l * eb_n
+    l_e = (1.0 - theta_l) * tb_e + theta_l * eb_e
+    degenerate = np.hypot(l_n, l_e) < 1e-12
+    l_n = np.where(degenerate, tb_n, l_n)
+    l_e = np.where(degenerate, tb_e, l_e)
+    moving = speed_lat > 1e-9
+    eta_lat = wrap_angle(np.arctan2(l_e, l_n) - np.arctan2(np.where(moving, v_ge, 0.0),
+                                                           np.where(moving, v_gn, 1.0)))
 
+    e_lon = p_d - r_d
+    speed = np.sqrt(v_gn ** 2 + v_ge ** 2 + v_gd ** 2)
+    d_dot_p = np.clip(speed * t_d, -cfg.d_dot_clmb, cfg.d_dot_sink)
+    delta_dd = np.where(e_lon < 0.0, -cfg.d_dot_clmb - d_dot_p, cfg.d_dot_sink - d_dot_p)
+    theta_lon = lookahead_mapping(np.abs(e_lon / track_error_bound(np.abs(delta_dd),
+                                                                   cfg.t_b_lon)))
+    d_dot_sp = delta_dd * theta_lon + d_dot_p
+    eta_lon = (d_dot_sp - v_gd) / (cfg.d_dot_clmb + cfg.d_dot_sink)
 
-def vertical_rate_terms(e_lon, v_g, t_pd, cfg: GuidanceConfig):
-    """Array-friendly core of the longitudinal setpoint computation.
-
-    Returns (d_dot_p, delta_d_dot, theta_l_lon, d_dot_sp).
-    """
-    e_lon = np.asarray(e_lon, dtype=float)
-    v_g = np.asarray(v_g, dtype=float)
-    speed = np.sqrt(np.sum(v_g ** 2, axis=0)) if v_g.ndim > 1 else float(np.linalg.norm(v_g))
-
-    d_dot_p = np.clip(speed * t_pd, -cfg.d_dot_clmb, cfg.d_dot_sink)
-    delta_d_dot = np.where(e_lon < 0.0,
-                           -cfg.d_dot_clmb - d_dot_p,
-                           cfg.d_dot_sink - d_dot_p)
-    e_b_lon = track_error_bound(np.abs(delta_d_dot), cfg.t_b_lon)
-    e_prime = np.clip(np.abs(e_lon / e_b_lon), 0.0, 1.0)
-    theta_l_lon = lookahead_mapping(e_prime)
-    d_dot_sp = delta_d_dot * theta_l_lon + d_dot_p
-    return d_dot_p, delta_d_dot, theta_l_lon, d_dot_sp
-
-
-def longitudinal_setpoint(e_lon, v_g, t_pd, cfg: GuidanceConfig) -> tuple[float, float]:
-    """Vertical velocity setpoint and normalized longitudinal error.
-
-    `t_pd` is the down component of the unit path tangent; the on-track
-    vertical rate is the ground speed projected on it, clamped to the
-    climb/sink envelope.
-    """
-    v_g = np.asarray(v_g, dtype=float)
-    _, _, _, d_dot_sp = vertical_rate_terms(e_lon, v_g, t_pd, cfg)
-    d_dot = float(v_g[2])
-    eta_lon = (float(d_dot_sp) - d_dot) / (cfg.d_dot_clmb + cfg.d_dot_sink)
-    return float(d_dot_sp), float(eta_lon)
-
-
-def roll_feedforward(seg, v_g_lat, e_prime_lat, g: float) -> float:
-    """Approximate bank angle for the current segment's turn.
-
-    Zero on lines; on arcs and loiters the coordinated-turn bank for the
-    current ground speed, faded out smoothly as the normalized lateral error
-    approaches the boundary.
-    """
-    if isinstance(seg, LineSegment):
-        return 0.0
-    v_g_lat = np.asarray(v_g_lat, dtype=float)
-    speed_sq = float(v_g_lat[0] ** 2 + v_g_lat[1] ** 2)
-    bank = np.arctan(speed_sq / (g * seg.r_signed))
-    fade = 0.5 * (1.0 + np.cos(np.pi * np.clip(e_prime_lat, 0.0, 1.0)))
-    return float(bank * fade)
+    turning = r_signed != 0.0
+    bank = np.arctan(speed_lat ** 2 / (g * np.where(turning, r_signed, 1.0)))
+    phi_ff = np.where(turning, bank * (0.5 * (1.0 + np.cos(np.pi * e_prime))), 0.0)
+    return GuidanceErrors(eta_lat=eta_lat, eta_lon=eta_lon, e_lat=e_lat, e_lon=e_lon,
+                          d_dot_sp=d_dot_sp, e_prime=e_prime, phi_ff=phi_ff)
 
 
 def guidance_errors(r, v_g, seg, cp: ClosestPoint, cfg: GuidanceConfig) -> GuidanceErrors:
-    """Full guidance evaluation at one aircraft position.
+    """`guidance_columns` at one aircraft position, with phi_ff at standard
+    gravity.
 
     Raises ZeroGroundSpeedError when the horizontal ground speed vanishes;
     the caller holds the previous value in that case.
     """
-    r = np.asarray(r, dtype=float)
     v_g = np.asarray(v_g, dtype=float)
-
-    t_bar = path_tangent_2d(cp)
-    e_lat = float(lateral_track_error(t_bar, cp.p, r))
-    speed_lat = float(np.hypot(v_g[0], v_g[1]))
-    e_b_lat = track_error_bound(speed_lat, cfg.t_b_lat)
-    e_prime = min(abs(e_lat) / e_b_lat, 1.0)
-    theta_l = lookahead_mapping(e_prime)
-    l_hat = lateral_lookahead(t_bar, (cp.p - r)[:2], theta_l)
-    eta_lat_val = eta_lat(l_hat, v_g[:2])
-
-    e_lon = float(cp.p[2] - r[2])
-    d_dot_sp, eta_lon_val = longitudinal_setpoint(e_lon, v_g, float(cp.t_hat[2]), cfg)
-
-    return GuidanceErrors(eta_lat=eta_lat_val, eta_lon=eta_lon_val,
-                          e_lat=e_lat, e_lon=e_lon, l_hat=l_hat, d_dot_sp=d_dot_sp)
+    if np.hypot(v_g[0], v_g[1]) <= 0.0:
+        raise ZeroGroundSpeedError("lateral guidance undefined at zero ground speed")
+    r_signed = 0.0 if isinstance(seg, LineSegment) else seg.r_signed
+    errs = guidance_columns(np.asarray(r, dtype=float)[:, None], v_g[:, None],
+                            cp.p[:, None], cp.t_hat[:, None], np.array([r_signed]),
+                            PhysicalConstants.g, cfg)
+    return GuidanceErrors(*(float(v[0]) for v in vars(errs).values()))

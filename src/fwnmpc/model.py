@@ -483,38 +483,6 @@ def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# Dataclass-level API.
-# ---------------------------------------------------------------------------
-
-def angle_of_attack(state: AircraftState) -> float:
-    """Angle of attack from the small-sideslip approximation theta - gamma."""
-    return state.theta - state.gamma
-
-
-def forces(state: AircraftState, ol: OpenLoopParams, consts: PhysicalConstants,
-           diag: DynamicsDiagnostics | None = None) -> tuple[float, float, float]:
-    """(thrust, drag, lift) in Newtons at the given state."""
-    t, d, l = forces_array(state.v_a, angle_of_attack(state), state.delta_t,
-                           ol, consts, diag)
-    return float(t), float(d), float(l)
-
-
-def body_accelerations(state: AircraftState, ol: OpenLoopParams,
-                       consts: PhysicalConstants) -> tuple[float, float]:
-    """(a_x, a_z) body-axis specific accelerations."""
-    a_x, a_z = body_accelerations_array(state.as_array(), ol, consts)
-    return float(a_x), float(a_z)
-
-
-def rk4_step(state: AircraftState, control: ControlInput, wind: WindVector,
-             params: ModelParams, dt: float,
-             diag: DynamicsDiagnostics | None = None) -> AircraftState:
-    """Integrate one fixed step and return the wrapped successor state."""
-    x_next = rk4_step_array(state.as_array(), control.as_array(), wind, params, dt, diag)
-    return AircraftState.from_array(x_next)
-
-
-# ---------------------------------------------------------------------------
 # Trim.
 # ---------------------------------------------------------------------------
 

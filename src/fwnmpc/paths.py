@@ -11,12 +11,13 @@ from above (heading increasing), negative means counter-clockwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from fwnmpc.model import TWO_PI
+from fwnmpc.model import TWO_PI, wrap_angle
 
 # Degenerate-geometry guard: queries closer than this to a helix axis have no
 # well-defined lateral projection.
@@ -117,8 +118,7 @@ class SwitchConfig:
             raise ValueError("acceptance bearing angle must lie in (0, pi/2)")
 
 
-@dataclass(frozen=True)
-class SwitchingConditions:
+class SwitchingConditions(NamedTuple):
     proximity: bool
     bearing: bool
     travel: bool
@@ -162,65 +162,168 @@ def arc_direction(seg) -> float:
     return 1.0 if seg.r_signed > 0.0 else -1.0
 
 
+# Segment kind codes of a `HorizonContext` column.
+KIND_LINE, KIND_ARC, KIND_LOITER = 0, 1, 2
+
+
+@dataclass
+class HorizonContext:
+    """Frozen per-column segment data in structure-of-arrays form, so the
+    closest point vectorizes over horizon nodes and finite-difference
+    columns."""
+
+    kind: np.ndarray        # (M,) segment kind code
+    anchor_n: np.ndarray    # (M,) line terminal b / arc center c
+    anchor_e: np.ndarray
+    anchor_d: np.ndarray
+    chi_p: np.ndarray       # (M,)
+    gamma_p: np.ndarray     # (M,) elevation (0 for loiter)
+    r_signed: np.ndarray    # (M,) signed radius (0 for line)
+    leg: np.ndarray         # (M,) frozen helix leg
+    delta_chi: np.ndarray   # (M,) backward angle at the node
+    lam: np.ndarray         # (M,) azimuth at the node
+    seg_index: np.ndarray   # (M,) queue index
+
+    @classmethod
+    def allocate(cls, m: int) -> "HorizonContext":
+        z = lambda: np.zeros(m)
+        return cls(kind=np.zeros(m, dtype=np.int8), anchor_n=z(), anchor_e=z(),
+                   anchor_d=z(), chi_p=z(), gamma_p=z(), r_signed=z(), leg=z(),
+                   delta_chi=z(), lam=z(), seg_index=np.zeros(m, dtype=int))
+
+    def fill_run(self, run: slice, seg, pos: np.ndarray, leg_cap: int | None = None) -> int:
+        """Record the frozen data of the nodes in `run`, all on segment `seg`,
+        from their (M, 3) positions `pos`.
+
+        Nodes of an arc choose their helix leg under a cap: the lowest leg
+        chosen so far in the run, starting from `leg_cap`, so legs already
+        passed are refused. A node within AXIS_EPS of an arc or loiter axis
+        has no closest point; it gets delta_chi = 0 and leg 0 and carries
+        the cap across unchanged. Returns the number of such near-axis nodes.
+        """
+        if isinstance(seg, LineSegment):
+            self.kind[run] = KIND_LINE
+            self.anchor_n[run], self.anchor_e[run], self.anchor_d[run] = seg.b
+            self.chi_p[run] = seg.chi_p
+            self.gamma_p[run] = seg.gamma_p
+            return 0
+        is_loiter = isinstance(seg, LoiterSegment)
+        self.kind[run] = KIND_LOITER if is_loiter else KIND_ARC
+        self.anchor_n[run], self.anchor_e[run], self.anchor_d[run] = seg.c
+        self.r_signed[run] = seg.r_signed
+        d_n, d_e = pos[:, 0] - seg.c[0], pos[:, 1] - seg.c[1]
+        lam = np.arctan2(d_e, d_n)
+        self.lam[run] = lam
+        on_axis = np.hypot(d_n, d_e) < AXIS_EPS
+        if is_loiter:
+            return int(np.count_nonzero(on_axis))
+
+        self.chi_p[run] = seg.chi_p
+        self.gamma_p[run] = seg.gamma_p
+        direction = arc_direction(seg)
+        radius = abs(seg.r_signed)
+        lam_b = seg.chi_p - direction * np.pi / 2
+        delta_chi = np.mod(direction * (lam_b - lam), TWO_PI)
+        slope = np.tan(seg.gamma_p)
+        if abs(slope) < FLAT_SLOPE_EPS:
+            leg = np.zeros(lam.shape)
+        else:
+            pitch = TWO_PI * radius * slope
+            # + 0.0 turns a rounded -0.0 into the 0.0 of an integer leg
+            leg = np.round((pos[:, 2] - (seg.c[2] + delta_chi * radius * slope))
+                           / pitch) + 0.0
+            leg[on_axis] = np.inf
+            leg = np.minimum.accumulate(leg)
+            if leg_cap is not None:
+                leg = np.minimum(leg, leg_cap)
+        delta_chi[on_axis] = 0.0
+        leg[on_axis] = 0.0
+        self.delta_chi[run] = delta_chi
+        self.leg[run] = leg
+        return int(np.count_nonzero(on_axis))
+
+    def select(self, idx) -> "HorizonContext":
+        return HorizonContext(*[getattr(self, f)[idx] for f in _CTX_FIELDS])
+
+    def repeat(self, k: int) -> "HorizonContext":
+        return HorizonContext(*[np.repeat(getattr(self, f), k) for f in _CTX_FIELDS])
+
+
+_CTX_FIELDS = ("kind", "anchor_n", "anchor_e", "anchor_d", "chi_p", "gamma_p",
+               "r_signed", "leg", "delta_chi", "lam", "seg_index")
+
+
+def closest_point_columns(r, ctx: HorizonContext) -> tuple:
+    """Closest point and unit path tangent of position columns `r` (3, M)
+    on their frozen contexts, as ((p_n, p_e, p_d), (t_n, t_e, t_d)).
+
+    Both the line and the arc formulas run on every column; the kind picks
+    one. Lateral arc part: radial projection onto the circle. Vertical arc
+    part: the frozen leg plus a wrap-free angular offset around the context
+    azimuth, so the point stays smooth for finite-difference columns near
+    the exit azimuth.
+    """
+    r_n, r_e, r_d = r
+    line = ctx.kind == KIND_LINE
+    arc_like = ~line
+    cos_g, sin_g = np.cos(ctx.gamma_p), np.sin(ctx.gamma_p)
+
+    t_line_n = cos_g * np.cos(ctx.chi_p)
+    t_line_e = cos_g * np.sin(ctx.chi_p)
+    t_line_d = -sin_g
+    dn, de, dd = r_n - ctx.anchor_n, r_e - ctx.anchor_e, r_d - ctx.anchor_d
+    proj = dn * t_line_n + de * t_line_e + dd * t_line_d
+    p_line_n = ctx.anchor_n + proj * t_line_n
+    p_line_e = ctx.anchor_e + proj * t_line_e
+    p_line_d = ctx.anchor_d + proj * t_line_d
+
+    direction = np.where(ctx.r_signed >= 0.0, 1.0, -1.0)
+    radius = np.abs(ctx.r_signed)
+    rho = np.maximum(np.hypot(dn, de), 1e-9)
+    lam = np.arctan2(de, dn)
+    safe_radius = np.where(arc_like, radius, 1.0)
+    p_arc_n = ctx.anchor_n + safe_radius * dn / rho
+    p_arc_e = ctx.anchor_e + safe_radius * de / rho
+    delta_chi = ctx.delta_chi - direction * wrap_angle(lam - ctx.lam)
+    slope = np.tan(ctx.gamma_p)
+    pitch = 2.0 * np.pi * safe_radius * slope
+    p_arc_d = ctx.anchor_d + delta_chi * safe_radius * slope + ctx.leg * pitch
+    course = lam + direction * np.pi / 2
+    t_arc_n = cos_g * np.cos(course)
+    t_arc_e = cos_g * np.sin(course)
+
+    return ((np.where(line, p_line_n, p_arc_n), np.where(line, p_line_e, p_arc_e),
+             np.where(line, p_line_d, p_arc_d)),
+            (np.where(line, t_line_n, t_arc_n), np.where(line, t_line_e, t_arc_e),
+             np.where(line, t_line_d, -sin_g)))
+
+
+def _closest_point_one(seg: PathSegment, r, leg_cap: int | None) -> ClosestPoint:
+    """`closest_point_columns` at one position through a one-node context."""
+    r = np.asarray(r, dtype=float)
+    ctx = HorizonContext.allocate(1)
+    near_axis = ctx.fill_run(slice(None), seg, r[None, :], leg_cap)
+    p, t_hat = closest_point_columns(r[:, None], ctx)
+    return ClosestPoint(p=np.concatenate(p), t_hat=np.concatenate(t_hat),
+                        valid=not near_axis, delta_chi=float(ctx.delta_chi[0]),
+                        leg=int(ctx.leg[0]))
+
+
 def closest_point_line(seg: LineSegment, r) -> ClosestPoint:
     """Orthogonal projection onto the infinite line through `b`."""
-    r = np.asarray(r, dtype=float)
-    t_hat = tangent_from_course(seg.chi_p, seg.gamma_p)
-    p = seg.b + np.dot(r - seg.b, t_hat) * t_hat
-    return ClosestPoint(p=p, t_hat=t_hat)
+    return _closest_point_one(seg, r, None)
 
 
 def closest_point_arc(seg, r, leg_cap: int | None = None) -> ClosestPoint:
     """Decoupled closest point on an arc, helix, or loiter circle.
 
-    Lateral part: radial projection onto the circle. Vertical part (helix):
-    altitude of the nearest leg, found from the backward angular distance to
-    the exit point plus a rounded whole number of turns. `leg_cap` limits the
-    chosen leg index from above, which refuses legs already passed when
-    tracking progress along the helix.
+    The helix leg is the nearest one in altitude, found from the backward
+    angular distance to the exit point plus a rounded whole number of
+    turns. `leg_cap` limits the chosen leg index from above, which refuses
+    legs already passed when tracking progress along the helix. A query
+    within AXIS_EPS of the axis is flagged invalid.
     """
-    r = np.asarray(r, dtype=float)
-    radius = abs(seg.r_signed)
-    direction = arc_direction(seg)
-
-    rho_vec = r[:2] - seg.c[:2]
-    rho = float(np.hypot(rho_vec[0], rho_vec[1]))
-    if rho < AXIS_EPS:
-        return ClosestPoint(p=seg.c.copy(), t_hat=np.array([1.0, 0.0, 0.0]), valid=False)
-
-    lam = float(np.arctan2(rho_vec[1], rho_vec[0]))
-    p_ne = seg.c[:2] + radius * rho_vec / rho
-    course = lam + direction * np.pi / 2
-
-    is_loiter = isinstance(seg, LoiterSegment)
-    if is_loiter:
-        gamma_p = 0.0
-    else:
-        gamma_p = seg.gamma_p
-    slope = np.tan(gamma_p)
-
-    if is_loiter or abs(slope) < FLAT_SLOPE_EPS:
-        p_d = float(seg.c[2])
-        delta_chi = 0.0 if is_loiter else _backward_angle(seg, lam, direction)
-        leg = 0
-    else:
-        delta_chi = _backward_angle(seg, lam, direction)
-        pitch = TWO_PI * radius * slope
-        dd_chi = delta_chi * radius * slope
-        leg = int(np.round((r[2] - (seg.c[2] + dd_chi)) / pitch))
-        if leg_cap is not None:
-            leg = min(leg, leg_cap)
-        p_d = float(seg.c[2] + dd_chi + leg * pitch)
-
-    t_hat = tangent_from_course(course, gamma_p)
-    return ClosestPoint(p=np.array([p_ne[0], p_ne[1], p_d]), t_hat=t_hat,
-                        delta_chi=delta_chi, leg=leg)
-
-
-def _backward_angle(seg, lam: float, direction: float) -> float:
-    """Angular distance from the exit point, measured against travel, in [0, 2pi)."""
-    lam_b = seg.chi_p - direction * np.pi / 2
-    return float(np.mod(direction * (lam_b - lam), TWO_PI))
+    return _closest_point_one(seg, r, leg_cap)
 
 
 def closest_point(seg: PathSegment, r, leg_cap: int | None = None) -> ClosestPoint:
@@ -228,15 +331,6 @@ def closest_point(seg: PathSegment, r, leg_cap: int | None = None) -> ClosestPoi
     if isinstance(seg, LineSegment):
         return closest_point_line(seg, r)
     return closest_point_arc(seg, r, leg_cap=leg_cap)
-
-
-def path_tangent_2d(cp: ClosestPoint) -> np.ndarray:
-    """Horizontal tangent components normalized to unit length."""
-    t_ne = cp.t_hat[:2]
-    norm = float(np.hypot(t_ne[0], t_ne[1]))
-    if norm == 0.0:
-        raise ValueError("path tangent has no horizontal component")
-    return t_ne / norm
 
 
 def terminal_point(seg) -> np.ndarray:
@@ -260,53 +354,80 @@ def terminal_tangent(seg) -> np.ndarray:
     return tangent_from_course(seg.chi_p, seg.gamma_p)
 
 
-def switching_conditions(seg: PathSegment, r, v_g, cfg: SwitchConfig) -> SwitchingConditions:
-    """Evaluate the proximity/bearing/travel terminal conditions.
+def terminal_data(seg: PathSegment) -> tuple | None:
+    """Terminal point and unit tangent as six plain floats, plus whether the
+    segment is a line: the input of `terminal_conditions`. None for a
+    loiter, which never terminates."""
+    if isinstance(seg, LoiterSegment):
+        return None
+    return (*map(float, terminal_point(seg)), *map(float, terminal_tangent(seg)),
+            isinstance(seg, LineSegment))
+
+
+def terminal_conditions(term: tuple | None, r, v_g, cfg: SwitchConfig) -> tuple:
+    """(proximity, bearing, travel) tests of position `r` against
+    `term = terminal_data(seg)`, on plain floats; a loiter meets none.
 
     The bearing test uses the normalized ground velocity; zero ground speed
-    fails it. Loiter segments satisfy nothing by definition.
+    fails it. `v_g` is the ground velocity, or a function returning it. A
+    function is called only where the bearing can decide a switch, on an
+    arc whose travel and proximity tests pass; elsewhere the bearing reads
+    False.
     """
-    if isinstance(seg, LoiterSegment):
-        return SwitchingConditions(False, False, False)
-    r = np.asarray(r, dtype=float)
-    v_g = np.asarray(v_g, dtype=float)
-    b = terminal_point(seg)
-    t_b = terminal_tangent(seg)
-
-    to_aircraft = r - b
-    proximity = bool(np.linalg.norm(to_aircraft) < cfg.r_acpt)
-
-    speed = float(np.linalg.norm(v_g))
-    if speed > 0.0:
-        bearing = bool(np.dot(v_g / speed, t_b) > np.cos(cfg.eta_acpt))
-    else:
-        bearing = False
-
-    travel = bool(np.dot(to_aircraft, t_b) > 0.0)
-    return SwitchingConditions(proximity, bearing, travel)
+    if term is None:
+        return False, False, False
+    b_n, b_e, b_d, t_n, t_e, t_d, is_line = term
+    dn, de, dd = r[0] - b_n, r[1] - b_e, r[2] - b_d
+    travel = dn * t_n + de * t_e + dd * t_d > 0.0
+    proximity = dn * dn + de * de + dd * dd < cfg.r_acpt ** 2
+    if callable(v_g):
+        if is_line or not (travel and proximity):
+            return proximity, False, travel
+        v_g = v_g()
+    v_n, v_e, v_d = v_g
+    speed = math.sqrt(v_n * v_n + v_e * v_e + v_d * v_d)
+    bearing = speed > 0.0 and (v_n * t_n + v_e * t_e + v_d * t_d) / speed \
+        > float(np.cos(cfg.eta_acpt))
+    return proximity, bearing, travel
 
 
-def terminal_conditions_met(seg: PathSegment, conds: SwitchingConditions) -> bool:
-    """Combine the conditions per segment kind: lines use travel only."""
+def switching_conditions(seg: PathSegment, r, v_g, cfg: SwitchConfig) -> SwitchingConditions:
+    """`terminal_conditions` of one segment at position `r` and ground
+    velocity `v_g`."""
+    return SwitchingConditions(*terminal_conditions(
+        terminal_data(seg), np.asarray(r, dtype=float).tolist(),
+        np.asarray(v_g, dtype=float).tolist(), cfg))
+
+
+def terminal_conditions_met(seg: PathSegment, conds) -> bool:
+    """Combine (proximity, bearing, travel) per segment kind: lines use
+    travel only."""
     if isinstance(seg, LoiterSegment):
         return False
+    proximity, bearing, travel = conds
     if isinstance(seg, LineSegment):
-        return conds.travel
-    return conds.proximity and conds.bearing and conds.travel
+        return travel
+    return proximity and bearing and travel
+
+
+def advance_switch(x_sw: float, index: int, n_seg: int, met: bool,
+                   cfg: SwitchConfig, dt: float) -> tuple[float, int]:
+    """One Euler step of the switching state `x_sw` and the segment index
+    `index` of an `n_seg`-segment queue, on plain floats.
+
+    The state grows while the terminal conditions are `met` or once it has
+    latched past the threshold within the current segment; it stops at the
+    end of the queue. The index never decreases.
+    """
+    if met or (x_sw - index) > cfg.sw_threshold:
+        x_sw = min(x_sw + cfg.rho_sw * dt, float(n_seg))
+    return x_sw, max(min(math.floor(x_sw), n_seg - 1), index)
 
 
 def advance_switch_state(queue: PathQueue, conds: SwitchingConditions,
                          cfg: SwitchConfig, dt: float) -> PathQueue:
-    """Advance the switching state by one Euler step and update the index.
-
-    The state grows while the terminal conditions hold or once it has latched
-    past the threshold within the current segment; it stops at the end of the
-    queue.
-    """
-    frac = queue.x_sw - queue.current_index
-    gate = terminal_conditions_met(queue.current_segment, conds) or frac > cfg.sw_threshold
-    x_new = queue.x_sw + (cfg.rho_sw * dt if gate else 0.0)
-    x_new = min(x_new, float(len(queue.segments)))
-    idx_new = min(int(np.floor(x_new)), len(queue.segments) - 1)
-    idx_new = max(idx_new, queue.current_index)
-    return replace(queue, x_sw=x_new, current_index=idx_new)
+    """`advance_switch` of the queue's state under the conditions `conds`."""
+    x_sw, index = advance_switch(queue.x_sw, queue.current_index, len(queue.segments),
+                                 terminal_conditions_met(queue.current_segment, conds),
+                                 cfg, dt)
+    return replace(queue, x_sw=x_sw, current_index=index)

@@ -24,6 +24,8 @@ EVENT_MOTOR_FAIL = "motor_fail"
 EVENT_MOTOR_RESTORE = "motor_restore"
 _EVENT_KINDS = (EVENT_MOTOR_FAIL, EVENT_MOTOR_RESTORE)
 
+END_COMPLETED = "completed"
+
 # heading misalignment beyond which the cold-start guard re-aims the aircraft
 _COLD_START_GUARD = np.radians(170.0)
 
@@ -115,6 +117,8 @@ class SimLog:
     events_applied: tuple
     # near-axis rollout nodes per period; report-only, never in CSV
     axis_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # why the run stopped; report-only, never in CSV
+    end_reason: str = END_COMPLETED
 
 
 def _segment_kind(seg) -> str:
@@ -151,7 +155,12 @@ def cold_start_heading_guard(state: md.AircraftState, queue: pth.PathQueue,
 
 
 def run(scenario: Scenario) -> SimLog:
-    """Execute one scenario deterministically and return its log."""
+    """Execute one scenario deterministically and return its log.
+
+    A plant step that leaves the model's domain (`md.ModelDomainError`)
+    ends the run: the log keeps the ticks logged so far, and
+    `SimLog.end_reason` says where and why it stopped.
+    """
     plant_dt = scenario.plant_dt
     n_ticks = int(round(scenario.duration / plant_dt))
     ctrl_every = int(round(scenario.ocp.t_iter / plant_dt))
@@ -189,6 +198,7 @@ def run(scenario: Scenario) -> SimLog:
     rows = []
     u_arr = np.array([trim.u_t, 0.0, trim.theta_ref])
     held_eta_lat = 0.0
+    end_reason = END_COMPLETED
 
     for tick in range(n_ticks + 1):
         t = tick * plant_dt
@@ -227,13 +237,18 @@ def run(scenario: Scenario) -> SimLog:
             except gd.ZeroGroundSpeedError:
                 errs = gd.GuidanceErrors(eta_lat=held_eta_lat, eta_lon=0.0,
                                          e_lat=float("nan"), e_lon=float("nan"),
-                                         l_hat=np.array([1.0, 0.0]), d_dot_sp=0.0)
+                                         d_dot_sp=0.0, e_prime=float("nan"),
+                                         phi_ff=float("nan"))
 
             rows.append((t, x.copy(), u_arr.copy(), errs, queue.current_index,
                          queue.x_sw, motor_failed, sol))
 
         if tick < n_ticks:
-            x = md.rk4_step_array(x, u_arr, scenario.wind, plant_now, plant_dt)
+            try:
+                x = md.rk4_step_array(x, u_arr, scenario.wind, plant_now, plant_dt)
+            except md.ModelDomainError as exc:
+                end_reason = f"plant model domain error in the step from t={t:.2f} s: {exc}"
+                break
 
     m = len(rows)
     log = SimLog(
@@ -261,6 +276,7 @@ def run(scenario: Scenario) -> SimLog:
         wall_time_s=np.array([r[7].wall_time_s for r in rows]),
         events_applied=tuple(applied),
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
+        end_reason=end_reason,
     )
     return log
 
@@ -350,6 +366,7 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
     lines = [
         f"scenario: {log.scenario_name}",
         f"samples: {log.time.shape[0]}  duration: {log.time[-1]:.2f} s",
+        f"end: {log.end_reason}",
         f"airspeed reference: {log.v_a_ref:.2f} m/s",
         "",
         f"settled after {settle_time:.0f} s ({stats.n_samples} samples):",

@@ -658,22 +658,23 @@ def make_static_dataset(params: md.ModelParams, v_points=None, gamma_points=None
     per = int(round(hold_time * sample_rate))
     chans = {name: [] for name in ("v_a", "gamma", "theta", "u_t", "a_x", "a_z",
                                    "p", "q", "r", "phi")}
-    for v in v_points:
-        for gam in gamma_points:
-            trim = md.solve_trim(params, float(v), float(gam))
-            state = trim.state()
-            a_x, a_z = md.body_accelerations(state, params.open_loop, params.constants)
-            for _ in range(per):
-                chans["v_a"].append(v)
-                chans["gamma"].append(gam)
-                chans["theta"].append(trim.theta)
-                chans["u_t"].append(trim.u_t)
-                chans["a_x"].append(a_x)
-                chans["a_z"].append(a_z)
-                chans["p"].append(0.0)
-                chans["q"].append(0.0)
-                chans["r"].append(0.0)
-                chans["phi"].append(0.0)
+    grid = [(v, gam, md.solve_trim(params, float(v), float(gam)))
+            for v in v_points for gam in gamma_points]
+    acc_x, acc_z = md.body_accelerations_array(
+        np.stack([trim.state().as_array() for _, _, trim in grid], axis=1),
+        params.open_loop, params.constants)
+    for (v, gam, trim), a_x, a_z in zip(grid, acc_x.tolist(), acc_z.tolist()):
+        for _ in range(per):
+            chans["v_a"].append(v)
+            chans["gamma"].append(gam)
+            chans["theta"].append(trim.theta)
+            chans["u_t"].append(trim.u_t)
+            chans["a_x"].append(a_x)
+            chans["a_z"].append(a_z)
+            chans["p"].append(0.0)
+            chans["q"].append(0.0)
+            chans["r"].append(0.0)
+            chans["phi"].append(0.0)
     n = len(chans["v_a"])
     t = np.arange(n) / sample_rate
     arrays = {k: np.array(v) for k, v in chans.items()}

@@ -18,7 +18,6 @@ import numpy as np
 import fwnmpc
 from fwnmpc import model as md
 from fwnmpc import paths
-from fwnmpc.nmpc import ocp
 
 TWO_PI = 2.0 * np.pi
 
@@ -168,16 +167,38 @@ def reference_rk4_step(x, u, wind, params, dt, diag=None):
     return x_next
 
 
+def _reference_arc_leg(seg, r, leg_cap):
+    """(valid, delta_chi, leg) of the scalar arc closest point: backward angle
+    to the exit point, nearest helix leg under `leg_cap`; a query within
+    AXIS_EPS of the axis is invalid with delta_chi = 0 and leg 0."""
+    rho_n, rho_e = r[0] - seg.c[0], r[1] - seg.c[1]
+    if float(np.hypot(rho_n, rho_e)) < paths.AXIS_EPS:
+        return False, 0.0, 0
+    if isinstance(seg, paths.LoiterSegment):
+        return True, 0.0, 0
+    direction = 1.0 if seg.r_signed > 0.0 else -1.0
+    lam = float(np.arctan2(rho_e, rho_n))
+    lam_b = seg.chi_p - direction * np.pi / 2
+    delta_chi = float(np.mod(direction * (lam_b - lam), TWO_PI))
+    radius, slope = abs(seg.r_signed), np.tan(seg.gamma_p)
+    if abs(slope) < paths.FLAT_SLOPE_EPS:
+        return True, delta_chi, 0
+    leg = int(np.round((r[2] - (seg.c[2] + delta_chi * radius * slope))
+                       / (TWO_PI * radius * slope)))
+    return True, delta_chi, leg if leg_cap is None else min(leg, leg_cap)
+
+
 def reference_propagate_horizon(x0, controls, queue, wind, params, cfg, switch_cfg):
-    """Node-by-node horizon rollout: a `PathQueue` and a capped
-    `closest_point_arc` per node, the inlined switching recursion, and
-    `reference_rk4_step`. Returns (states, x_sw, context fields by name)."""
+    """Node-by-node horizon rollout: a `PathQueue` and a capped scalar arc
+    closest point per node (a near-axis node carries the cap across), the
+    inlined switching recursion, and `reference_rk4_step`. Returns (states,
+    x_sw, context fields by name)."""
     n = cfg.n_steps
     segments = queue.segments
     n_seg = len(segments)
     states = np.empty((n + 1, md.STATE_DIM))
     x_sw = np.empty(n + 1)
-    ctx = ocp.HorizonContext.allocate(n + 1)
+    ctx = paths.HorizonContext.allocate(n + 1)
     cos_acpt = float(np.cos(switch_cfg.eta_acpt))
     sw = float(queue.x_sw)
     idx = int(queue.current_index)
@@ -193,22 +214,22 @@ def reference_propagate_horizon(x0, controls, queue, wind, params, cfg, switch_c
         r = x[:3]
         ctx.seg_index[k] = idx
         if isinstance(seg, paths.LineSegment):
-            ctx.kind[k] = ocp.KIND_LINE
+            ctx.kind[k] = paths.KIND_LINE
             ctx.anchor_n[k], ctx.anchor_e[k], ctx.anchor_d[k] = seg.b
             ctx.chi_p[k], ctx.gamma_p[k] = seg.chi_p, seg.gamma_p
         else:
-            cp = paths.closest_point_arc(seg, r, leg_cap=leg_cap)
+            valid, delta_chi, leg = _reference_arc_leg(seg, r, leg_cap)
             is_loiter = isinstance(seg, paths.LoiterSegment)
-            ctx.kind[k] = ocp.KIND_LOITER if is_loiter else ocp.KIND_ARC
+            ctx.kind[k] = paths.KIND_LOITER if is_loiter else paths.KIND_ARC
             ctx.anchor_n[k], ctx.anchor_e[k], ctx.anchor_d[k] = seg.c
             ctx.chi_p[k] = 0.0 if is_loiter else seg.chi_p
             ctx.gamma_p[k] = 0.0 if is_loiter else seg.gamma_p
             ctx.r_signed[k] = seg.r_signed
-            ctx.leg[k] = cp.leg
-            ctx.delta_chi[k] = cp.delta_chi
+            ctx.leg[k] = leg
+            ctx.delta_chi[k] = delta_chi
             ctx.lam[k] = float(np.arctan2(r[1] - seg.c[1], r[0] - seg.c[0]))
-            if not is_loiter:
-                leg_cap = cp.leg
+            if valid and not is_loiter:
+                leg_cap = leg
         if k == n:
             break
 

@@ -51,14 +51,42 @@ def oracle_forces(v_a, alpha, delta_t, ol, consts):
 
 
 class TestAngleOfAttack:
-    def test_direct_subtraction(self):
-        assert m.angle_of_attack(m.AircraftState(theta=0.1, gamma=0.02)) == pytest.approx(0.08)
+    """The body accelerations of a state are the specific forces at
+    alpha = theta - gamma."""
 
-    def test_zero(self):
-        assert m.angle_of_attack(m.AircraftState(theta=0.0, gamma=0.0)) == 0.0
+    @staticmethod
+    def assert_alpha(params, theta, gamma, alpha):
+        st_ = m.AircraftState(theta=theta, gamma=gamma, delta_t=0.4)
+        got = m.body_accelerations_array(st_.as_array(), params.open_loop, params.constants)
+        want = m.specific_forces(st_.v_a, alpha, st_.delta_t, params.open_loop,
+                                 params.constants)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_negative(self):
-        assert m.angle_of_attack(m.AircraftState(theta=-0.05, gamma=0.05)) == pytest.approx(-0.10)
+    def test_direct_subtraction(self, params):
+        self.assert_alpha(params, 0.1, 0.02, 0.1 - 0.02)
+        assert 0.1 - 0.02 == pytest.approx(0.08)
+
+    def test_zero(self, params):
+        self.assert_alpha(params, 0.0, 0.0, 0.0)
+
+    def test_negative(self, params):
+        self.assert_alpha(params, -0.05, 0.05, -0.10)
+
+
+def forces(state, params, diag=None):
+    """(thrust, drag, lift) of a state at alpha = theta - gamma."""
+    return m.forces_array(state.v_a, state.theta - state.gamma, state.delta_t,
+                          params.open_loop, params.constants, diag)
+
+
+def body_accelerations(state, params):
+    return m.body_accelerations_array(state.as_array(), params.open_loop, params.constants)
+
+
+def rk4_step(state, control, params, dt):
+    """One `rk4_step_array` step of a dataclass state in zero wind."""
+    return m.AircraftState.from_array(m.rk4_step_array(
+        state.as_array(), control.as_array(), m.WindVector(), params, dt))
 
 
 def attitude_rates(state, control, cl):
@@ -120,20 +148,20 @@ class TestAttitudeDynamics:
 class TestForces:
     def test_zero_throttle_zero_thrust(self, params):
         st_ = m.AircraftState(v_a=13.5, delta_t=0.0)
-        thrust, _, _ = m.forces(st_, params.open_loop, params.constants)
+        thrust, _, _ = forces(st_, params)
         assert thrust == 0.0
 
     def test_drag_collapses_at_zero_alpha(self, params):
         v_a = 12.0
         st_ = m.AircraftState(v_a=v_a, theta=0.0, gamma=0.0)
-        _, drag, _ = m.forces(st_, params.open_loop, params.constants)
+        _, drag, _ = forces(st_, params)
         expected = 0.5 * params.constants.rho_air * v_a ** 2 * params.constants.s_wing \
             * params.open_loop.c_d0
         assert drag == pytest.approx(expected, rel=1e-14)
 
     def test_matches_oracle(self, params):
         st_ = m.AircraftState(v_a=13.5, theta=0.03, gamma=0.0, delta_t=0.5)
-        got = m.forces(st_, params.open_loop, params.constants)
+        got = forces(st_, params)
         expected = oracle_forces(13.5, 0.03, 0.5, params.open_loop, params.constants)
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
@@ -148,7 +176,7 @@ class TestForces:
     def test_prop_guard_counted(self, params):
         diag = m.DynamicsDiagnostics()
         st_ = m.AircraftState(v_a=0.5, delta_t=0.5)
-        thrust, _, _ = m.forces(st_, params.open_loop, params.constants, diag)
+        thrust, _, _ = forces(st_, params, diag)
         assert diag.prop_guard_count == 1
         assert np.isfinite(thrust)
 
@@ -217,13 +245,13 @@ class TestBodyAccelerations:
             else:
                 hi = mid
         st_ = m.AircraftState(v_a=v_a, theta=0.0, gamma=0.0, delta_t=0.5 * (lo + hi))
-        a_x, _ = m.body_accelerations(st_, ol, consts)
+        a_x, _ = body_accelerations(st_, params)
         assert a_x == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_alpha_az_is_minus_lift_over_mass(self, params):
         st_ = m.AircraftState(v_a=13.0, theta=0.0, gamma=0.0, delta_t=0.4)
-        _, _, lift = m.forces(st_, params.open_loop, params.constants)
-        _, a_z = m.body_accelerations(st_, params.open_loop, params.constants)
+        _, _, lift = forces(st_, params)
+        _, a_z = body_accelerations(st_, params)
         assert a_z == pytest.approx(-lift / params.constants.m, rel=1e-14)
 
     def test_matches_oracle_at_trim(self, params, trim):
@@ -236,7 +264,7 @@ class TestBodyAccelerations:
         f_zv = (thrust * math.sin(alpha) + lift) / params.constants.m
         expected = (math.cos(alpha) * f_xv + math.sin(alpha) * f_zv,
                     math.sin(alpha) * f_xv - math.cos(alpha) * f_zv)
-        got = m.body_accelerations(state, params.open_loop, params.constants)
+        got = body_accelerations(state, params)
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
@@ -324,7 +352,7 @@ class TestParameterColumns:
 class TestRk4Step:
     def test_fixed_point_for_zero_derivative(self, params, trim):
         """Level trim with zero wind is stationary in every non-position state."""
-        nxt = m.rk4_step(trim.state(), trim.control(), m.WindVector(), params, 0.05)
+        nxt = rk4_step(trim.state(), trim.control(), params, 0.05)
         x0, x1 = trim.state().as_array(), nxt.as_array()
         np.testing.assert_allclose(x1[3:], x0[3:], atol=1e-12)
 
@@ -336,7 +364,7 @@ class TestRk4Step:
         state = m.AircraftState(**{**state.__dict__, "delta_t": d0})
         control = m.ControlInput(u_t=u_t, phi_ref=0.0, theta_ref=trim.theta_ref)
         for _ in range(100):
-            state = m.rk4_step(state, control, m.WindVector(), params, 0.01)
+            state = rk4_step(state, control, params, 0.01)
         expected = u_t + (d0 - u_t) * np.exp(-1.0 / tau)
         assert state.delta_t == pytest.approx(expected, abs=1e-6)
 
@@ -360,7 +388,7 @@ class TestRk4Step:
 
     def test_rejects_nonpositive_dt(self, params, trim):
         with pytest.raises(ValueError):
-            m.rk4_step(trim.state(), trim.control(), m.WindVector(), params, 0.0)
+            rk4_step(trim.state(), trim.control(), params, 0.0)
 
     @given(u_t=st.floats(0.0, 1.0), d0=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -368,7 +396,7 @@ class TestRk4Step:
         state = m.AircraftState(**{**trim.state().__dict__, "delta_t": d0})
         control = m.ControlInput(u_t=u_t, theta_ref=trim.theta_ref)
         for _ in range(20):
-            state = m.rk4_step(state, control, m.WindVector(), params, 0.1)
+            state = rk4_step(state, control, params, 0.1)
             assert 0.0 <= state.delta_t <= 1.0
 
 

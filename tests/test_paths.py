@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwnmpc import guidance as gd
 from fwnmpc import paths
 from fwnmpc.model import TWO_PI
 from oracles import brute_force_arc_point
@@ -174,21 +175,30 @@ class TestClosestPointArc:
 
 
 class TestPathTangent2d:
+    """The guidance kernel reads the tangent's horizontal part normalized to
+    unit length: on the track the look-ahead is that unit tangent, and an
+    offset d across it gives |e_lat| = d."""
+
+    LINE = paths.LineSegment(b=np.zeros(3), chi_p=0.0, gamma_p=0.0)
+
+    @classmethod
+    def errors(cls, t_hat, offset=0.0):
+        chi = np.arctan2(t_hat[1], t_hat[0])
+        r = offset * np.array([-np.sin(chi), np.cos(chi), 0.0])
+        cp = paths.ClosestPoint(p=np.zeros(3), t_hat=t_hat)
+        return gd.guidance_errors(r, [13.5, 0.0, 0.0], cls.LINE, cp, gd.GuidanceConfig())
+
     def test_axis_aligned(self):
-        cp = paths.ClosestPoint(p=np.zeros(3), t_hat=np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(paths.path_tangent_2d(cp), [1.0, 0.0])
+        errs = self.errors(np.array([1.0, 0.0, 0.0]))
+        assert errs.eta_lat == 0.0 and errs.e_lat == 0.0
 
     def test_diagonal_course(self):
-        t = paths.tangent_from_course(np.pi / 4, 0.0)
-        cp = paths.ClosestPoint(p=np.zeros(3), t_hat=t)
-        np.testing.assert_allclose(paths.path_tangent_2d(cp),
-                                   [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+        errs = self.errors(paths.tangent_from_course(np.pi / 4, 0.0))
+        assert errs.eta_lat == pytest.approx(np.pi / 4, abs=1e-15)
 
     def test_steep_helix_renormalizes(self):
-        t = paths.tangent_from_course(0.3, np.radians(40.0))
-        cp = paths.ClosestPoint(p=np.zeros(3), t_hat=t)
-        t2 = paths.path_tangent_2d(cp)
-        assert np.hypot(t2[0], t2[1]) == pytest.approx(1.0, abs=1e-15)
+        errs = self.errors(paths.tangent_from_course(0.3, np.radians(40.0)), offset=2.5)
+        assert errs.e_lat == pytest.approx(-2.5, abs=1e-12)
 
 
 class TestTerminalPoint:
@@ -271,6 +281,28 @@ class TestSwitchingConditions:
         assert paths.terminal_conditions_met(
             seg, paths.SwitchingConditions(True, True, True))
 
+    def test_ground_velocity_function_called_only_where_bearing_decides(self, cfg):
+        """The rollout passes a function for the ground velocity: a line, or
+        an arc short of travel or proximity, never calls it."""
+        arc = paths.ArcSegment(c=np.zeros(3), r_signed=35.0, chi_p=0.0, gamma_p=0.0)
+        line = paths.LineSegment(b=paths.terminal_point(arc), chi_p=0.0, gamma_p=0.0)
+        past = paths.terminal_point(arc) + np.array([5.0, 0.0, 0.0])
+        calls = []
+
+        def v_g():
+            calls.append(1)
+            return 13.0, 0.0, 0.0
+
+        for seg, r in ((line, past), (arc, past - [10.0, 0.0, 0.0]),
+                       (arc, past + [40.0, 0.0, 0.0])):
+            _, bearing, _ = paths.terminal_conditions(paths.terminal_data(seg), r.tolist(),
+                                                      v_g, cfg)
+            assert not bearing
+        assert not calls
+        lazy = paths.terminal_conditions(paths.terminal_data(arc), past.tolist(), v_g, cfg)
+        assert calls and lazy == paths.switching_conditions(arc, past, v_g(), cfg)
+        assert paths.terminal_conditions_met(arc, lazy)
+
 
 class TestAdvanceSwitchState:
     # unit growth rate makes the Euler accumulation arithmetic transparent
@@ -306,6 +338,9 @@ class TestAdvanceSwitchState:
         assert q.x_sw == pytest.approx(0.6)
         q = paths.advance_switch_state(q, unmet, self.CFG, 0.1)
         assert q.x_sw == pytest.approx(0.7)
+        # the float step: strictly past the threshold latches, at it holds
+        assert paths.advance_switch(0.6, 0, 3, False, self.CFG, 0.1) == (0.7, 0)
+        assert paths.advance_switch(0.5, 0, 3, False, self.CFG, 0.1) == (0.5, 0)
 
     def test_boundary_crossing_increments_index(self):
         q = self._queue()

@@ -160,6 +160,53 @@ class TestRunLoop:
         assert unchanged.xi == aligned.xi
 
 
+    def test_plant_domain_error_ends_run_with_reason(self, monkeypatch, tmp_path):
+        """A `ModelDomainError` in the plant step at tick 24 ends the run: the
+        log keeps the three controller ticks before it, the report names the
+        reason, and the CSV holds only the logged rows."""
+        plant_step = md.rk4_step_array
+        calls = []
+
+        def failing_step(x, *args, **kwargs):
+            if np.ndim(x) == 1:
+                calls.append(1)
+                if len(calls) == 25:
+                    raise md.ModelDomainError("injected")
+            return plant_step(x, *args, **kwargs)
+
+        monkeypatch.setattr(md, "rk4_step_array", failing_step)
+        log = sim.run(short_line_scenario())
+        assert len(calls) == 25
+        np.testing.assert_allclose(log.time, [0.0, 0.1, 0.2])
+        assert log.end_reason == ("plant model domain error in the step from"
+                                  " t=0.24 s: injected")
+        assert f"end: {log.end_reason}" in sim.emit_report(log)
+        out = tmp_path / "partial.csv"
+        sim.emit_csv(log, out)
+        text = out.read_text()
+        assert len(text.splitlines()) == 1 + 3 and "injected" not in text
+        assert sim.run(short_line_scenario(duration=0.2)).end_reason == sim.END_COMPLETED
+
+
+class TestOneGuidanceKernel:
+    @pytest.mark.parametrize("name", ["helix", "dubins_course"])
+    def test_logged_errors_are_controller_output_rows(self, name):
+        """The logged eta_lat and eta_lon are rows Y_ETA_LAT and Y_ETA_LON of
+        `raw_outputs` at the logged state and segment, bit for bit."""
+        sc = dataclasses.replace(BUILTIN_SCENARIOS[name](), duration=3.0)
+        assert not sc.measurement_noise
+        params = sc.controller_params or sc.plant_params
+        log = sim.run(sc)
+        for x, u, k, eta_lat, eta_lon in zip(log.states, log.controls, log.seg_index,
+                                             log.eta_lat, log.eta_lon):
+            ctx = pth.HorizonContext.allocate(1)
+            ctx.fill_run(slice(None), sc.segments[k], x[None, :3])
+            y = nmpc_ocp.raw_outputs(x[:, None], u[:, None], ctx, sc.wind, params,
+                                     sc.guidance, sc.ocp)[:, 0]
+            assert y[nmpc_ocp.Y_ETA_LAT].tobytes() == eta_lat.tobytes()
+            assert y[nmpc_ocp.Y_ETA_LON].tobytes() == eta_lon.tobytes()
+
+
 class TestSettledStats:
     @staticmethod
     def _synthetic_log(e_lat, e_lon, v_err, seg_index=None, kinds=("line",)):
