@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--report", action="store_true",
                        help="print the run report to stdout")
     p_sim.add_argument("--strict", action="store_true",
-                       help="exit nonzero if any controller period degraded")
+                       help="exit nonzero if any controller period degraded or "
+                            "the run ended before the scenario's duration")
 
     sub.add_parser("list-scenarios", help="list builtin scenarios")
 
@@ -43,14 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sysid_sub = p_sysid.add_subparsers(dest="sysid_command", required=True)
 
     p_gen = sysid_sub.add_parser("generate", help="write synthetic datasets")
-    p_gen.add_argument("--structure", choices=("cl", "ol"), required=True)
+    p_gen.add_argument("--structure", choices=tuple(sysid.STRUCTURES), required=True)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.add_argument("--noise", action="store_true",
                        help="add validation-magnitude output noise")
     p_gen.add_argument("--seed", type=int, default=0)
 
     p_fit = sysid_sub.add_parser("fit", help="estimate parameters from datasets")
-    p_fit.add_argument("--structure", choices=("cl", "ol"), required=True)
+    p_fit.add_argument("--structure", choices=tuple(sysid.STRUCTURES), required=True)
     p_fit.add_argument("--data", nargs="+", required=True)
     p_fit.add_argument("--report", help="write the fit report here (default stdout)")
     p_fit.add_argument("--params-out", help="write estimated parameters as YAML")
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=0)
 
     p_val = sysid_sub.add_parser("validate", help="score parameters on datasets")
-    p_val.add_argument("--structure", choices=("cl", "ol"), required=True)
+    p_val.add_argument("--structure", choices=tuple(sysid.STRUCTURES), required=True)
     p_val.add_argument("--params", required=True, help="parameter YAML from fit")
     p_val.add_argument("--data", nargs="+", required=True)
     return parser
@@ -80,8 +81,11 @@ def _cmd_simulate(args) -> int:
     if args.report:
         print(sim.emit_report(log))
     degraded = int(np.count_nonzero(log.degraded))
-    print(f"wrote {args.out}: {log.time.shape[0]} samples, {degraded} degraded periods")
-    if args.strict and degraded > 0:
+    cut_short = log.end_reason != sim.END_COMPLETED
+    ended = f"; run cut short: {log.end_reason}" if cut_short else ""
+    print(f"wrote {args.out}: {log.time.shape[0]} samples, "
+          f"{degraded} degraded periods{ended}")
+    if args.strict and (degraded > 0 or cut_short):
         return 1
     return 0
 
@@ -106,15 +110,10 @@ def _cmd_sysid_generate(args) -> int:
     return 0
 
 
-def _nominal_params(structure: str):
-    params = md.default_params()
-    return params.closed_loop if structure == "cl" else params.open_loop
-
-
 def _cmd_sysid_fit(args) -> int:
     datasets = [sysid.load_dataset(p) for p in args.data]
-    init = sysid.perturb_params(_nominal_params(args.structure),
-                                args.init_perturb, seed=args.seed)
+    nominal = getattr(md.default_params(), sysid.STRUCTURES[args.structure].params_field)
+    init = sysid.perturb_params(nominal, args.init_perturb, seed=args.seed)
     report = sysid.estimate(args.structure, init, datasets)
     text = sysid.report_text(report)
     if args.report:
@@ -135,8 +134,8 @@ def _cmd_sysid_validate(args) -> int:
     if args.structure not in node:
         print(f"error: {args.params} has no {args.structure!r} section", file=sys.stderr)
         return 2
-    names = sysid.CL_PARAM_NAMES if args.structure == "cl" else sysid.OL_PARAM_NAMES
-    vec = np.array([float(node[args.structure][n]) for n in names])
+    vec = np.array([float(node[args.structure][n])
+                    for n in sysid.STRUCTURES[args.structure].param_names])
     rmse = sysid.validate(args.structure, vec, datasets)
     print("validation RMSE per output:")
     for name, val in rmse.items():

@@ -20,7 +20,7 @@ angles stored wrapped to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -111,6 +111,10 @@ class AircraftState:
         """Copy with all stored angles wrapped to (-pi, pi]."""
         return replace(self, gamma=wrap_angle(self.gamma), xi=wrap_angle(self.xi),
                        phi=wrap_angle(self.phi), theta=wrap_angle(self.theta))
+
+
+# channel name of each state vector entry, in state vector order
+STATE_NAMES = tuple(f.name for f in fields(AircraftState))
 
 
 @dataclass(frozen=True)

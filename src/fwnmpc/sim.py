@@ -30,10 +30,9 @@ END_COMPLETED = "completed"
 _COLD_START_GUARD = np.radians(170.0)
 
 CSV_COLUMNS = (
-    "time", "n", "e", "d", "v_a", "gamma", "xi", "phi", "theta", "p", "q", "r",
-    "delta_t", "u_t", "phi_ref", "theta_ref", "eta_lat", "eta_lon", "e_lat",
-    "e_lon", "d_dot_sp", "seg_index", "x_sw", "motor_failed", "wind_n", "wind_e",
-    "wind_d", "objective", "kkt_residual", "qp_active_set", "sqp_iters",
+    "time", *md.STATE_NAMES, "u_t", "phi_ref", "theta_ref", "eta_lat", "eta_lon",
+    "e_lat", "e_lon", "d_dot_sp", "seg_index", "x_sw", "motor_failed", "wind_n",
+    "wind_e", "wind_d", "objective", "kkt_residual", "qp_active_set", "sqp_iters",
     "obj_nonincrease", "degraded",
 )
 
@@ -179,16 +178,11 @@ def run(scenario: Scenario) -> SimLog:
                                       scenario.wind, scenario.guidance)
     x = state0.as_array()
     rng = np.random.default_rng(scenario.seed)
-    noise = scenario.measurement_noise or {}
     noise_idx = []
-    if noise:
-        name_to_idx = {f: i for i, f in enumerate(
-            ("n", "e", "d", "v_a", "gamma", "xi", "phi", "theta", "p", "q", "r",
-             "delta_t"))}
-        for key, sigma in noise.items():
-            if key not in name_to_idx:
-                raise ValueError(f"unknown measurement-noise channel {key!r}")
-            noise_idx.append((name_to_idx[key], float(sigma)))
+    for key, sigma in (scenario.measurement_noise or {}).items():
+        if key not in md.STATE_NAMES:
+            raise ValueError(f"unknown measurement-noise channel {key!r}")
+        noise_idx.append((md.STATE_NAMES.index(key), float(sigma)))
 
     plant_now = plant_params
     motor_failed = False

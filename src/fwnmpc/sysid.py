@@ -13,6 +13,13 @@ attitude rates; the force balance and the body accelerations), so one
 derivative serves the plant, the predictor and the identification
 structures. The simulators vectorize over a batch of parameter vectors,
 which makes the finite-difference residual Jacobians a single batched pass.
+
+Each structure's facts (parameters, the `ModelParams` field that holds them,
+input, initial-state and output channels, rates) live in one `STRUCTURES`
+record, which the simulator, the estimator, validation and the CLI read.
+Synthetic data come from one full-model flight loop (`_fly`), which also
+serves the hold-out replay, and one builder, `make_dataset`, which swaps a
+flight's outputs for the structure's own outputs at the true parameters.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,18 +225,29 @@ def _ol_rates(s, u, ol, consts):
     return np.stack([v_a_dot, gamma_dot, delta_t_dot])
 
 
-# per structure: parameter names, input channels in the order the rates read
-# them, the channels whose first samples give the initial state, and the rates
-_STRUCTURES = {
-    "cl": (CL_PARAM_NAMES, CL_INPUTS, CL_OUTPUTS, _cl_rates),
-    "ol": (OL_PARAM_NAMES, OL_INPUTS, ("v_a", "gamma", "u_t"), _ol_rates),
+class Structure(NamedTuple):
+    """The facts of one identification structure."""
+
+    param_names: tuple   # estimated parameters, in vector order
+    params_field: str    # the `ModelParams` field that holds them
+    inputs: tuple        # input channels, in the order the rates read them
+    init: tuple          # channels whose first samples give the initial state
+    outputs: tuple       # output channels, in the order the simulator returns them
+    rates: Callable      # (state, inputs, params, constants) -> state rates
+
+
+STRUCTURES = {
+    "cl": Structure(CL_PARAM_NAMES, "closed_loop", CL_INPUTS, CL_OUTPUTS, CL_OUTPUTS,
+                    _cl_rates),
+    "ol": Structure(OL_PARAM_NAMES, "open_loop", OL_INPUTS, ("v_a", "gamma", "u_t"),
+                    OL_OUTPUTS, _ol_rates),
 }
 
 
-def _structure(structure: str) -> tuple:
-    if structure not in _STRUCTURES:
+def _structure(structure: str) -> Structure:
+    if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}")
-    return _STRUCTURES[structure]
+    return STRUCTURES[structure]
 
 
 def _integrate(rates, par, consts, h: float, inputs: np.ndarray,
@@ -260,23 +279,23 @@ def _simulate(structure: str, p: np.ndarray, group: list, h: float,
     """Outputs of one structure over equal-length datasets for every
     parameter column of `p` (P, B) at once: (n_outputs, T, D * B), with the
     columns dataset-major."""
-    names, in_names, init_names, rates = _structure(structure)
+    st = _structure(structure)
     b = p.shape[1]
     # the model's rate functions read parameters by field name, so each
     # field here is one row of parameter columns
-    par = SimpleNamespace(**dict(zip(names, np.tile(p, (1, len(group))))))
-    inputs = _expand(np.array([[ds.inputs[name] for ds in group] for name in in_names],
+    par = SimpleNamespace(**dict(zip(st.param_names, np.tile(p, (1, len(group))))))
+    inputs = _expand(np.array([[ds.inputs[name] for ds in group] for name in st.inputs],
                               dtype=float).transpose(0, 2, 1), b)
     init = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
-                              for ds in group] for name in init_names]), b)
+                              for ds in group] for name in st.init]), b)
     # unstable parameter trials may overflow; the estimator checks for
     # non-finite cost explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _integrate(rates, par, consts, h, inputs, init)
+        x = _integrate(st.rates, par, consts, h, inputs, init)
         if structure == "cl":
             return x
         v_a, gamma, delta_t = x
-        theta = inputs[in_names.index("theta")]
+        theta = inputs[st.inputs.index("theta")]
         a_x, a_z = md.specific_forces(v_a, theta - gamma, delta_t, par, consts)
     return np.stack([v_a, gamma, a_x, a_z])
 
@@ -288,32 +307,17 @@ def simulate_structure(structure: str, params, dataset: Dataset,
     Returns the structure's outputs with shape (n_outputs, T) for a single
     parameter vector or (n_outputs, T, B) for a batch.
     """
-    p = _as_param_matrix(params, _structure(structure)[0])
+    p = _as_param_matrix(params, _structure(structure).param_names)
     out = _simulate(structure, p, [dataset], dataset.dt,
                     constants or md.PhysicalConstants())
     return out[:, :, 0] if _squeeze(params) else out
-
-
-def simulate_cl(params, dataset: Dataset) -> np.ndarray:
-    """Simulate the stabilized attitude structure; outputs [phi, theta, p, q, r]."""
-    return simulate_structure("cl", params, dataset)
-
-
-def simulate_ol(params, dataset: Dataset,
-                constants: md.PhysicalConstants | None = None) -> np.ndarray:
-    """Simulate the velocity-axis structure; outputs [v_a, gamma, a_x, a_z]."""
-    return simulate_structure("ol", params, dataset, constants)
-
-
-def _output_names(structure: str) -> tuple:
-    return CL_OUTPUTS if structure == "cl" else OL_OUTPUTS
 
 
 def _channel_weights(structure: str, weights: dict | None) -> np.ndarray:
     table = dict(DEFAULT_CHANNEL_WEIGHTS)
     if weights:
         table.update(weights)
-    return np.array([table[name] for name in _output_names(structure)])
+    return np.array([table[name] for name in _structure(structure).outputs])
 
 
 def residual_vector(structure: str, params, datasets: list, weights: dict | None = None,
@@ -324,12 +328,11 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
     Equal-length datasets are integrated together in one stacked pass, which
     is what keeps the finite-difference Jacobians cheap.
     """
-    names = _structure(structure)[0]
+    st = _structure(structure)
     w = _channel_weights(structure, weights)
-    out_names = _output_names(structure)
     consts = constants or md.PhysicalConstants()
 
-    p = _as_param_matrix(params, names)
+    p = _as_param_matrix(params, st.param_names)
     b = p.shape[1]
 
     groups: dict = {}
@@ -345,7 +348,7 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
     parts = []
     for ds, sim in zip(datasets, sims):
         meas = np.stack([np.asarray(ds.outputs[name], dtype=float)
-                         for name in out_names])
+                         for name in st.outputs])
         res = (sim - meas[:, :, None]) / w[:, None, None]
         parts.append(res.reshape(-1, b))
     stacked_res = np.concatenate(parts, axis=0)
@@ -366,19 +369,22 @@ def output_error_cost(structure: str, params, datasets: list, weights: dict | No
 # ---------------------------------------------------------------------------
 
 RATE_THRESHOLD = float(np.radians(1.0))  # quasi-static body-rate gate (rad/s)
+# the throttle lag cannot be observed statically; the static fit seeds it here
+STATIC_TAU_T = 0.5
 
 
-def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = None,
-                      rate_threshold: float = RATE_THRESHOLD,
-                      tau_t_default: float = 0.5):
+def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = None):
     """Linear least squares for the lift/drag quadratics and the cubic power
     polynomial from quasi-static samples.
 
-    Samples with any body rate above the threshold are discarded. The body
+    A sample is quasi-static when each body rate stays below RATE_THRESHOLD
+    plus three times that channel's default noise sigma
+    (`DEFAULT_CHANNEL_WEIGHTS`, which `add_output_noise` draws), so a sweep
+    noised at the default sigmas keeps its held samples. The body
     accelerations of the model are linear in all nine force/power
     coefficients, so the model evaluated at each unit coefficient vector
     gives one regressor column of the joint least-squares system. The
-    throttle lag cannot be observed statically, so `tau_t_default` seeds it.
+    throttle lag is seeded with STATIC_TAU_T.
 
     Returns (OpenLoopParams initial guess, diagnostics dict with the
     acceleration residual norm in m/s^2). Raises RankDeficiencyError when
@@ -397,9 +403,9 @@ def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = N
         if missing:
             raise SysidError(f"static dataset missing channels {missing}")
         chans = {c: np.asarray(chans[c], dtype=float) for c in need}
-        quiet = (np.abs(chans["p"]) < rate_threshold) \
-            & (np.abs(chans["q"]) < rate_threshold) \
-            & (np.abs(chans["r"]) < rate_threshold)
+        quiet = np.all([np.abs(chans[c])
+                        < RATE_THRESHOLD + 3.0 * DEFAULT_CHANNEL_WEIGHTS[c]
+                        for c in ("p", "q", "r")], axis=0)
         n_total += quiet.size
         n_kept += int(np.count_nonzero(quiet))
         q = {c: chans[c][quiet] for c in need}
@@ -416,7 +422,7 @@ def fit_static_curves(datasets: list, constants: md.PhysicalConstants | None = N
                                   "airspeed, angle of attack, and throttle")
     coef, residuals, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     guess = md.OpenLoopParams(
-        c_t1=coef[0], c_t2=coef[1], c_t3=coef[2], tau_t=tau_t_default,
+        c_t1=coef[0], c_t2=coef[1], c_t3=coef[2], tau_t=STATIC_TAU_T,
         c_d0=max(coef[3], 1e-4), c_dalpha=coef[4], c_dalpha2=coef[5],
         c_l0=coef[6], c_lalpha=max(coef[7], 1e-3), c_lalpha2=coef[8])
     diag = {"n_samples": n_total, "n_quasi_static": n_kept,
@@ -440,7 +446,7 @@ def estimate(structure: str, initial_params, datasets: list,
     the iteration cap. The report carries a Gauss-Newton covariance so weakly
     identifiable directions are visible rather than hidden.
     """
-    names = CL_PARAM_NAMES if structure == "cl" else OL_PARAM_NAMES
+    names = _structure(structure).param_names
     p = _as_param_matrix(initial_params, names)[:, 0].copy()
     init = p.copy()
     n_par = p.size
@@ -461,8 +467,7 @@ def estimate(structure: str, initial_params, datasets: list,
     with np.errstate(over="ignore"):
         cost = float(r @ r)
     if not np.isfinite(cost):
-        return _failed_report(structure, names, p, init, cost, "non-finite initial cost",
-                              datasets, weights, constants)
+        return _failed_report(structure, names, p, init, cost, "non-finite initial cost")
 
     lam = 1e-3
     n_accepted = 0
@@ -505,8 +510,7 @@ def estimate(structure: str, initial_params, datasets: list,
             message = "step tolerance reached"
             break
     if not np.isfinite(cost):
-        return _failed_report(structure, names, p, init, cost, "diverged",
-                              datasets, weights, constants)
+        return _failed_report(structure, names, p, init, cost, "diverged")
 
     # an accepted last step (step tolerance or iteration cap) moved p away
     # from the point of the last Jacobian
@@ -527,8 +531,7 @@ def estimate(structure: str, initial_params, datasets: list,
                      param_std=std, covariance=cov)
 
 
-def _failed_report(structure, names, p, init, cost, message, datasets, weights,
-                   constants) -> FitReport:
+def _failed_report(structure, names, p, init, cost, message) -> FitReport:
     n = len(names)
     return FitReport(structure=structure, param_names=names, params=p,
                      init_params=init, cost=float(cost), n_iter=0, converged=False,
@@ -540,7 +543,7 @@ def _failed_report(structure, names, p, init, cost, message, datasets, weights,
 def validate(structure: str, params, datasets: list,
              constants: md.PhysicalConstants | None = None) -> dict:
     """Unweighted per-output RMSE over the given (held-out) datasets."""
-    names = _output_names(structure)
+    names = _structure(structure).outputs
     sq_sum = {name: 0.0 for name in names}
     count = 0
     for ds in datasets:
@@ -569,6 +572,22 @@ def train_validate_split(datasets: list, train_fraction: float = 0.7,
 # Synthetic data generation.
 # ---------------------------------------------------------------------------
 
+def _fly(params: md.ModelParams, state: np.ndarray, controls: np.ndarray,
+         h: float) -> dict:
+    """Fly the full model from `state` under the (T, 3) control samples, each
+    held for one step of `h`; returns the T samples of every state channel
+    and of the body accelerations."""
+    wind = md.WindVector()
+    states = np.empty((controls.shape[0], md.STATE_DIM))
+    states[0] = state
+    for k in range(1, controls.shape[0]):
+        states[k] = state = md.rk4_step_array(state, controls[k - 1], wind, params, h)
+    a_x, a_z = md.body_accelerations_array(states.T, params.open_loop, params.constants)
+    # one array per channel, so a dataset keeps only the channels it reads
+    chans = {name: column.copy() for name, column in zip(md.STATE_NAMES, states.T)}
+    return {**chans, "a_x": a_x, "a_z": a_z}
+
+
 def _full_model_run(params: md.ModelParams, spec: ManeuverSpec,
                     rng: np.random.Generator | None = None):
     """Drive the full model with maneuver references; returns channel dict."""
@@ -579,69 +598,42 @@ def _full_model_run(params: md.ModelParams, spec: ManeuverSpec,
         t, offsets = generate_211(spec)
         if spec.kind == "static":
             offsets = {ch: np.zeros_like(t) for ch in offsets}
-    n = t.size
-    zero = np.zeros(n)
-    u_t = trim.u_t + offsets.get("u_t", zero)
-    phi_ref = offsets.get("phi_ref", zero).copy()
-    theta_ref = trim.theta_ref + offsets.get("theta_ref", zero)
-    u_t = np.clip(u_t, 0.0, 1.0)
-
-    state = trim.state().as_array()
-    h = 1.0 / spec.sample_rate
-    wind = md.WindVector()
-    chans = {name: np.empty(n) for name in
-             ("phi", "theta", "p", "q", "r", "v_a", "gamma", "a_x", "a_z",
-              "u_t", "phi_ref", "theta_ref")}
-
-    for k in range(n):
-        chans["phi"][k] = state[md.IDX_PHI]
-        chans["theta"][k] = state[md.IDX_THETA]
-        chans["p"][k] = state[md.IDX_P]
-        chans["q"][k] = state[md.IDX_Q]
-        chans["r"][k] = state[md.IDX_R]
-        chans["v_a"][k] = state[md.IDX_VA]
-        chans["gamma"][k] = state[md.IDX_GAMMA]
-        a_x, a_z = md.body_accelerations_array(state, params.open_loop, params.constants)
-        chans["a_x"][k] = a_x
-        chans["a_z"][k] = a_z
-        chans["u_t"][k] = u_t[k]
-        chans["phi_ref"][k] = phi_ref[k]
-        chans["theta_ref"][k] = theta_ref[k]
-        if k < n - 1:
-            u_now = np.array([u_t[k], phi_ref[k], theta_ref[k]])
-            state = md.rk4_step_array(state, u_now, wind, params, h)
-    return t, chans
+    zero = np.zeros(t.size)
+    refs = {"u_t": np.clip(trim.u_t + offsets.get("u_t", zero), 0.0, 1.0),
+            "phi_ref": offsets.get("phi_ref", zero),
+            "theta_ref": trim.theta_ref + offsets.get("theta_ref", zero)}
+    # FULL_INPUTS is the control vector order
+    controls = np.column_stack([refs[name] for name in FULL_INPUTS])
+    chans = _fly(params, trim.state().as_array(), controls, 1.0 / spec.sample_rate)
+    return t, {**chans, **refs}
 
 
-def make_cl_dataset(params: md.ModelParams, spec: ManeuverSpec,
-                    rng: np.random.Generator | None = None) -> Dataset:
-    """Closed-loop structure dataset with self-consistent outputs.
+def _self_consistent(structure: str, params: md.ModelParams, t: np.ndarray,
+                     chans: dict, meta: dict) -> Dataset:
+    """Dataset of one structure whose inputs are taken from `chans` and whose
+    outputs the structure simulator regenerates at the true parameters, so
+    the estimation target is exactly representable. The outputs in `chans`
+    only seed the initial state."""
+    st = _structure(structure)
+    ds = Dataset(structure=structure, t=t,
+                 inputs={name: chans[name] for name in st.inputs},
+                 outputs={name: chans[name] for name in st.outputs}, meta=meta)
+    sim = simulate_structure(structure, getattr(params, st.params_field), ds,
+                             params.constants)
+    ds.outputs = dict(zip(st.outputs, sim))
+    return ds
 
-    Airspeed and flight path angle come from a full-model run (realistic
-    trajectories); the outputs are regenerated by the structure simulator at
-    the true parameters, so the estimation target is exactly representable.
+
+def make_dataset(structure: str, params: md.ModelParams, spec: ManeuverSpec,
+                 rng: np.random.Generator | None = None) -> Dataset:
+    """Structure dataset with self-consistent outputs around one maneuver.
+
+    The inputs come from a full-model run (realistic trajectories); the
+    outputs are regenerated by the structure simulator at the true
+    parameters.
     """
     t, chans = _full_model_run(params, spec, rng)
-    inputs = {name: chans[name] for name in CL_INPUTS}
-    seed_outputs = {name: chans[name] for name in CL_OUTPUTS}
-    ds = Dataset(structure="cl", t=t, inputs=inputs, outputs=seed_outputs,
-                 meta={"spec": spec})
-    sim = simulate_cl(params.closed_loop, ds)
-    ds.outputs = {name: sim[i] for i, name in enumerate(CL_OUTPUTS)}
-    return ds
-
-
-def make_ol_dataset(params: md.ModelParams, spec: ManeuverSpec,
-                    rng: np.random.Generator | None = None) -> Dataset:
-    """Open-loop structure dataset with self-consistent outputs."""
-    t, chans = _full_model_run(params, spec, rng)
-    inputs = {name: chans[name] for name in OL_INPUTS}
-    seed_outputs = {name: chans[name] for name in OL_OUTPUTS}
-    ds = Dataset(structure="ol", t=t, inputs=inputs, outputs=seed_outputs,
-                 meta={"spec": spec})
-    sim = simulate_ol(params.open_loop, ds, params.constants)
-    ds.outputs = {name: sim[i] for i, name in enumerate(OL_OUTPUTS)}
-    return ds
+    return _self_consistent(structure, params, t, chans, {"spec": spec})
 
 
 def make_static_dataset(params: md.ModelParams, v_points=None, gamma_points=None,
@@ -656,28 +648,18 @@ def make_static_dataset(params: md.ModelParams, v_points=None, gamma_points=None
     gamma_points = gamma_points if gamma_points is not None \
         else np.radians([-3.0, 0.0, 3.0, 6.0])
     per = int(round(hold_time * sample_rate))
-    chans = {name: [] for name in ("v_a", "gamma", "theta", "u_t", "a_x", "a_z",
-                                   "p", "q", "r", "phi")}
     grid = [(v, gam, md.solve_trim(params, float(v), float(gam)))
             for v in v_points for gam in gamma_points]
     acc_x, acc_z = md.body_accelerations_array(
         np.stack([trim.state().as_array() for _, _, trim in grid], axis=1),
         params.open_loop, params.constants)
-    for (v, gam, trim), a_x, a_z in zip(grid, acc_x.tolist(), acc_z.tolist()):
-        for _ in range(per):
-            chans["v_a"].append(v)
-            chans["gamma"].append(gam)
-            chans["theta"].append(trim.theta)
-            chans["u_t"].append(trim.u_t)
-            chans["a_x"].append(a_x)
-            chans["a_z"].append(a_z)
-            chans["p"].append(0.0)
-            chans["q"].append(0.0)
-            chans["r"].append(0.0)
-            chans["phi"].append(0.0)
-    n = len(chans["v_a"])
+    held = dict(zip(("v_a", "gamma", "theta", "u_t"),
+                    np.array([(v, gam, trim.theta, trim.u_t) for v, gam, trim in grid]).T))
+    held.update(a_x=acc_x, a_z=acc_z)
+    arrays = {k: np.repeat(v, per) for k, v in held.items()}
+    n = per * len(grid)
+    arrays.update({k: np.zeros(n) for k in ("p", "q", "r", "phi")})
     t = np.arange(n) / sample_rate
-    arrays = {k: np.array(v) for k, v in chans.items()}
     inputs = {k: arrays[k] for k in ("theta", "u_t", "phi")}
     outputs = {k: arrays[k] for k in ("v_a", "gamma", "a_x", "a_z", "p", "q", "r")}
     return Dataset(structure="static", t=t, inputs=inputs, outputs=outputs)
@@ -751,21 +733,6 @@ def standard_ol_specs() -> list:
     ]
 
 
-def static_to_ol_dataset(params: md.ModelParams, static: Dataset) -> Dataset:
-    """Convert a quasi-static sweep into an open-loop structure dataset with
-    self-consistent outputs (trim holds double as throttle/alpha coverage)."""
-    ds = Dataset(structure="ol", t=static.t,
-                 inputs={name: np.asarray({**static.inputs, **static.outputs}[name],
-                                          dtype=float)
-                         for name in OL_INPUTS},
-                 outputs={name: np.asarray({**static.inputs, **static.outputs}[name],
-                                           dtype=float)
-                          for name in OL_OUTPUTS})
-    sim = simulate_ol(params.open_loop, ds, params.constants)
-    ds.outputs = {name: sim[i] for i, name in enumerate(OL_OUTPUTS)}
-    return ds
-
-
 def make_training_sets(params: md.ModelParams, structure: str) -> list:
     """Self-consistent synthetic training sets for one structure.
 
@@ -773,12 +740,12 @@ def make_training_sets(params: md.ModelParams, structure: str) -> list:
     most of the information about the force-curve shapes.
     """
     if structure == "cl":
-        return [make_cl_dataset(params, spec) for spec in standard_cl_specs()]
+        return [make_dataset("cl", params, spec) for spec in standard_cl_specs()]
     if structure == "ol":
-        sets = [make_ol_dataset(params, spec) for spec in standard_ol_specs()]
-        sets.append(static_to_ol_dataset(
-            params, make_static_dataset(params, hold_time=0.25)))
-        return sets
+        static = make_static_dataset(params, hold_time=0.25)
+        return [make_dataset("ol", params, spec) for spec in standard_ol_specs()] + [
+            _self_consistent("ol", params, static.t, {**static.inputs, **static.outputs},
+                             {})]
     raise ValueError(f"unknown structure {structure!r}")
 
 
@@ -801,35 +768,11 @@ def open_loop_replay(params: md.ModelParams, dataset: Dataset) -> dict:
     references and throttle; per-channel RMSE against the recorded outputs."""
     if dataset.structure != "full":
         raise SysidError("replay requires a full-channel dataset")
-    t = dataset.t
-    n = t.size
-    h = dataset.dt
-    wind = md.WindVector()
-    state = np.zeros(md.STATE_DIM)
-    state[md.IDX_VA] = dataset.outputs["v_a"][0]
-    state[md.IDX_GAMMA] = dataset.outputs["gamma"][0]
-    state[md.IDX_PHI] = dataset.outputs["phi"][0]
-    state[md.IDX_THETA] = dataset.outputs["theta"][0]
-    state[md.IDX_P] = dataset.outputs["p"][0]
-    state[md.IDX_Q] = dataset.outputs["q"][0]
-    state[md.IDX_R] = dataset.outputs["r"][0]
-    state[md.IDX_DELTA_T] = dataset.inputs["u_t"][0]
-
-    sim = {name: np.empty(n) for name in FULL_OUTPUTS}
-    for k in range(n):
-        sim["phi"][k] = state[md.IDX_PHI]
-        sim["theta"][k] = state[md.IDX_THETA]
-        sim["p"][k] = state[md.IDX_P]
-        sim["q"][k] = state[md.IDX_Q]
-        sim["r"][k] = state[md.IDX_R]
-        sim["v_a"][k] = state[md.IDX_VA]
-        sim["gamma"][k] = state[md.IDX_GAMMA]
-        a_x, a_z = md.body_accelerations_array(state, params.open_loop, params.constants)
-        sim["a_x"][k], sim["a_z"][k] = a_x, a_z
-        if k < n - 1:
-            u_now = np.array([dataset.inputs["u_t"][k], dataset.inputs["phi_ref"][k],
-                              dataset.inputs["theta_ref"][k]])
-            state = md.rk4_step_array(state, u_now, wind, params, h)
+    first = {name: dataset.outputs[name][0] for name in FULL_OUTPUTS}
+    first["delta_t"] = dataset.inputs["u_t"][0]
+    state = np.array([first.get(name, 0.0) for name in md.STATE_NAMES])
+    controls = np.column_stack([dataset.inputs[name] for name in FULL_INPUTS])
+    sim = _fly(params, state, controls, dataset.dt)
     rmse = {}
     for name in FULL_OUTPUTS:
         err = sim[name] - np.asarray(dataset.outputs[name], dtype=float)

@@ -369,20 +369,45 @@ class TestCli:
                          str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_sysid_generate_fit_validate_round_trip(self, tmp_path, capsys):
+    def test_simulate_reports_run_cut_short(self, monkeypatch, tmp_path, capsys):
+        """A plant `ModelDomainError` is named in the summary line, and
+        `--strict` fails the run even though no period degraded."""
+        plant_step = md.rk4_step_array
+        calls = []
+
+        def failing_step(x, *args, **kwargs):
+            if np.ndim(x) == 1:
+                calls.append(1)
+                if len(calls) == 25:
+                    raise md.ModelDomainError("injected")
+            return plant_step(x, *args, **kwargs)
+
+        monkeypatch.setattr(md, "rk4_step_array", failing_step)
+        monkeypatch.setitem(BUILTIN_SCENARIOS, "test_line", short_line_scenario)
+        argv = ["simulate", "--scenario", "test_line", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "3 samples, 0 degraded periods; run cut short: plant model domain" in out
+        assert "t=0.24 s: injected" in out
+        calls.clear()
+        assert cli.main([*argv, "--strict"]) == 1
+
+    @pytest.mark.parametrize("structure, n_sets", [("cl", 4), ("ol", 5)], ids=["cl", "ol"])
+    def test_sysid_generate_fit_validate_round_trip(self, tmp_path, capsys, structure,
+                                                     n_sets):
         data_dir = tmp_path / "data"
-        assert cli.main(["sysid", "generate", "--structure", "cl",
+        assert cli.main(["sysid", "generate", "--structure", structure,
                          "--out-dir", str(data_dir)]) == 0
         files = sorted(str(p) for p in data_dir.glob("*.csv"))
-        assert len(files) == 4
+        assert len(files) == n_sets
         report = tmp_path / "fit.txt"
         params_yaml = tmp_path / "params.yaml"
-        code = cli.main(["sysid", "fit", "--structure", "cl", "--data", *files,
+        code = cli.main(["sysid", "fit", "--structure", structure, "--data", *files,
                          "--report", str(report), "--params-out", str(params_yaml),
                          "--init-perturb", "0.1"])
         assert code == 0
-        assert "structure: cl" in report.read_text()
-        code = cli.main(["sysid", "validate", "--structure", "cl", "--params",
+        assert f"structure: {structure}" in report.read_text()
+        code = cli.main(["sysid", "validate", "--structure", structure, "--params",
                          str(params_yaml), "--data", files[0]])
         assert code == 0
         assert "validation RMSE" in capsys.readouterr().out

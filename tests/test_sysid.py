@@ -63,7 +63,7 @@ class TestSimulateStructure:
         outputs = {"phi": np.zeros(n), "theta": np.full(n, trim.theta),
                    "p": np.zeros(n), "q": np.zeros(n), "r": np.zeros(n)}
         ds = sysid.Dataset(structure="cl", t=t, inputs=inputs, outputs=outputs)
-        sim = sysid.simulate_cl(params.closed_loop, ds)
+        sim = sysid.simulate_structure("cl", params.closed_loop, ds)
         np.testing.assert_allclose(sim[0], 0.0, atol=1e-12)             # phi
         np.testing.assert_allclose(sim[1], trim.theta, atol=1e-9)       # theta
 
@@ -77,7 +77,7 @@ class TestSimulateStructure:
                   "v_a": np.full(n, 13.5), "gamma": np.zeros(n)}
         outputs = {k: np.zeros(n) for k in sysid.CL_OUTPUTS}
         ds = sysid.Dataset(structure="cl", t=t, inputs=inputs, outputs=outputs)
-        phi = sysid.simulate_cl(params.closed_loop, ds)[0]
+        phi = sysid.simulate_structure("cl", params.closed_loop, ds)[0]
         # response inside the long first pulse approaches the commanded value
         window = (t > 3.0) & (t < 6.0)
         assert np.all(np.abs(phi[window] - np.radians(10.0)) < np.radians(1.0))
@@ -85,8 +85,8 @@ class TestSimulateStructure:
     def test_ol_throttle_step_raises_ax_then_airspeed(self, params):
         spec = sysid.ManeuverSpec(v_a=13.5, channels=("u_t",), amplitude=0.25,
                                   settle_time=1.0, base_width=4.0, duration=8.0)
-        ds = sysid.make_ol_dataset(params, spec)
-        sim = sysid.simulate_ol(params.open_loop, ds, params.constants)
+        ds = sysid.make_dataset("ol", params, spec)
+        sim = sysid.simulate_structure("ol", params.open_loop, ds, params.constants)
         t = ds.t
         a_x, v_a = sim[2], sim[0]
         before = t < 1.0
@@ -99,9 +99,29 @@ class TestSimulateStructure:
         ds = cl_sets[0]
         base = params.closed_loop.as_array()
         batch = np.column_stack([base, base * 1.05, base * 0.97])
-        sims = sysid.simulate_cl(batch, ds)
-        single = sysid.simulate_cl(base * 1.05, ds)
+        sims = sysid.simulate_structure("cl", batch, ds)
+        single = sysid.simulate_structure("cl", base * 1.05, ds)
         np.testing.assert_allclose(sims[:, :, 1], single, rtol=1e-13)
+
+    def test_flight_loop_matches_per_sample_model(self, params):
+        """The full-model run behind every dataset records, bit for bit, the
+        model stepped one sample at a time and the body accelerations
+        evaluated one state at a time."""
+        spec = sysid.standard_ol_specs()[0]
+        t, chans = sysid._full_model_run(params, spec)
+        controls = np.column_stack([chans[n] for n in ("u_t", "phi_ref", "theta_ref")])
+        x = md.solve_trim(params, spec.v_a, spec.gamma).state().as_array()
+        ref = {name: [] for name in (*md.STATE_NAMES, "a_x", "a_z")}
+        for k in range(t.size):
+            a_x, a_z = md.body_accelerations_array(x, params.open_loop, params.constants)
+            for name, value in (*zip(md.STATE_NAMES, x), ("a_x", a_x), ("a_z", a_z)):
+                ref[name].append(float(value))
+            if k < t.size - 1:
+                x = md.rk4_step_array(x, controls[k], md.WindVector(), params,
+                                      1.0 / spec.sample_rate)
+        for name, values in ref.items():
+            got = np.ascontiguousarray(chans[name])
+            assert np.array(values).tobytes() == got.tobytes(), name
 
 
 class TestOutputErrorCost:
@@ -125,7 +145,7 @@ class TestOutputErrorCost:
                    "theta": np.full(n, trim.theta),
                    "p": np.zeros(n), "q": np.zeros(n), "r": np.zeros(n)}
         ds = sysid.Dataset(structure="cl", t=t, inputs=inputs, outputs=outputs)
-        sim = sysid.simulate_cl(params.closed_loop, ds)
+        sim = sysid.simulate_structure("cl", params.closed_loop, ds)
         w = sysid.DEFAULT_CHANNEL_WEIGHTS
         expected = 0.0
         for i, name in enumerate(sysid.CL_OUTPUTS):
@@ -159,6 +179,15 @@ class TestFitStaticCurves:
         guess, diag = sysid.fit_static_curves([poisoned], params.constants)
         assert diag["n_quasi_static"] <= n // 2
         assert guess.c_d0 == pytest.approx(params.open_loop.c_d0, rel=1e-6)
+
+    def test_default_noise_keeps_held_samples(self, params):
+        """The rate gate scales with the default rate noise, so a sweep noised
+        at the default sigmas keeps its held samples and still fits."""
+        static = sysid.add_output_noise(sysid.make_static_dataset(params, hold_time=0.25),
+                                        seed=1)
+        guess, diag = sysid.fit_static_curves([static], params.constants)
+        assert diag["n_quasi_static"] >= 0.95 * diag["n_samples"]
+        assert np.all(np.isfinite(guess.as_array()))
 
     def test_single_alpha_is_rank_deficient(self, params):
         static = sysid.make_static_dataset(params, v_points=[13.5],
