@@ -276,16 +276,23 @@ def _integrate(rates, par, consts, h: float, inputs: np.ndarray,
 
 def _simulate(structure: str, p: np.ndarray, group: list, h: float,
               consts: md.PhysicalConstants) -> np.ndarray:
-    """Outputs of one structure over equal-length datasets for every
-    parameter column of `p` (P, B) at once: (n_outputs, T, D * B), with the
-    columns dataset-major."""
+    """Outputs of one structure over datasets of one sample interval for
+    every parameter column of `p` (P, B) at once: (n_outputs, T, D * B), with
+    T the longest dataset's length and the columns dataset-major.
+
+    A shorter dataset's inputs are padded to T by holding its last sample.
+    The integration is causal and every column is elementwise-independent,
+    so a dataset's first `t.size` samples are bit-identical to its own pass;
+    the padded tail is the caller's to discard."""
     st = _structure(structure)
     b = p.shape[1]
+    n = max(ds.t.size for ds in group)
     # the model's rate functions read parameters by field name, so each
     # field here is one row of parameter columns
     par = SimpleNamespace(**dict(zip(st.param_names, np.tile(p, (1, len(group))))))
-    inputs = _expand(np.array([[ds.inputs[name] for ds in group] for name in st.inputs],
-                              dtype=float).transpose(0, 2, 1), b)
+    inputs = _expand(np.array([[np.pad(np.asarray(ds.inputs[name], dtype=float),
+                                       (0, n - ds.t.size), mode="edge")
+                                for ds in group] for name in st.inputs]).transpose(0, 2, 1), b)
     init = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
                               for ds in group] for name in st.init]), b)
     # unstable parameter trials may overflow; the estimator checks for
@@ -295,9 +302,28 @@ def _simulate(structure: str, p: np.ndarray, group: list, h: float,
         if structure == "cl":
             return x
         v_a, gamma, delta_t = x
-        theta = inputs[st.inputs.index("theta")]
-        a_x, a_z = md.specific_forces(v_a, theta - gamma, delta_t, par, consts)
+        alpha = inputs[st.inputs.index("theta")] - gamma
+        # the expanded inputs are the largest array of the pass; release
+        # them before the force stage allocates its temporaries
+        del inputs
+        a_x, a_z = md.specific_forces(v_a, alpha, delta_t, par, consts)
     return np.stack([v_a, gamma, a_x, a_z])
+
+
+def _simulate_datasets(structure: str, p: np.ndarray, datasets: list,
+                       consts: md.PhysicalConstants) -> list:
+    """Each dataset's (n_outputs, T_i, B) outputs for the parameter columns of
+    `p`, from one `_simulate` pass per sample interval."""
+    b = p.shape[1]
+    groups: dict = {}
+    for i, ds in enumerate(datasets):
+        groups.setdefault(round(ds.dt, 12), []).append(i)
+    sims: list = [None] * len(datasets)
+    for h, idxs in groups.items():
+        x = _simulate(structure, p, [datasets[i] for i in idxs], h, consts)
+        for j, i in enumerate(idxs):
+            sims[i] = x[:, :datasets[i].t.size, j * b:(j + 1) * b]
+    return sims
 
 
 def simulate_structure(structure: str, params, dataset: Dataset,
@@ -325,25 +351,15 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
     """Channel-normalized output residuals stacked over all datasets.
 
     Shape (n_res,) for a single parameter vector, (n_res, B) for a batch.
-    Equal-length datasets are integrated together in one stacked pass, which
-    is what keeps the finite-difference Jacobians cheap.
+    All datasets of one sample interval are integrated together in one
+    padded pass, so one evaluation is one integration, and the batch columns
+    are what keeps the finite-difference Jacobians cheap.
     """
     st = _structure(structure)
     w = _channel_weights(structure, weights)
-    consts = constants or md.PhysicalConstants()
-
     p = _as_param_matrix(params, st.param_names)
     b = p.shape[1]
-
-    groups: dict = {}
-    for i, ds in enumerate(datasets):
-        groups.setdefault((ds.t.size, round(ds.dt, 12)), []).append(i)
-
-    sims: list = [None] * len(datasets)
-    for (_, h), idxs in groups.items():
-        x = _simulate(structure, p, [datasets[i] for i in idxs], h, consts)
-        for j, i in enumerate(idxs):
-            sims[i] = x[:, :, j * b:(j + 1) * b]
+    sims = _simulate_datasets(structure, p, datasets, constants or md.PhysicalConstants())
 
     parts = []
     for ds, sim in zip(datasets, sims):
@@ -461,7 +477,11 @@ def estimate(structure: str, initial_params, datasets: list,
         batch = np.repeat(vec[:, None], n_par, axis=1)
         batch[np.arange(n_par), np.arange(n_par)] += steps
         r_batch = residual_vector(structure, batch, datasets, weights, constants)
-        return (r_batch - r0[:, None]) / steps[None, :]
+        # in place: the same operations as `(r_batch - r0) / steps`, without
+        # two (n_res, n_par) temporaries
+        r_batch -= r0[:, None]
+        r_batch /= steps[None, :]
+        return r_batch
 
     r = res(p)
     with np.errstate(over="ignore"):
@@ -543,16 +563,17 @@ def _failed_report(structure, names, p, init, cost, message) -> FitReport:
 def validate(structure: str, params, datasets: list,
              constants: md.PhysicalConstants | None = None) -> dict:
     """Unweighted per-output RMSE over the given (held-out) datasets."""
-    names = _structure(structure).outputs
-    sq_sum = {name: 0.0 for name in names}
+    st = _structure(structure)
+    p = _as_param_matrix(params, st.param_names)
+    sims = _simulate_datasets(structure, p, datasets, constants or md.PhysicalConstants())
+    sq_sum = {name: 0.0 for name in st.outputs}
     count = 0
-    for ds in datasets:
-        sim = simulate_structure(structure, params, ds, constants)
+    for ds, sim in zip(datasets, sims):
         count += ds.t.size
-        for i, name in enumerate(names):
-            err = sim[i] - np.asarray(ds.outputs[name], dtype=float)
+        for i, name in enumerate(st.outputs):
+            err = sim[i, :, 0] - np.asarray(ds.outputs[name], dtype=float)
             sq_sum[name] += float(err @ err)
-    return {name: float(np.sqrt(sq_sum[name] / count)) for name in names}
+    return {name: float(np.sqrt(sq_sum[name] / count)) for name in st.outputs}
 
 
 def train_validate_split(datasets: list, train_fraction: float = 0.7,

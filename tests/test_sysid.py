@@ -154,6 +154,34 @@ class TestOutputErrorCost:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+    def test_mixed_lengths_and_intervals_match_per_dataset_calls(self, params, cl_sets):
+        """One padded pass per sample interval gives, bit for bit, the
+        residuals of one call per dataset, and a column that overflows in
+        the padded tail leaves the short dataset's rows untouched."""
+        long = cl_sets[0]
+        assert long.t.size == 561
+
+        def cut(rows, t):
+            return sysid.Dataset(structure="cl", t=t,
+                                 inputs={k: v[rows] for k, v in long.inputs.items()},
+                                 outputs={k: v[rows] for k, v in long.outputs.items()})
+
+        short = cut(slice(80, 121), np.arange(41) / 40.0)     # spans the first step
+        coarse = cut(slice(0, None, 2), np.arange(281) / 20.0)
+        sets = [short, long, coarse]
+        base = params.closed_loop.as_array()
+        diverging = base.copy()
+        diverging[0] = 100.0      # unstable roll damping: overflows after the short set
+        batch = np.column_stack([base * 1.05, diverging, base * 0.97])
+        for p in (base * 1.05, batch):
+            got = sysid.residual_vector("cl", p, sets)
+            oracle = np.concatenate([sysid.residual_vector("cl", p, [ds]) for ds in sets])
+            assert got.tobytes() == oracle.tobytes()
+        n_short = 5 * short.t.size
+        assert np.all(np.isfinite(got[:n_short]))
+        assert not np.all(np.isfinite(got[n_short:, 1]))
+
+
 class TestFitStaticCurves:
     def test_noiseless_sweep_recovers_polynomials(self, params):
         static = sysid.make_static_dataset(params, hold_time=0.1)
@@ -291,6 +319,22 @@ class TestValidateAndSplit:
         for name, val in rmse.items():
             sigma = sysid.DEFAULT_CHANNEL_WEIGHTS[name]
             assert 0.8 * sigma < val < 1.2 * sigma
+
+    def test_one_pass_matches_per_dataset_oracle(self, params, ol_sets):
+        """The one-pass validation keeps each dataset's accumulation order,
+        so it equals, bit for bit, one simulation per dataset; the ol suite
+        mixes 561-sample maneuvers with the 320-sample static sweep."""
+        assert sorted({ds.t.size for ds in ol_sets}) == [320, 561]
+        vec = params.open_loop.as_array() * 1.03
+        sq_sum = dict.fromkeys(sysid.OL_OUTPUTS, 0.0)
+        for ds in ol_sets:
+            sim = sysid.simulate_structure("ol", vec, ds, params.constants)
+            for i, name in enumerate(sysid.OL_OUTPUTS):
+                err = sim[i] - ds.outputs[name]
+                sq_sum[name] += float(err @ err)
+        count = sum(ds.t.size for ds in ol_sets)
+        oracle = {name: float(np.sqrt(val / count)) for name, val in sq_sum.items()}
+        assert sysid.validate("ol", vec, ol_sets, params.constants) == oracle
 
     def test_split_bookkeeping(self, cl_sets):
         sets = cl_sets * 3  # 12 experiment sets
