@@ -9,13 +9,16 @@ from fwnmpc.nmpc.ocp import (
     default_weights,
     propagate_horizon,
     rk4_jacobians,
+    shift_horizon,
 )
-from fwnmpc.nmpc.qp import solve_box_qp
+from fwnmpc.nmpc.qp import prepare_box_qp, solve_box_qp
 from fwnmpc.nmpc.solver import (
     AircraftShootingProblem,
+    Linearization,
     NmpcController,
     OcpSolution,
     apply_throttle_failure_weight,
+    linearize,
     sqp_iterate,
 )
 
@@ -27,10 +30,14 @@ __all__ = [
     "default_weights",
     "propagate_horizon",
     "rk4_jacobians",
+    "shift_horizon",
+    "prepare_box_qp",
     "solve_box_qp",
     "AircraftShootingProblem",
+    "Linearization",
     "NmpcController",
     "OcpSolution",
     "apply_throttle_failure_weight",
+    "linearize",
     "sqp_iterate",
 ]

@@ -204,10 +204,45 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (n, md.CONTROL_DIM):
         raise ValueError(f"expected controls of shape ({n}, {md.CONTROL_DIM})")
+    rows = [np.asarray(x0, dtype=float).tolist()]
+    sw_nodes, idx_nodes = [float(queue.x_sw)], [int(queue.current_index)]
+    _extend_nodes(rows, sw_nodes, idx_nodes, controls.tolist(), queue.segments, wind,
+                  params, cfg.t_step, switch_cfg)
+    return _frozen_horizon(rows, sw_nodes, idx_nodes, queue.segments)
 
-    segments = queue.segments
+
+def shift_horizon(horizon: Horizon, controls: np.ndarray, queue: pth.PathQueue,
+                  wind: md.WindVector, params: md.ModelParams, cfg: OcpConfig,
+                  switch_cfg: pth.SwitchConfig) -> Horizon:
+    """The horizon one node later: `horizon` shifted by one node, the new
+    end node stepped with the last row of `controls`, the contexts re-filled.
+
+    `controls` are the controls of `horizon` shifted by one node, so nodes
+    1..N are reused as they are. The result equals, bit for bit,
+    `propagate_horizon(horizon.states[1], controls, PathQueue(queue.segments,
+    horizon.x_sw[1], horizon.seg_index[1]), ...)` for one RK4 step instead
+    of N. Only `queue.segments` is read.
+    """
+    n = cfg.n_steps
+    controls = np.asarray(controls, dtype=float)
+    if controls.shape != (n, md.CONTROL_DIM) or horizon.states.shape[0] != n + 1:
+        raise ValueError(f"expected controls of shape ({n}, {md.CONTROL_DIM})"
+                         f" and a horizon of {n + 1} nodes")
+    rows = horizon.states[1:].tolist()
+    sw_nodes, idx_nodes = horizon.x_sw[1:].tolist(), horizon.seg_index[1:].tolist()
+    _extend_nodes(rows, sw_nodes, idx_nodes, controls[-1:].tolist(), queue.segments, wind,
+                  params, cfg.t_step, switch_cfg)
+    return _frozen_horizon(rows, sw_nodes, idx_nodes, queue.segments)
+
+
+def _extend_nodes(rows: list, sw_nodes: list, idx_nodes: list, controls: list,
+                  segments: tuple, wind: md.WindVector, params: md.ModelParams,
+                  dt: float, switch_cfg: pth.SwitchConfig) -> None:
+    """Append one node per control row to the plain-float node lists: the
+    switching step at the last node, then one RK4 step."""
     n_seg = len(segments)
     terms: dict[int, tuple | None] = {}
+    x, sw, idx = rows[-1], sw_nodes[-1], idx_nodes[-1]
 
     def ground_velocity():
         v_a, gamma, xi = x[3], x[4], x[5]
@@ -215,26 +250,27 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
         return (v_a * cg * math.cos(xi) + wind.w_n, v_a * cg * math.sin(xi) + wind.w_e,
                 -v_a * math.sin(gamma) + wind.w_d)
 
-    sw = float(queue.x_sw)
-    idx = int(queue.current_index)
-    x = np.asarray(x0, dtype=float).tolist()
-    rows, sw_nodes, idx_nodes = [x], [sw], [idx]
-    for u in controls.tolist():
+    for u in controls:
         if idx not in terms:
             terms[idx] = pth.terminal_data(segments[idx])
         conds = pth.terminal_conditions(terms[idx], x, ground_velocity, switch_cfg)
         sw, idx = pth.advance_switch(sw, idx, n_seg,
                                      pth.terminal_conditions_met(segments[idx], conds),
-                                     switch_cfg, cfg.t_step)
-        x = md.rk4_step_floats(x, u, wind, params, cfg.t_step)
+                                     switch_cfg, dt)
+        x = md.rk4_step_floats(x, u, wind, params, dt)
         rows.append(x)
         sw_nodes.append(sw)
         idx_nodes.append(idx)
 
+
+def _frozen_horizon(rows: list, sw_nodes: list, idx_nodes: list, segments: tuple) -> Horizon:
+    """The horizon of the node lists, with its path contexts filled in one
+    vectorized pass per run of nodes on the same segment."""
     states = np.array(rows)
-    ctx = pth.HorizonContext.allocate(n + 1)
+    m = states.shape[0]
+    ctx = pth.HorizonContext.allocate(m)
     ctx.seg_index[:] = idx_nodes
-    bounds = [0, *(np.flatnonzero(np.diff(ctx.seg_index)) + 1), n + 1]
+    bounds = [0, *(np.flatnonzero(np.diff(ctx.seg_index)) + 1), m]
     axis_nodes = sum(ctx.fill_run(slice(a, b), segments[idx_nodes[a]], states[a:b, :3])
                      for a, b in zip(bounds, bounds[1:]))
     return Horizon(states=states, context=ctx, x_sw=np.array(sw_nodes),

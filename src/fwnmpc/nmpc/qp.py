@@ -9,13 +9,15 @@ deterministic and cycle-free on these problems.
 
 The free block H_FF is factored once per solve, by a blocked Cholesky
 factorization, and Newton steps reuse that factor while the working set
-stays as it is. The first working-set change turns the factor into a basis V
-of the free coordinates with V^T H_FF V = I (V = L^-T), and every change
-updates V in O(n^2) instead of solving from scratch (the Goldfarb-Idnani
-1983 scheme, as in qpOASES): a released bound borders V with one
-H-orthonormalized column; a blocked bound is rotated into a single column of
-V by one Householder reflection, and that column is dropped. The Newton step
-on the free set is then -V V^T grad.
+stays as it is. The starting working set depends on the box alone, so
+`prepare_box_qp` can factor it before the gradient is known, and a solve
+given that factor starts with its triangular solves. The first working-set
+change turns the factor into a basis V of the free coordinates with
+V^T H_FF V = I (V = L^-T), and every change updates V in O(n^2) instead of
+solving from scratch (the Goldfarb-Idnani 1983 scheme, as in qpOASES): a
+released bound borders V with one H-orthonormalized column; a blocked bound
+is rotated into a single column of V by one Householder reflection, and
+that column is dropped. The Newton step on the free set is then -V V^T grad.
 
 All of this linear algebra uses numpy elementwise operations, `np.sum` and
 `np.einsum` (which never calls BLAS unless asked to optimize), and no BLAS
@@ -50,31 +52,56 @@ class QpResult:
     kkt_residual: float
 
 
+@dataclass(frozen=True)
+class QpFactor:
+    """Factor of the free block of H at a solve's starting point, made
+    ahead of the solve by `prepare_box_qp`."""
+
+    free: np.ndarray          # indices of the starting free set
+    chol: tuple | None        # `_cholesky` of H_FF, None if nothing is free
+
+
+def prepare_box_qp(h_mat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> QpFactor:
+    """Factor the free block of `h_mat` at the starting point of
+    `solve_box_qp(h_mat, g, lb, ub)`, which depends on the box alone.
+
+    Raises `np.linalg.LinAlgError` if that block is not numerically
+    positive definite.
+    """
+    h_mat = np.asarray(h_mat, dtype=float)
+    _, state = _start(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float), None)
+    return _factor_free(h_mat, np.flatnonzero(state == _FREE))
+
+
 def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
                  ub: np.ndarray, x0: np.ndarray | None = None,
-                 tol: float = 1e-10, max_iter: int | None = None) -> QpResult:
+                 tol: float = 1e-10, max_iter: int | None = None,
+                 factor: QpFactor | None = None) -> QpResult:
     """Minimize a strictly convex quadratic over a box.
 
-    Raises `np.linalg.LinAlgError` if a free block of `h_mat` met during the
-    iteration is not numerically positive definite.
+    `factor`, from `prepare_box_qp` on the same `h_mat`, replaces the
+    factorization of the starting free block; the iterates are the same to
+    the bit. Raises `ValueError` if its free set is not this solve's
+    starting free set, and `np.linalg.LinAlgError` if a free block of
+    `h_mat` met during the iteration is not numerically positive definite.
     """
     h_mat = np.asarray(h_mat, dtype=float)
     g_vec = np.asarray(g_vec, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     n = g_vec.shape[0]
-    if np.any(lb > ub):
-        raise ValueError("inconsistent box bounds")
     if max_iter is None:
         max_iter = 3 * n + 10
 
-    x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lb, ub)
-    state = np.full(n, _FREE, dtype=np.int8)
-    state[x <= lb] = _LOWER
-    state[x >= ub] = _UPPER
+    x, state = _start(lb, ub, x0)
     # degenerate equal-bound variables stay fixed forever
     fixed = lb == ub
-    basis = _FreeBasis(h_mat, np.flatnonzero(state == _FREE))
+    start_free = np.flatnonzero(state == _FREE)
+    if factor is None:
+        factor = _factor_free(h_mat, start_free)
+    elif not np.array_equal(factor.free, start_free):
+        raise ValueError("the prepared factor's free set is not the solve's starting free set")
+    basis = _FreeBasis(h_mat, factor)
 
     for it in range(1, max_iter + 1):
         grad = _matvec(h_mat, x) + g_vec
@@ -131,6 +158,32 @@ def _kkt_residual(grad: np.ndarray, state: np.ndarray, fixed: np.ndarray) -> flo
     return float(np.max(viol, initial=0.0))
 
 
+def _start(lb: np.ndarray, ub: np.ndarray, x0: np.ndarray | None):
+    """Feasible starting point and working set: bounds the point sits on
+    are active."""
+    if np.any(lb > ub):
+        raise ValueError("inconsistent box bounds")
+    x = np.clip(np.zeros(lb.shape[0]) if x0 is None else np.asarray(x0, dtype=float), lb, ub)
+    state = np.full(lb.shape[0], _FREE, dtype=np.int8)
+    state[x <= lb] = _LOWER
+    state[x >= ub] = _UPPER
+    return x, state
+
+
+def _pivot_rtol(n: int) -> float:
+    # relative pivot floor: a free block below it is singular to working
+    # precision
+    return max(n, 1) * np.finfo(float).eps
+
+
+def _factor_free(h_mat: np.ndarray, free: np.ndarray) -> QpFactor:
+    """The factor of the free block H_FF of the free set `free`."""
+    if not free.size:
+        return QpFactor(free=free, chol=None)
+    h_ff = h_mat if free.size == h_mat.shape[0] else h_mat[np.ix_(free, free)]
+    return QpFactor(free=free, chol=_cholesky(h_ff, _pivot_rtol(h_mat.shape[0])))
+
+
 class _FreeBasis:
     """Factor of the free block H_FF, updated as the working set changes.
 
@@ -144,17 +197,14 @@ class _FreeBasis:
     the Dubins course, 72% in the motor-failure run).
     """
 
-    def __init__(self, h_mat: np.ndarray, free: np.ndarray):
+    def __init__(self, h_mat: np.ndarray, factor: QpFactor):
         n = h_mat.shape[0]
         self.h_mat = h_mat
-        # relative pivot floor: a free block below it is singular to
-        # working precision
-        self.pivot_rtol = max(n, 1) * np.finfo(float).eps
+        self.pivot_rtol = _pivot_rtol(n)
         self.rows = np.zeros(n, dtype=np.intp)
-        self.m = free.size
-        self.rows[:self.m] = free
-        h_ff = h_mat if self.m == n else h_mat[np.ix_(free, free)]
-        self.chol = _cholesky(h_ff, self.pivot_rtol) if self.m else None
+        self.m = factor.free.size
+        self.rows[:self.m] = factor.free
+        self.chol = factor.chol   # read only, so a prepared factor serves many solves
         self.v = None
 
     def newton_step(self, grad: np.ndarray) -> np.ndarray:

@@ -6,11 +6,21 @@ condenses the continuity constraints into a dense control-space QP with box
 bounds, solves it with the primal active-set method, and applies the full
 step with objective-increase fallback to step halving.
 
-Condensing builds H = J^T J and g = J^T r stage by stage with a forward
-sensitivity pass and a backward adjoint pass (Andersson et al. 2013), in
-O(N^2) and without forming the condensed Jacobian J. A period in which a QP
-stops at its iteration limit keeps its line-searched controls and is
-flagged degraded.
+Condensing builds H = J^T J stage by stage with a forward sensitivity pass
+and a backward adjoint pass (Andersson et al. 2013), in O(N^2) and without
+forming the condensed Jacobian J; g = J^T r takes one O(N) adjoint pass.
+
+A warm controller period runs as a real-time iteration (Diehl, Bock and
+Schloeder 2005) in two phases. The preparation phase, `NmpcController.prepare`,
+runs between periods: it shifts the last accepted horizon by one node and
+builds a `Linearization` there, that is the Jacobians, H and the QP factor,
+none of which needs the measurement. The feedback phase, `step`, rolls out
+from the measured state, forms g from the fresh residual, solves the QP with
+the prepared factor and line-searches. A period whose rollout lands on
+another discrete context (segment index or helix leg), or whose weights or
+wind changed, linearizes synchronously instead; so does a cold start. A
+period in which a QP stops at its iteration limit keeps its line-searched
+controls and is flagged degraded.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from fwnmpc import guidance as gd
 from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp
-from fwnmpc.nmpc.qp import solve_box_qp
+from fwnmpc.nmpc.qp import QpFactor, prepare_box_qp, solve_box_qp
 
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
@@ -47,8 +57,24 @@ class OcpSolution:
     halvings: int                 # line-search halvings summed over the period's iterations
     obj_nonincrease_ok: bool
     degraded: bool = False        # a solver failure, or a QP at its iteration limit
-    wall_time_s: float = 0.0
+    # why the period degraded: "qp_iteration_limit", or the solver exception
+    # that held the last control: "non_finite_linearization", "lin_alg"
+    # (np.linalg.LinAlgError), "domain" (any other md.ModelDomainError) or
+    # "floating_point" (FloatingPointError); "" if it did not degrade
+    degraded_reason: str = ""
+    # "prepared", or "synchronous:<cause>" with a cause of "cold" (no warm
+    # start), "not_prepared" (no `prepare` since the last step),
+    # "context_changed" (the rollout's segment index or helix leg differs from
+    # the prepared one), "weights_changed" (the weights or the wind differ) or
+    # "prepare_failed" (`prepare` raised); for a degraded period, the
+    # linearization the period was offered
+    linearization: str = ""
+    wall_time_s: float = 0.0      # feedback latency: measurement in, control out
     axis_nodes: int = 0           # near-axis arc/loiter nodes of the final horizon
+
+
+class NonFiniteLinearizationError(md.ModelDomainError):
+    """A Jacobian block of a linearization holds a NaN or an infinity."""
 
 
 class AircraftShootingProblem:
@@ -135,6 +161,29 @@ class AircraftShootingProblem:
         return self.u_lb, self.u_ub
 
 
+@dataclass(frozen=True)
+class Linearization:
+    """The part of one Gauss-Newton iteration that the measured state does
+    not enter: the stage Jacobians at a horizon and its controls, the
+    condensed Hessian H plus the regularization, and the QP factor of the
+    controls' box; with the discrete context, weights and wind it holds for.
+    """
+
+    controls: np.ndarray          # (N, 3) linearization point
+    a_mat: np.ndarray             # (N, 12, 12)
+    b_mat: np.ndarray             # (N, 12, 3)
+    c_stage: np.ndarray           # (N, 11, 12), weighted
+    d_stage: np.ndarray           # (N, 11, 3), weighted
+    c_end: np.ndarray             # (7, 12), weighted
+    h_mat: np.ndarray             # (3N, 3N)
+    factor: QpFactor
+    seg_index: np.ndarray         # (N+1,) segment index per node
+    leg: np.ndarray               # (N+1,) frozen helix leg per node
+    stage_weight: np.ndarray
+    end_weight: np.ndarray
+    wind: md.WindVector
+
+
 @dataclass
 class SqpIterationResult:
     controls: np.ndarray
@@ -148,83 +197,102 @@ class SqpIterationResult:
     qp_active_set: int
     halvings: int
     accepted: bool
+    linearization: str            # "prepared" or "synchronous:<cause>"
 
 
 def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
                                c_stage: np.ndarray, d_stage: np.ndarray,
-                               c_end: np.ndarray, residual: np.ndarray):
-    """Gauss-Newton normal equations H = J^T J, g = J^T r of the condensed
-    problem, without forming the condensed Jacobian J.
+                               c_end: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessian H = J^T J of the condensed problem, without
+    forming the condensed Jacobian J; `condensed_gradient` gives J^T r.
 
     Takes the stage blocks A_k = a_mat[k], B_k = b_mat[k], C_k = c_stage[k],
-    D_k = d_stage[k], the end block C_N = c_end, and the stacked stage and
-    end residuals; every dimension is read from the shapes. A forward pass
-    builds the condensed output rows J_k = C_k S_k + D_k E_k, with the state
-    sensitivity S_{k+1} = A_k S_k + B_k E_k (E_k selects node k's controls),
-    so J_k is zero beyond column n_u (k+1). A backward adjoint pass forms
+    D_k = d_stage[k] and the end block C_N = c_end; every dimension is read
+    from the shapes. A forward pass builds the condensed output rows
+    J_k = C_k S_k + D_k E_k, with the state sensitivity
+    S_{k+1} = A_k S_k + B_k E_k (E_k selects node k's controls), so J_k is
+    zero beyond column n_u (k+1). A backward adjoint pass forms
     L_k = C_k^T J_k + A_k^T L_{k+1} from L_N = C_N^T J_N, and row block k of
     H as D_k^T J_k + B_k^T L_{k+1}: one product [D_k^T B_k^T; C_k^T A_k^T]
-    [J_k; L_{k+1}] per node over the lower triangle, with the residual as an
-    extra column that yields g. The upper triangle is mirrored, so H is
-    exactly symmetric. The cost grows as O(N^2), and no product is large
-    enough for a threaded BLAS to split, so the bits do not depend on the
-    thread count.
+    [J_k; L_{k+1}] per node over the lower triangle. The upper triangle is
+    mirrored, so H is exactly symmetric. The cost grows as O(N^2), and no
+    product is large enough for a threaded BLAS to split, so the bits do not
+    depend on the thread count. No residual enters, so H can be built before
+    the measurement arrives.
     """
     n, n_x, n_u = b_mat.shape
     n_out = c_stage.shape[1]
     n_dec = n * n_u
 
-    # forward: rows[k] = [r_k | J_k]; sens[:, :m] holds S_k's nonzero columns
-    rows = np.empty((n, n_out, 1 + n_dec))
-    rows[:, :, 0] = residual[:n * n_out].reshape(n, n_out)
+    # forward: rows[k] = J_k; sens[:, :m] holds S_k's nonzero columns
+    rows = np.empty((n, n_out, n_dec))
     sens, sens_next = np.empty((n_x, n_dec)), np.empty((n_x, n_dec))
     for k in range(n):
         m = k * n_u
-        np.matmul(c_stage[k], sens[:, :m], out=rows[k, :, 1:1 + m])
-        rows[k, :, 1 + m:1 + m + n_u] = d_stage[k]
+        np.matmul(c_stage[k], sens[:, :m], out=rows[k, :, :m])
+        rows[k, :, m:m + n_u] = d_stage[k]
         np.matmul(a_mat[k], sens[:, :m], out=sens_next[:, :m])
         sens_next[:, m:m + n_u] = b_mat[k]
         sens, sens_next = sens_next, sens
-    end_rows = np.empty((c_end.shape[0], 1 + n_dec))
-    end_rows[:, 0] = residual[n * n_out:]
-    np.matmul(c_end, sens, out=end_rows[:, 1:])
+    end_rows = c_end @ sens
 
-    # backward: stack[:n_out] = [r_k | J_k] over stack[n_out:] = L_{k+1}, the
-    # residual's adjoint in column 0; each node keeps the columns node k-1 reads
+    # backward: stack[:n_out] = J_k over stack[n_out:] = L_{k+1}; each node
+    # keeps the columns node k-1 reads
     lhs = np.empty((n, n_u + n_x, n_out + n_x))
     lhs[:, :n_u, :n_out] = d_stage.transpose(0, 2, 1)
     lhs[:, :n_u, n_out:] = b_mat.transpose(0, 2, 1)
     lhs[:, n_u:, :n_out] = c_stage.transpose(0, 2, 1)
     lhs[:, n_u:, n_out:] = a_mat.transpose(0, 2, 1)
-    stack = np.empty((n_out + n_x, 1 + n_dec))
+    stack = np.empty((n_out + n_x, n_dec))
     np.matmul(c_end.T, end_rows, out=stack[n_out:])
-    prod = np.empty((n_u + n_x, 1 + n_dec))
+    prod = np.empty((n_u + n_x, n_dec))
     h_mat = np.empty((n_dec, n_dec))
-    g_vec = np.empty(n_dec)
     for k in range(n - 1, -1, -1):
         m = k * n_u
-        width = 1 + m + n_u
+        width = m + n_u
         stack[:n_out, :width] = rows[k, :, :width]
         np.matmul(lhs[k], stack[:, :width], out=prod[:, :width])
-        g_vec[m:m + n_u] = prod[:n_u, 0]
-        h_mat[m:m + n_u, :m + n_u] = prod[:n_u, 1:width]
-        stack[n_out:, :1 + m] = prod[n_u:, :1 + m]
+        h_mat[m:width, :width] = prod[:n_u, :width]
+        stack[n_out:, :m] = prod[n_u:, :m]
     for i in range(n_dec - 1):
         h_mat[i, i + 1:] = h_mat[i + 1:, i]
-    return h_mat, g_vec
+    return h_mat
 
 
-def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
-                controls: np.ndarray, horizon: ocp.Horizon | None = None,
-                residual: np.ndarray | None = None,
-                reg: float = 1e-8) -> SqpIterationResult:
-    """One Gauss-Newton iteration with condensing and box-constrained QP."""
-    if horizon is None:
-        horizon = problem.rollout(x0, controls)
-    if residual is None:
-        residual = problem.residuals(horizon, controls)
-    obj0 = problem.objective(residual)
+def condensed_gradient(a_mat: np.ndarray, b_mat: np.ndarray, c_stage: np.ndarray,
+                       d_stage: np.ndarray, c_end: np.ndarray,
+                       residual: np.ndarray) -> np.ndarray:
+    """Gradient g = J^T r of the condensed problem for the stacked stage and
+    end residuals, by one backward adjoint pass in O(N).
 
+    With the blocks of `condensed_normal_equations`: lambda_N = C_N^T r_N,
+    g_k = D_k^T r_k + B_k^T lambda_{k+1} and
+    lambda_k = C_k^T r_k + A_k^T lambda_{k+1}. Every product is an einsum,
+    which sums in an order fixed by the code and calls no BLAS, so the bits
+    do not depend on the thread count.
+    """
+    n, n_x, n_u = b_mat.shape
+    n_out = c_stage.shape[1]
+    r_stage = residual[:n * n_out].reshape(n, n_out)
+    own = np.einsum("kij,ki->kj", np.concatenate([d_stage, c_stage], axis=2), r_stage)
+    back = np.concatenate([b_mat, a_mat], axis=2)
+    lam = np.einsum("ij,i->j", c_end, residual[n * n_out:])
+    for k in range(n - 1, -1, -1):
+        # own[k] becomes [g_k | lambda_k]
+        own[k] += np.einsum("ij,i->j", back[k], lam)
+        lam = own[k, n_u:]
+    return own[:, :n_u].ravel()
+
+
+def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
+              controls: np.ndarray, reg: float = 1e-8) -> Linearization:
+    """Jacobians, regularized condensed Hessian and QP factor at `horizon`
+    and `controls`; no residual enters.
+
+    Raises `NonFiniteLinearizationError`, naming the first shooting node
+    with a non-finite Jacobian entry, and `np.linalg.LinAlgError` if the
+    QP's starting free block is not positive definite.
+    """
     a_mat, b_mat = problem.dynamics_jacobians(horizon, controls)
     c_stage, d_stage, c_end = problem.residual_jacobians(horizon, controls)
     finite = np.empty(a_mat.shape[0] + 1, dtype=bool)
@@ -234,15 +302,64 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     if not finite.all():
         bad = int(np.argmin(finite))
         where = " (end term)" if bad == a_mat.shape[0] else ""
-        raise md.ModelDomainError(f"non-finite linearization at shooting node {bad}{where}")
+        raise NonFiniteLinearizationError(
+            f"non-finite linearization at shooting node {bad}{where}")
 
-    h_mat, g_vec = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage,
-                                              c_end, residual)
+    h_mat = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
     h_mat[np.diag_indices_from(h_mat)] += reg
+    u_lb, u_ub = problem.bounds()
+    factor = prepare_box_qp(h_mat, (u_lb - controls).ravel(), (u_ub - controls).ravel())
+    return Linearization(
+        controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
+        c_end=c_end, h_mat=h_mat, factor=factor, seg_index=horizon.seg_index,
+        leg=horizon.context.leg, stage_weight=problem.stage_weight,
+        end_weight=problem.end_weight, wind=problem.wind)
+
+
+def _unusable(prepared: Linearization | None, problem: AircraftShootingProblem,
+              horizon: ocp.Horizon) -> str | None:
+    """Why `prepared` cannot serve the iteration at `horizon`, or None."""
+    if prepared is None:
+        return "not_prepared"
+    if not (np.array_equal(prepared.seg_index, horizon.seg_index)
+            and np.array_equal(prepared.leg, horizon.context.leg)):
+        return "context_changed"
+    if not (np.array_equal(prepared.stage_weight, problem.stage_weight)
+            and np.array_equal(prepared.end_weight, problem.end_weight)
+            and prepared.wind == problem.wind):
+        return "weights_changed"
+    return None
+
+
+def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
+                controls: np.ndarray, horizon: ocp.Horizon | None = None,
+                residual: np.ndarray | None = None, reg: float = 1e-8,
+                prepared: Linearization | None = None) -> SqpIterationResult:
+    """One Gauss-Newton iteration with condensing and box-constrained QP.
+
+    `prepared`, a `linearize` result at these `controls`, stands in for the
+    linearization at the rollout from `x0` when the rollout has the same
+    segment index and helix leg at every node and the problem the same
+    weights and wind; otherwise the iteration linearizes synchronously.
+    Either way g comes from the rollout's residual. Raises `ValueError` if
+    `prepared` holds other controls.
+    """
+    if prepared is not None and not np.array_equal(prepared.controls, controls):
+        raise ValueError("the prepared linearization holds other controls")
+    if horizon is None:
+        horizon = problem.rollout(x0, controls)
+    if residual is None:
+        residual = problem.residuals(horizon, controls)
+    obj0 = problem.objective(residual)
+
+    cause = _unusable(prepared, problem, horizon)
+    lin = prepared if cause is None else linearize(problem, horizon, controls, reg)
+    g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
+                               lin.c_end, residual)
 
     u_lb, u_ub = problem.bounds()
-    qp = solve_box_qp(h_mat, g_vec, (u_lb - controls).ravel(),
-                      (u_ub - controls).ravel())
+    qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - controls).ravel(),
+                      (u_ub - controls).ravel(), factor=lin.factor)
     delta = qp.x.reshape(controls.shape)
     step_norm = float(np.max(np.abs(delta), initial=0.0))
 
@@ -268,7 +385,8 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
         controls=u_new, horizon=h_new, residual=r_new, objective=obj_new,
         objective_before=obj0, step_norm=step_norm, kkt_residual=qp.kkt_residual,
         qp_status=qp.status, qp_active_set=qp.n_active,
-        halvings=halvings, accepted=accepted)
+        halvings=halvings, accepted=accepted,
+        linearization="prepared" if cause is None else f"synchronous:{cause}")
 
 
 def apply_throttle_failure_weight(weights: ocp.Weights,
@@ -282,9 +400,10 @@ def apply_throttle_failure_weight(weights: ocp.Weights,
 class NmpcController:
     """Stateful controller session: warm starting, fixed-iteration stepping.
 
-    One `step` per controller period; not reentrant. All functions below the
-    session are pure, so the object may be moved between threads between
-    calls.
+    One `step` per controller period, and optionally one `prepare` between
+    a step and the next; not reentrant. Without `prepare`, every period
+    linearizes synchronously. All functions below the session are pure, so
+    the object may be moved between threads between calls.
     """
 
     def __init__(self, params: md.ModelParams, cfg: ocp.OcpConfig,
@@ -298,62 +417,106 @@ class NmpcController:
         self.guidance_cfg = guidance_cfg or gd.GuidanceConfig()
         self.switch_cfg = switch_cfg or pth.SwitchConfig()
         self._trim_control = np.array([refs.u_t_trim, 0.0, refs.theta_ref_trim])
-        self._controls: np.ndarray | None = None
         self._last_control = md.ControlInput(u_t=refs.u_t_trim, phi_ref=0.0,
                                              theta_ref=refs.theta_ref_trim)
-        self._last_solution: OcpSolution | None = None
+        self.reset()
 
     def reset(self) -> None:
-        self._controls = None
-        self._last_solution = None
+        self._controls: np.ndarray | None = None
+        self._last_solution: OcpSolution | None = None
+        # the last accepted horizon with the queue and wind it was rolled out on
+        self._last_horizon: tuple | None = None
+        self._prepared: Linearization | None = None
+        self._prepare_failed = False
+
+    def _problem(self, queue: pth.PathQueue, wind: md.WindVector) -> AircraftShootingProblem:
+        return AircraftShootingProblem(self.params, self.cfg, self.weights, self.refs,
+                                       self.guidance_cfg, self.switch_cfg, queue, wind)
+
+    def _warm_controls(self, problem: AircraftShootingProblem) -> np.ndarray:
+        """The last accepted controls shifted by one node, last row repeated."""
+        shifted = np.vstack([self._controls[1:], self._controls[-1:]])
+        return np.clip(shifted, *problem.bounds())
+
+    def prepare(self) -> None:
+        """Preparation phase for the next period, before its measurement.
+
+        Shifts the last accepted horizon by one node with the controls the
+        next warm start uses, and linearizes there (`linearize`). Does
+        nothing before the first successful step. A failure is kept, not
+        raised: the next step then linearizes synchronously.
+        """
+        self._prepared = None
+        self._prepare_failed = False
+        if self._last_horizon is None:
+            return
+        horizon, queue, wind = self._last_horizon
+        problem = self._problem(queue, wind)
+        controls = self._warm_controls(problem)
+        try:
+            shifted = ocp.shift_horizon(horizon, controls, queue, wind, self.params,
+                                        self.cfg, self.switch_cfg)
+            self._prepared = linearize(problem, shifted, controls)
+        except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError):
+            self._prepare_failed = True
 
     def step(self, measured: md.AircraftState, queue: pth.PathQueue,
              wind: md.WindVector) -> tuple[md.ControlInput, OcpSolution]:
-        """Advance one controller period and return the first control."""
+        """Feedback phase: advance one controller period and return the first
+        control. `wall_time_s` of the solution is this call's wall time."""
         t_start = time.perf_counter()
         x0 = measured.as_array()
-        problem = AircraftShootingProblem(
-            self.params, self.cfg, self.weights, self.refs, self.guidance_cfg,
-            self.switch_cfg, queue, wind)
+        problem = self._problem(queue, wind)
+        prepared, self._prepared = self._prepared, None
 
         if self._controls is None:
-            controls = np.tile(self._trim_control, (self.cfg.n_steps, 1))
+            controls = np.clip(np.tile(self._trim_control, (self.cfg.n_steps, 1)),
+                               *problem.bounds())
             n_iter = self.cfg.cold_start_sqp_iter
+            cause = "cold"
         else:
-            controls = np.vstack([self._controls[1:], self._controls[-1:]])
+            controls = self._warm_controls(problem)
             n_iter = self.cfg.max_sqp_iter
-        controls = np.clip(controls, *problem.bounds())
+            cause = "prepare_failed" if self._prepare_failed else "not_prepared"
+        self._prepare_failed = False
+        offered = "prepared" if prepared is not None else f"synchronous:{cause}"
 
         try:
-            solution = self._solve(problem, x0, controls, n_iter)
-        except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError):
-            solution = self._degraded_solution()
+            solution, horizon = self._solve(problem, x0, controls, n_iter, prepared)
+        except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            solution = self._degraded_solution(_degraded_reason(exc), offered)
             solution.wall_time_s = time.perf_counter() - t_start
             return self._last_control, solution
 
+        if prepared is None:
+            solution.linearization = offered
         solution.wall_time_s = time.perf_counter() - t_start
         self._controls = solution.controls
+        self._last_horizon = (horizon, queue, wind)
         self._last_control = md.ControlInput.from_array(solution.controls[0])
         self._last_solution = solution
         return self._last_control, solution
 
     def _solve(self, problem: AircraftShootingProblem, x0: np.ndarray,
-               controls: np.ndarray, n_iter: int) -> OcpSolution:
+               controls: np.ndarray, n_iter: int, prepared: Linearization | None):
+        """The period's SQP iterations; the first one may use `prepared`.
+        Returns the solution and its final horizon."""
         horizon = None
         residual = None
         nonincrease_ok = True
-        first_obj = None
+        first = None
         result = None
         qp_status = None      # the first QP status of the period that is not optimal
         iters_run = 0
         halvings = 0
         for _ in range(max(n_iter, 1)):
             result = sqp_iterate(problem, x0, controls, horizon=horizon,
-                                 residual=residual)
+                                 residual=residual, prepared=prepared)
+            prepared = None
             iters_run += 1
             halvings += result.halvings
-            if first_obj is None:
-                first_obj = result.objective_before
+            if first is None:
+                first = result
             if qp_status is None and result.qp_status != "optimal":
                 qp_status = result.qp_status
             nonincrease_ok &= result.objective <= result.objective_before \
@@ -364,16 +527,19 @@ class NmpcController:
 
         if not np.all(np.isfinite(controls)):
             raise md.ModelDomainError("non-finite controls out of SQP")
-        return OcpSolution(
-            states=result.horizon.states, controls=controls,
-            seg_index=result.horizon.seg_index.copy(), x_sw=result.horizon.x_sw.copy(),
-            objective=result.objective, objective_before=float(first_obj),
+        degraded = qp_status == "iteration_limit"
+        solution = OcpSolution(
+            states=horizon.states, controls=controls,
+            seg_index=horizon.seg_index.copy(), x_sw=horizon.x_sw.copy(),
+            objective=result.objective, objective_before=float(first.objective_before),
             kkt_residual=result.kkt_residual, qp_status=qp_status or result.qp_status,
             qp_active_set=result.qp_active_set, sqp_iters=iters_run,
             halvings=halvings, obj_nonincrease_ok=bool(nonincrease_ok),
-            degraded=qp_status == "iteration_limit", axis_nodes=result.horizon.axis_nodes)
+            degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
+            linearization=first.linearization, axis_nodes=horizon.axis_nodes)
+        return solution, horizon
 
-    def _degraded_solution(self) -> OcpSolution:
+    def _degraded_solution(self, reason: str, linearization: str) -> OcpSolution:
         n = self.cfg.n_steps
         if self._last_solution is not None:
             sol = replace(self._last_solution)
@@ -386,4 +552,17 @@ class NmpcController:
                 kkt_residual=float("nan"), qp_status="failed", qp_active_set=0,
                 sqp_iters=0, halvings=0, obj_nonincrease_ok=True)
         sol.degraded = True
+        sol.degraded_reason = reason
+        sol.linearization = linearization
         return sol
+
+
+def _degraded_reason(exc: Exception) -> str:
+    """`OcpSolution.degraded_reason` of a solver exception."""
+    if isinstance(exc, NonFiniteLinearizationError):
+        return "non_finite_linearization"
+    if isinstance(exc, md.ModelDomainError):
+        return "domain"
+    if isinstance(exc, np.linalg.LinAlgError):
+        return "lin_alg"
+    return "floating_point"

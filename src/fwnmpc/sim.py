@@ -1,15 +1,18 @@
 """Deterministic closed-loop scenario harness.
 
 The plant integrates at a fine fixed step with zero-order-hold controls; the
-controller runs every `t_iter`; scheduled events (motor failure/restore)
-toggle the plant's thrust model and the controller's throttle weight. Runs
-are bit-reproducible for a given scenario: randomness only enters through
-the seeded measurement-noise generator.
+controller's feedback phase runs every `t_iter` on the measurement, and its
+preparation phase runs right after, for the next period; scheduled events
+(motor failure/restore) toggle the plant's thrust model and the controller's
+throttle weight. Runs are bit-reproducible for a given scenario: randomness
+only enters through the seeded measurement-noise generator.
 """
 
 from __future__ import annotations
 
 import io
+import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,10 +115,19 @@ class SimLog:
     sqp_iters: np.ndarray
     obj_nonincrease: np.ndarray
     degraded: np.ndarray
-    wall_time_s: np.ndarray        # solver wall time; report-only, never in CSV
+    # feedback latency of the controller step (measurement in, control out);
+    # report-only, never in CSV
+    wall_time_s: np.ndarray
     events_applied: tuple
     # near-axis rollout nodes per period; report-only, never in CSV
     axis_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # wall time of the preparation phase after each period, NaN where none
+    # ran (after the last period); report-only, never in CSV
+    prep_time_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # `OcpSolution.linearization` and `.degraded_reason` per period;
+    # report-only, never in CSV
+    linearization: tuple = ()
+    degraded_reason: tuple = ()
     # why the run stopped; report-only, never in CSV
     end_reason: str = END_COMPLETED
 
@@ -190,6 +202,7 @@ def run(scenario: Scenario) -> SimLog:
     applied = []
 
     rows = []
+    prep_times = []
     u_arr = np.array([trim.u_t, 0.0, trim.theta_ref])
     held_eta_lat = 0.0
     end_reason = END_COMPLETED
@@ -236,6 +249,13 @@ def run(scenario: Scenario) -> SimLog:
 
             rows.append((t, x.copy(), u_arr.copy(), errs, queue.current_index,
                          queue.x_sw, motor_failed, sol))
+            # preparation phase for the next period, if there is one
+            if tick + ctrl_every <= n_ticks:
+                t_prep = time.perf_counter()
+                controller.prepare()
+                prep_times.append(time.perf_counter() - t_prep)
+            else:
+                prep_times.append(float("nan"))
 
         if tick < n_ticks:
             try:
@@ -270,6 +290,9 @@ def run(scenario: Scenario) -> SimLog:
         wall_time_s=np.array([r[7].wall_time_s for r in rows]),
         events_applied=tuple(applied),
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
+        prep_time_s=np.array(prep_times),
+        linearization=tuple(r[7].linearization for r in rows),
+        degraded_reason=tuple(r[7].degraded_reason for r in rows),
         end_reason=end_reason,
     )
     return log
@@ -353,10 +376,26 @@ def emit_csv(log: SimLog, path) -> None:
         fh.write(buf.getvalue())
 
 
+def _percentiles_ms(seconds: np.ndarray) -> str:
+    ms = 1e3 * seconds[np.isfinite(seconds)]
+    if ms.size == 0:
+        return "(none)"
+    return f"p50 {np.percentile(ms, 50):.1f}  p90 {np.percentile(ms, 90):.1f}"
+
+
+def _counted(labels) -> str:
+    counts = Counter(labels)
+    return ", ".join(f"{label} {counts[label]}" for label in sorted(counts))
+
+
 def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
     """Human-readable run summary: settled stats, solver timing, events."""
     stats = settled_error_stats(log, settle_time=settle_time)
     wall_ms = 1e3 * log.wall_time_s
+    synchronous = [lin.split(":", 1)[1] for lin in log.linearization
+                   if lin.startswith("synchronous:")]
+    degraded = int(np.count_nonzero(log.degraded))
+    reasons = [r for r, d in zip(log.degraded_reason, log.degraded) if d]
     lines = [
         f"scenario: {log.scenario_name}",
         f"samples: {log.time.shape[0]}  duration: {log.time[-1]:.2f} s",
@@ -368,12 +407,15 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f"  max |e_lon|: {stats.max_abs_e_lon:.3f} m",
         f"  airspeed RMSE: {stats.airspeed_rmse:.3f} m/s",
         "",
-        "solver wall time per period (ms):",
+        "solver wall time per period, feedback phase (measurement in, control out; ms):",
         f"  mean {np.mean(wall_ms):.1f}  p50 {np.percentile(wall_ms, 50):.1f}"
         f"  p90 {np.percentile(wall_ms, 90):.1f}  p99 {np.percentile(wall_ms, 99):.1f}"
         f"  max {np.max(wall_ms):.1f}",
+        f"preparation phase per period (ms): {_percentiles_ms(log.prep_time_s)}",
+        f"synchronous linearizations: {len(synchronous)} of {log.time.shape[0]} periods"
+        + (f" ({_counted(synchronous)})" if synchronous else ""),
         f"objective non-increase satisfied: {bool(np.all(log.obj_nonincrease))}",
-        f"degraded periods: {int(np.count_nonzero(log.degraded))}",
+        f"degraded periods: {degraded}" + (f" ({_counted(reasons)})" if reasons else ""),
         f"periods with near-axis rollout nodes: {int(np.count_nonzero(log.axis_nodes))}",
         "",
         "segment switches:",

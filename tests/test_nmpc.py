@@ -10,7 +10,7 @@ from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp, solver
 from fwnmpc.nmpc.qp import solve_box_qp
-from fwnmpc.scenarios import scenario_helix
+from fwnmpc.scenarios import scenario_dubins_course, scenario_helix
 from oracles import central_difference_jacobians, random_envelope_states, \
     reference_propagate_horizon, run_at_thread_count
 
@@ -182,16 +182,17 @@ class LinearToyProblem:
 def toy_sqp_iterate(problem, x0, controls):
     """Drive the production normal equations and the QP for the toy problem.
 
-    Feeds the toy's exact Jacobians to `condensed_normal_equations`, so the
-    Riccati comparison checks the algebra that sqp_iterate runs.
+    Feeds the toy's exact Jacobians to `condensed_normal_equations` and
+    `condensed_gradient`, so the Riccati comparison checks the algebra that
+    sqp_iterate runs.
     """
     states = problem.rollout(x0, controls)
     residual = problem.residuals(states, controls)
     obj0 = problem.objective(residual)
     a_mat, b_mat = problem.dynamics_jacobians(states, controls)
     c_stage, d_stage, c_end = problem.residual_jacobians(states, controls)
-    h_mat, g_vec = solver.condensed_normal_equations(a_mat, b_mat, c_stage, d_stage,
-                                                     c_end, residual)
+    h_mat = solver.condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
+    g_vec = solver.condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     h_mat[np.diag_indices_from(h_mat)] += 1e-12
     lb, ub = problem.bounds()
     qp = solve_box_qp(h_mat, g_vec, (lb - controls).ravel(), (ub - controls).ravel())
@@ -351,20 +352,29 @@ def assert_matches_dense_oracle(h_mat, g_vec, blk):
 _NORMAL_EQUATIONS_SNIPPET = """
 import sys
 import numpy as np
-from fwnmpc.nmpc.solver import condensed_normal_equations
+from fwnmpc.nmpc.solver import condensed_gradient, condensed_normal_equations
 blk = np.load(sys.argv[1])
-h, g = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+h = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"])
+g = condensed_gradient(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
 print(h.tobytes().hex(), g.tobytes().hex())
 """
 
 
+def normal_equations(blk):
+    """H from `condensed_normal_equations` and g from `condensed_gradient`."""
+    blocks = blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"]
+    return (solver.condensed_normal_equations(*blocks),
+            solver.condensed_gradient(*blocks, blk["r"]))
+
+
 class TestCondensedNormalEquations:
+    """H by `condensed_normal_equations` and g = J^T r by `condensed_gradient`."""
+
     @pytest.mark.parametrize("n", [2, 3, 70])
     @pytest.mark.parametrize("n_u", [1, 3])
     def test_matches_dense_oracle(self, n, n_u):
         blk = random_stage_blocks(np.random.default_rng(10 * n + n_u), n, n_u)
-        h_mat, g_vec = solver.condensed_normal_equations(
-            blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+        h_mat, g_vec = normal_equations(blk)
         assert h_mat.shape == (n * n_u, n * n_u) and g_vec.shape == (n * n_u,)
         assert_matches_dense_oracle(h_mat, g_vec, blk)
         assert np.array_equal(h_mat, h_mat.T)
@@ -377,8 +387,7 @@ class TestCondensedNormalEquations:
         n, n_out = 6, 11
         blk = random_stage_blocks(np.random.default_rng(5), n, n_u)
         blk["a"][:] = 0.0
-        h_mat, g_vec = solver.condensed_normal_equations(
-            blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
+        h_mat, g_vec = normal_equations(blk)
         blocks = h_mat.reshape(n, n_u, n, n_u)
         for i in range(n):
             for j in range(n):
@@ -677,6 +686,143 @@ class TestPropagateHorizon:
             ocp.OcpConfig(n_steps=0)
 
 
+class TestShiftHorizon:
+    """`shift_horizon` equals the rollout from node 1, bit for bit."""
+
+    @staticmethod
+    def assert_shift_is_rollout_from_node_one(x0, controls, queue, wind, params, cfg, swcfg):
+        horizon = ocp.propagate_horizon(x0, controls, queue, wind, params, cfg, swcfg)
+        shifted_u = np.vstack([controls[1:], controls[-1:]])
+        shifted = ocp.shift_horizon(horizon, shifted_u, queue, wind, params, cfg, swcfg)
+        node_one = pth.PathQueue(segments=queue.segments, x_sw=float(horizon.x_sw[1]),
+                                 current_index=int(horizon.seg_index[1]))
+        expected = ocp.propagate_horizon(horizon.states[1], shifted_u, node_one, wind,
+                                         params, cfg, swcfg)
+        assert shifted.states.tobytes() == expected.states.tobytes()
+        assert shifted.x_sw.tobytes() == expected.x_sw.tobytes()
+        for name in pth._CTX_FIELDS:
+            got, want = getattr(shifted.context, name), getattr(expected.context, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert shifted.axis_nodes == expected.axis_nodes
+        return horizon, shifted
+
+    def test_helix_leg_cap_released_by_the_shift(self, params, trim):
+        """Level flight along the climbing helix of the helix scenario, from
+        the node before the nearest leg rises: the rollout caps node 1 at
+        node 0's leg, and the shifted horizon, whose node 0 is that node,
+        re-fills it at the higher leg."""
+        sc = scenario_helix()
+        helix = sc.segments[0]
+        wind = md.WindVector(0.8, 0.4, 0.0)
+        bank = float(np.arctan(13.5 ** 2 / (params.constants.g * helix.r_signed)))
+        controls = np.tile([trim.u_t, bank, trim.theta_ref], (sc.ocp.n_steps, 1))
+        controls[-5:, 1] = 0.0
+        queue = pth.PathQueue(segments=sc.segments)
+        level = ocp.propagate_horizon(
+            replace(sc.initial_state, gamma=0.0, theta=trim.theta,
+                    delta_t=trim.delta_t).as_array(),
+            np.tile(controls[0], (sc.ocp.n_steps, 1)), queue, wind, params, sc.ocp,
+            sc.switching)
+        uncapped = np.array([pth.closest_point_arc(helix, r).leg for r in level.states[:, :3]])
+        rise = int(np.argmax(uncapped > uncapped[0]))
+        assert rise > 0
+        horizon, shifted = self.assert_shift_is_rollout_from_node_one(
+            level.states[rise - 1], controls, queue, wind, params, sc.ocp, sc.switching)
+        assert shifted.context.leg[0] > horizon.context.leg[1] == horizon.context.leg[0]
+
+    def test_dubins_corners_in_wind(self, params, trim):
+        """Wings level along the first leg of the Dubins course, from start
+        points 1 m apart: the horizon switches to the first corner at every
+        node from the 20th on, the new end node included."""
+        sc = scenario_dubins_course()
+        switch_nodes = set()
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (sc.ocp.n_steps, 1))
+        for north in np.arange(250.0, 330.0, 1.0):
+            x0 = trim.state(n=north, e=0.0, d=-60.0).as_array()
+            _, shifted = self.assert_shift_is_rollout_from_node_one(
+                x0, controls, pth.PathQueue(segments=sc.segments), sc.wind, params, sc.ocp,
+                sc.switching)
+            switch_nodes.update(np.flatnonzero(np.diff(shifted.seg_index)) + 1)
+        assert set(range(20, sc.ocp.n_steps + 1)) <= switch_nodes
+
+    def test_line_arc_loiter_with_switch_mid_horizon(self, params, trim):
+        segs = (
+            pth.LineSegment(b=np.array([60.0, 0.0, -50.0]), chi_p=0.0, gamma_p=0.0),
+            pth.ArcSegment(c=np.array([60.0, 40.0, -50.0]), r_signed=40.0,
+                           chi_p=np.pi / 2, gamma_p=0.0),
+            pth.LoiterSegment(c=np.array([100.0, 80.0, -50.0]), r_signed=40.0),
+        )
+        cfg = ocp.OcpConfig(n_steps=60)
+        x0 = trim.state(n=20.0, e=0.0, d=-50.0).as_array()
+        controls = np.tile([trim.u_t, 0.2, trim.theta_ref], (60, 1))
+        horizon, _ = self.assert_shift_is_rollout_from_node_one(
+            x0, controls, pth.PathQueue(segments=segs), md.WindVector(0.5, -0.5, 0.0),
+            params, cfg, pth.SwitchConfig())
+        assert horizon.seg_index[1] == 0 < horizon.seg_index[-1]
+
+    def test_rejects_unshifted_shapes(self, params, trim):
+        cfg = ocp.OcpConfig(n_steps=10)
+        x0 = trim.state(d=-50.0).as_array()
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (10, 1))
+        horizon = ocp.propagate_horizon(x0, controls, line_queue(), md.WindVector(), params,
+                                        cfg, pth.SwitchConfig())
+        with pytest.raises(ValueError):
+            ocp.shift_horizon(horizon, controls[:9], line_queue(), md.WindVector(), params,
+                              cfg, pth.SwitchConfig())
+
+
+class TestPreparedIteration:
+    """`sqp_iterate` with a prepared linearization."""
+
+    @staticmethod
+    def helix_problem(params, refs, trim, n_steps=30):
+        sc = scenario_helix()
+        problem = make_problem(params, refs, pth.PathQueue(segments=sc.segments),
+                               wind=md.WindVector(0.8, 0.4, 0.0), n_steps=n_steps)
+        x0 = replace(sc.initial_state, gamma=0.0, theta=trim.theta,
+                     delta_t=trim.delta_t).as_array()
+        controls = np.tile([trim.u_t, 0.3, trim.theta_ref], (n_steps, 1))
+        controls[:4, 1] = problem.cfg.phi_ref_max      # start on a roll bound
+        return problem, x0, controls
+
+    def test_prepared_at_same_horizon_equals_synchronous(self, params, refs, trim):
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        horizon = problem.rollout(x0, controls)
+        prepared = solver.linearize(problem, horizon, controls)
+        assert prepared.factor.free.size < controls.size
+        fast = solver.sqp_iterate(problem, x0, controls, prepared=prepared)
+        slow = solver.sqp_iterate(problem, x0, controls)
+        assert fast.linearization == "prepared"
+        assert slow.linearization == "synchronous:not_prepared"
+        for name in ("controls", "residual"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert fast.horizon.states.tobytes() == slow.horizon.states.tobytes()
+        for name in ("objective", "objective_before", "step_norm", "kkt_residual",
+                     "qp_status", "qp_active_set", "halvings", "accepted"):
+            assert getattr(fast, name) == getattr(slow, name), name
+
+    def test_changed_context_or_weights_linearize_synchronously(self, params, refs, trim):
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        horizon = problem.rollout(x0, controls)
+        prepared = solver.linearize(problem, horizon, controls)
+        moved = replace(prepared, leg=prepared.leg + 1.0)
+        assert solver.sqp_iterate(problem, x0, controls, prepared=moved).linearization \
+            == "synchronous:context_changed"
+        failed = make_problem(params, refs, problem.queue, wind=problem.wind, n_steps=30,
+                              weights=solver.apply_throttle_failure_weight(problem.weights))
+        assert solver.sqp_iterate(failed, x0, controls, prepared=prepared).linearization \
+            == "synchronous:weights_changed"
+        calm = make_problem(params, refs, problem.queue, n_steps=30)
+        assert solver.sqp_iterate(calm, x0, controls, prepared=prepared).linearization \
+            == "synchronous:weights_changed"
+
+    def test_rejects_linearization_at_other_controls(self, params, refs, trim):
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        prepared = solver.linearize(problem, problem.rollout(x0, controls), controls)
+        with pytest.raises(ValueError):
+            solver.sqp_iterate(problem, x0, controls + 1e-3, prepared=prepared)
+
+
 class TestController:
     def test_trim_on_path_stays_at_trim(self, params, refs, trim):
         """Repeated calls at trim on the path return the trim control."""
@@ -738,7 +884,7 @@ class TestController:
         control, sol = solver.NmpcController(params, cfg, ocp.default_weights(), refs).step(
             state, queue, md.WindVector())
         assert statuses == ["optimal"] * 3 and sol.sqp_iters == 3
-        assert sol.degraded
+        assert sol.degraded and sol.degraded_reason == "qp_iteration_limit"
         assert sol.qp_status == "iteration_limit"
         np.testing.assert_array_equal(sol.controls, clean.controls)
         assert control == md.ControlInput.from_array(clean.controls[0])
@@ -778,8 +924,132 @@ class TestController:
         ctrl = solver.NmpcController(params, cfg, ocp.default_weights(), refs)
         bad_state = md.AircraftState(v_a=13.5, gamma=1.55)  # nearly vertical
         control, sol = ctrl.step(bad_state, queue, md.WindVector())
-        assert sol.degraded
+        assert sol.degraded and sol.degraded_reason == "domain"
+        assert sol.linearization == "synchronous:cold"
         assert control.u_t == pytest.approx(refs.u_t_trim)
+
+    @pytest.mark.parametrize("target, error, reason", [
+        ("residual_jacobians", None, "non_finite_linearization"),
+        ("prepare_box_qp", np.linalg.LinAlgError, "lin_alg"),
+        ("rollout", FloatingPointError, "floating_point"),
+        ("rollout", md.ModelDomainError, "domain"),
+    ])
+    def test_degraded_reason_names_the_exception(self, params, refs, trim, monkeypatch,
+                                                 target, error, reason):
+        """A warm period whose solve raises keeps the last control and names
+        why; the next period solves again."""
+        ctrl = solver.NmpcController(params, ocp.OcpConfig(n_steps=10),
+                                     ocp.default_weights(), refs)
+        state, queue = trim.state(e=3.0, d=-50.0), line_queue()
+        good, first = ctrl.step(state, queue, md.WindVector())
+        assert not first.degraded and first.degraded_reason == ""
+        if target == "residual_jacobians":
+            jacobians = solver.AircraftShootingProblem.residual_jacobians
+
+            def broken(problem, horizon, controls):
+                c_stage, d_stage, c_end = jacobians(problem, horizon, controls)
+                return c_stage, d_stage, np.full_like(c_end, np.nan)
+        else:
+            def broken(*args, **kwargs):
+                raise error("injected")
+        owner = solver if target == "prepare_box_qp" else solver.AircraftShootingProblem
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, target, broken)
+            control, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.degraded and sol.degraded_reason == reason
+        assert sol.linearization == "synchronous:not_prepared"
+        assert control == good
+        _, after = ctrl.step(state, queue, md.WindVector())
+        assert not after.degraded and after.degraded_reason == ""
+
+
+class TestRealTimeIteration:
+    """`prepare` between periods, and the linearization each period used."""
+
+    @staticmethod
+    def controller(params, refs, n_steps=20):
+        return solver.NmpcController(params, ocp.OcpConfig(n_steps=n_steps),
+                                     ocp.default_weights(), refs)
+
+    def test_causes_cold_not_prepared_prepared(self, params, refs, trim):
+        ctrl = self.controller(params, refs)
+        state, queue = trim.state(e=3.0, d=-50.0), line_queue()
+        ctrl.prepare()      # nothing to prepare from before the first step
+        labels = []
+        for prepare in (False, False, True, True):
+            _, sol = ctrl.step(state, queue, md.WindVector())
+            labels.append(sol.linearization)
+            assert not sol.degraded
+            if prepare:
+                ctrl.prepare()
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        labels.append(sol.linearization)
+        assert labels == ["synchronous:cold", "synchronous:not_prepared",
+                          "synchronous:not_prepared", "prepared", "prepared"]
+
+    def test_weights_changed(self, params, refs, trim):
+        ctrl = self.controller(params, refs)
+        state, queue = trim.state(e=3.0, d=-50.0), line_queue()
+        ctrl.step(state, queue, md.WindVector())
+        ctrl.prepare()
+        ctrl.weights = solver.apply_throttle_failure_weight(ctrl.weights)
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.linearization == "synchronous:weights_changed"
+
+    def test_context_changed(self, params, refs, trim):
+        """The plant queue switched to the next segment after `prepare`."""
+        segs = (line_queue().segments[0],
+                pth.LineSegment(b=np.array([5000.0, 5000.0, -50.0]), chi_p=np.pi / 2,
+                                gamma_p=0.0))
+        ctrl = self.controller(params, refs)
+        state = trim.state(e=3.0, d=-50.0)
+        ctrl.step(state, pth.PathQueue(segments=segs), md.WindVector())
+        ctrl.prepare()
+        _, sol = ctrl.step(state, pth.PathQueue(segments=segs, x_sw=1.0, current_index=1),
+                           md.WindVector())
+        assert sol.linearization == "synchronous:context_changed" and not sol.degraded
+
+    @pytest.mark.parametrize("error", [md.ModelDomainError, np.linalg.LinAlgError,
+                                       FloatingPointError])
+    def test_prepare_failed(self, params, refs, trim, monkeypatch, error):
+        """`prepare` keeps its failure; the next step linearizes synchronously."""
+        ctrl = self.controller(params, refs)
+        state, queue = trim.state(e=3.0, d=-50.0), line_queue()
+        ctrl.step(state, queue, md.WindVector())
+
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "linearize", broken)
+            ctrl.prepare()
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.linearization == "synchronous:prepare_failed" and not sol.degraded
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.linearization == "synchronous:not_prepared"
+
+    def test_step_is_feedback_only(self, params, refs, trim, monkeypatch):
+        """After `prepare`, a warm step computes no Jacobian and no QP factor."""
+        ctrl = self.controller(params, refs)
+        state, queue = trim.state(e=3.0, d=-50.0), line_queue()
+        ctrl.step(state, queue, md.WindVector())
+        ctrl.prepare()
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(ocp, "rk4_jacobians")
+        count(solver.AircraftShootingProblem, "residual_jacobians")
+        count(solver, "prepare_box_qp")
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.linearization == "prepared" and calls == []
 
 
 class TestThrottleFailureWeight:

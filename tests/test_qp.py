@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fwnmpc.nmpc.qp import _FreeBasis, solve_box_qp
+from fwnmpc.nmpc.qp import _factor_free, _FreeBasis, prepare_box_qp, solve_box_qp
 from oracles import run_at_thread_count
 
 
@@ -174,6 +174,57 @@ class TestSolveBoxQp:
             solve_box_qp(h, g, -np.ones(2), np.ones(2), x0=np.array([0.0, 1.0]))
 
 
+class TestPreparedFactor:
+    """`solve_box_qp` with a factor from `prepare_box_qp`."""
+
+    @staticmethod
+    def box_qp(n, seed):
+        """A QP whose start sits on some bounds and whose iteration adds and
+        drops bounds."""
+        rng = np.random.default_rng(seed)
+        h = random_spd(rng, n, cond=1e3)
+        g = 40.0 * rng.normal(size=n)
+        lb, ub = -np.ones(n), np.ones(n)
+        lb[::9] = 0.0
+        ub[4::11] = 0.0
+        return h, g, lb, ub
+
+    @pytest.mark.parametrize("n", [12, 210])
+    def test_same_result_with_and_without_prepared_factor(self, n):
+        h, g, lb, ub = self.box_qp(n, n)
+        factor = prepare_box_qp(h, lb, ub)
+        assert 0 < factor.free.size < n
+        plain = solve_box_qp(h, g, lb, ub)
+        prepared = solve_box_qp(h, g, lb, ub, factor=factor)
+        assert plain.n_iter > 2 and plain.n_active > 0
+        assert prepared.x.tobytes() == plain.x.tobytes()
+        assert (prepared.status, prepared.n_iter, prepared.n_active, prepared.kkt_residual) \
+            == (plain.status, plain.n_iter, plain.n_active, plain.kkt_residual)
+        # the factor is only read, so it serves a second solve unchanged
+        again = solve_box_qp(h, -g, lb, ub, factor=factor)
+        assert again.x.tobytes() == solve_box_qp(h, -g, lb, ub).x.tobytes()
+
+    def test_nothing_free(self):
+        h, g, _, _ = self.box_qp(6, 1)
+        zero = np.zeros(6)
+        factor = prepare_box_qp(h, zero, zero)
+        assert factor.free.size == 0 and factor.chol is None
+        res = solve_box_qp(h, g, zero, zero, factor=factor)
+        assert res.status == "optimal" and not np.any(res.x)
+
+    def test_mismatched_free_set_raises(self):
+        h, g, lb, ub = self.box_qp(12, 2)
+        factor = prepare_box_qp(h, lb, ub)
+        with pytest.raises(ValueError, match="free set"):
+            solve_box_qp(h, g, -np.ones(12), np.ones(12), factor=factor)
+        with pytest.raises(ValueError, match="free set"):
+            solve_box_qp(h, g, lb, ub, x0=np.full(12, 1.0), factor=factor)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            prepare_box_qp(np.ones((2, 2)), -np.ones(2), np.ones(2))
+
+
 class TestFreeBasis:
     """The factor kept by the solver against np.linalg.solve, on free blocks
     of several factorization blocks, through bound changes of both kinds."""
@@ -193,7 +244,7 @@ class TestFreeBasis:
         free = list(range(0, n, 7)) + [i for i in range(n) if i % 7]
         fixed = free[-5:]
         free = free[:-5]
-        basis = _FreeBasis(h, np.array(free))
+        basis = _FreeBasis(h, _factor_free(h, np.array(free)))
         self.assert_newton_step_exact(basis, h, free, grad)
         # fix some variables, release the ones fixed from the start, then fix
         # a few more

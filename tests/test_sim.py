@@ -276,6 +276,16 @@ class TestCsvAndReport:
         assert header == ",".join(sim.CSV_COLUMNS)
         assert "wall" not in header
 
+    def test_csv_columns_unchanged(self):
+        """Timing, linearization and degraded-reason telemetry stay out of
+        the CSV."""
+        assert sim.CSV_COLUMNS == (
+            "time", "n", "e", "d", "v_a", "gamma", "xi", "phi", "theta", "p", "q", "r",
+            "delta_t", "u_t", "phi_ref", "theta_ref", "eta_lat", "eta_lon", "e_lat",
+            "e_lon", "d_dot_sp", "seg_index", "x_sw", "motor_failed", "wind_n", "wind_e",
+            "wind_d", "objective", "kkt_residual", "qp_active_set", "sqp_iters",
+            "obj_nonincrease", "degraded")
+
     def test_report_contents(self):
         log = sim.run(short_line_scenario())
         report = sim.emit_report(log, settle_time=1.0)
@@ -283,10 +293,80 @@ class TestCsvAndReport:
         assert "solver wall time" in report
         assert "events" in report
         assert "periods with near-axis rollout nodes: 0" in report
+        assert "preparation phase per period (ms): p50 " in report
+        assert "synchronous linearizations: 1 of 31 periods (cold 1)" in report
+        assert "degraded periods: 0\n" in report
         axis_nodes = np.zeros_like(log.axis_nodes)
         axis_nodes[[1, 3]] = [2, 1]
         report = sim.emit_report(dataclasses.replace(log, axis_nodes=axis_nodes))
         assert "periods with near-axis rollout nodes: 2" in report
+
+        degraded = log.degraded.copy()
+        degraded[[2, 4, 5]] = True
+        reasons = list(log.degraded_reason)
+        reasons[2:6] = ["lin_alg", "", "domain", "lin_alg"]
+        linearization = list(log.linearization)
+        linearization[7:9] = ["synchronous:context_changed"] * 2
+        report = sim.emit_report(dataclasses.replace(
+            log, degraded=degraded, degraded_reason=tuple(reasons),
+            linearization=tuple(linearization)))
+        assert "degraded periods: 3 (domain 1, lin_alg 2)" in report
+        assert "synchronous linearizations: 3 of 31 periods (cold 1, context_changed 2)" \
+            in report
+
+
+class TestTwoPhaseController:
+    """`sim.run` drives a preparation phase between the controller periods."""
+
+    def test_phases_timed_apart(self):
+        log = sim.run(short_line_scenario(duration=1.0))
+        assert log.linearization == ("synchronous:cold",) + ("prepared",) * 10
+        assert np.all(log.prep_time_s[:-1] > 0.0) and np.isnan(log.prep_time_s[-1])
+        assert np.all(log.wall_time_s > 0.0)
+
+    def test_benchmark_probe_sees_every_period_and_qp(self, monkeypatch):
+        """A short helix run calls `NmpcController.step` once per logged
+        period, never solves a QP inside `prepare`, and solves every QP
+        through `solver.solve_box_qp`, the name the benchmark's QP probe and
+        tracer patch."""
+        from fwnmpc.nmpc import qp as nmpc_qp
+        from fwnmpc.nmpc import solver as nmpc_solver
+        counts = {"step": 0, "probed_qp": 0, "qp": 0, "qp_in_prepare": 0}
+        in_prepare = [False]
+        step, prepare = nmpc_solver.NmpcController.step, nmpc_solver.NmpcController.prepare
+        probed, basis = nmpc_solver.solve_box_qp, nmpc_qp._FreeBasis
+
+        def step_probe(*args, **kwargs):
+            counts["step"] += 1
+            return step(*args, **kwargs)
+
+        def prepare_probe(*args, **kwargs):
+            in_prepare[0] = True
+            try:
+                return prepare(*args, **kwargs)
+            finally:
+                in_prepare[0] = False
+
+        def qp_probe(*args, **kwargs):
+            counts["probed_qp"] += 1
+            return probed(*args, **kwargs)
+
+        class CountedBasis(basis):
+            # every solve builds exactly one working-set basis
+            def __init__(self, *args, **kwargs):
+                counts["qp"] += 1
+                counts["qp_in_prepare"] += in_prepare[0]
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nmpc_solver.NmpcController, "step", step_probe)
+        monkeypatch.setattr(nmpc_solver.NmpcController, "prepare", prepare_probe)
+        monkeypatch.setattr(nmpc_solver, "solve_box_qp", qp_probe)
+        monkeypatch.setattr(nmpc_qp, "_FreeBasis", CountedBasis)
+        log = sim.run(dataclasses.replace(BUILTIN_SCENARIOS["helix"](), duration=1.0))
+        assert counts["step"] == log.time.size == 11
+        assert counts["qp_in_prepare"] == 0
+        assert counts["qp"] == counts["probed_qp"] >= log.time.size
+        assert log.linearization.count("prepared") == 10
 
 
 SCENARIO_YAML = textwrap.dedent("""\
