@@ -9,6 +9,7 @@ parameters are plain SI.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -38,6 +39,13 @@ def _check_keys(node: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
+def _integer(value, where: str) -> int:
+    """`value` as an int; a non-integral number is an error, not truncated."""
+    if int(value) != float(value):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _build_dataclass(cls, node: dict, where: str):
     names = [f.name for f in dataclasses.fields(cls)]
     _check_keys(node, names, where)
@@ -49,7 +57,7 @@ def _build_dataclass(cls, node: dict, where: str):
 
 def load_model_params(source) -> md.ModelParams:
     """Load a model parameter file: closed_loop / open_loop / constants maps."""
-    node = source if isinstance(source, dict) else yaml.safe_load(open(source))
+    node = source if isinstance(source, dict) else yaml.safe_load(Path(source).read_text())
     node = _require_mapping(node, "model params")
     _check_keys(node, ("closed_loop", "open_loop", "constants"), "model params")
     return md.ModelParams(
@@ -90,8 +98,7 @@ def _load_segment(node: dict, index: int) -> pth.PathSegment:
 _OCP_DEG_FIELDS = {"phi_ref_max_deg": "phi_ref_max", "theta_ref_max_deg": "theta_ref_max",
                    "alpha_minus_deg": "alpha_minus", "alpha_plus_deg": "alpha_plus",
                    "delta_alpha_deg": "delta_alpha"}
-_OCP_PLAIN_FIELDS = ("n_steps", "t_step", "t_iter", "max_sqp_iter",
-                     "cold_start_sqp_iter", "u_t_min", "u_t_max")
+_OCP_PLAIN_FIELDS = ("n_steps", "t_step", "t_iter", "cold_start_sqp_iter", "u_t_min", "u_t_max")
 
 
 def _load_ocp(node: dict) -> nmpc_ocp.OcpConfig:
@@ -101,8 +108,8 @@ def _load_ocp(node: dict) -> nmpc_ocp.OcpConfig:
     for key, value in node.items():
         if key in _OCP_DEG_FIELDS:
             kwargs[_OCP_DEG_FIELDS[key]] = float(np.radians(float(value)))
-        elif key in ("n_steps", "max_sqp_iter", "cold_start_sqp_iter"):
-            kwargs[key] = int(value)
+        elif key in ("n_steps", "cold_start_sqp_iter"):
+            kwargs[key] = _integer(value, f"ocp.{key}")
         else:
             kwargs[key] = float(value)
     return nmpc_ocp.OcpConfig(**kwargs)
@@ -136,7 +143,7 @@ def _load_switching(node: dict) -> pth.SwitchConfig:
 
 def load_scenario(source) -> Scenario:
     """Load a scenario file covering every configuration type."""
-    node = source if isinstance(source, dict) else yaml.safe_load(open(source))
+    node = source if isinstance(source, dict) else yaml.safe_load(Path(source).read_text())
     node = _require_mapping(node, "scenario")
     allowed = ("name", "duration", "seed", "plant_dt", "v_a_ref", "wind",
                "initial_state", "segments", "model", "controller_model", "ocp",
@@ -192,7 +199,7 @@ def load_scenario(source) -> Scenario:
             switching=_load_switching(node.get("switching")),
             events=tuple(events),
             plant_dt=float(node.get("plant_dt", 0.01)),
-            seed=int(node.get("seed", 0)),
+            seed=_integer(node.get("seed", 0), "seed"),
             measurement_noise=noise,
         )
     except ValueError as exc:

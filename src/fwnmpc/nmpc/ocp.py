@@ -42,7 +42,6 @@ class OcpConfig:
     n_steps: int = 70            # shooting intervals per horizon
     t_step: float = 0.1          # s, shooting interval
     t_iter: float = 0.1          # s, controller period
-    max_sqp_iter: int = 1        # SQP iterations per warm-started period
     cold_start_sqp_iter: int = 8
     u_t_min: float = 0.0
     u_t_max: float = 1.0

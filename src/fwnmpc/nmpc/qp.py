@@ -75,7 +75,6 @@ def prepare_box_qp(h_mat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> QpFacto
 
 def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
                  ub: np.ndarray, x0: np.ndarray | None = None,
-                 tol: float = 1e-10, max_iter: int | None = None,
                  factor: QpFactor | None = None) -> QpResult:
     """Minimize a strictly convex quadratic over a box.
 
@@ -90,8 +89,8 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     n = g_vec.shape[0]
-    if max_iter is None:
-        max_iter = 3 * n + 10
+    tol = 1e-10
+    max_iter = 3 * n + 10
 
     x, state = _start(lb, ub, x0)
     # degenerate equal-bound variables stay fixed forever

@@ -38,6 +38,7 @@ from fwnmpc.nmpc.qp import QpFactor, prepare_box_qp, solve_box_qp
 
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
+_REG = 1e-8          # added to H's diagonal before the QP
 
 
 @dataclass
@@ -110,18 +111,14 @@ class AircraftShootingProblem:
                                      self.params, self.cfg, self.switch_cfg)
 
     def residuals(self, horizon: ocp.Horizon, controls: np.ndarray) -> np.ndarray:
-        """Weighted residual vector, stages then end term."""
+        """Weighted residual vector, stages then end term, from one output
+        pass over the N+1 nodes (node N with zero controls)."""
         n = self.n
-        stage_ctx = horizon.context.select(slice(0, n))
-        raw = ocp.raw_outputs(horizon.states[:n].T, controls.T, stage_ctx,
+        node_u = np.vstack([controls, np.zeros((1, md.CONTROL_DIM))])
+        raw = ocp.raw_outputs(horizon.states.T, node_u.T, horizon.context,
                               self.wind, self.params, self.guidance_cfg, self.cfg)
-        stage_res = self.stage_weight[:, None] * (raw - self.stage_ref[:, None])
-
-        end_ctx = horizon.context.select(slice(n, n + 1))
-        raw_end = ocp.raw_outputs(horizon.states[n:].T,
-                                  np.zeros((1, md.CONTROL_DIM)).T, end_ctx,
-                                  self.wind, self.params, self.guidance_cfg, self.cfg)
-        end_res = self.end_weight * (raw_end[:ocp.N_Y, 0] - self.end_ref)
+        stage_res = self.stage_weight[:, None] * (raw[:, :n] - self.stage_ref[:, None])
+        end_res = self.end_weight * (raw[:ocp.N_Y, n] - self.end_ref)
         return np.concatenate([stage_res.T.ravel(), end_res])
 
     def objective(self, residual: np.ndarray) -> float:
@@ -137,25 +134,18 @@ class AircraftShootingProblem:
 
     def residual_jacobians(self, horizon: ocp.Horizon, controls: np.ndarray):
         """Weighted output Jacobians (C_k wrt state, D_k wrt control) per stage
-        plus the end-term state Jacobian, all by forward differences with
-        wrap-aware angle rows."""
+        plus the end-term state Jacobian, by forward differences with
+        wrap-aware angle rows over one batch of the N+1 nodes (node N with
+        zero controls, of which the end term reads the y-rows and states)."""
         n, n_x = self.n, md.STATE_DIM
-        (x_batch, u_batch), steps = ocp.fd_batch(horizon.states[:n], controls)
-        ctx_batch = horizon.context.select(slice(0, n)).repeat(1 + steps.shape[1])
-        raw = ocp.raw_outputs(x_batch, u_batch, ctx_batch, self.wind, self.params,
-                              self.guidance_cfg, self.cfg)
+        node_u = np.vstack([controls, np.zeros((1, md.CONTROL_DIM))])
+        (x_batch, u_batch), steps = ocp.fd_batch(horizon.states, node_u)
+        raw = ocp.raw_outputs(x_batch, u_batch, horizon.context.repeat(1 + steps.shape[1]),
+                              self.wind, self.params, self.guidance_cfg, self.cfg)
         jac = ocp.fd_jacobians(raw, steps, ocp.ANGLE_OUTPUT_ROWS)
-        jac *= self.stage_weight[None, :, None]
-        c_stage, d_stage = jac[:, :, :n_x], jac[:, :, n_x:]
-
-        # end term: state Jacobian of the y-outputs only
-        (xe_batch,), steps_end = ocp.fd_batch(horizon.states[n:])
-        ctx_end = horizon.context.select(slice(n, n + 1)).repeat(1 + n_x)
-        raw_end = ocp.raw_outputs(xe_batch, np.zeros((md.CONTROL_DIM, 1 + n_x)), ctx_end,
-                                  self.wind, self.params, self.guidance_cfg, self.cfg)
-        c_end = ocp.fd_jacobians(raw_end[:ocp.N_Y], steps_end,
-                                 ocp.ANGLE_OUTPUT_ROWS)[0] * self.end_weight[:, None]
-        return c_stage, d_stage, c_end
+        stage = jac[:n] * self.stage_weight[None, :, None]
+        c_end = jac[n, :ocp.N_Y, :n_x] * self.end_weight[:, None]
+        return stage[:, :, :n_x], stage[:, :, n_x:], c_end
 
     def bounds(self):
         return self.u_lb, self.u_ub
@@ -285,7 +275,7 @@ def condensed_gradient(a_mat: np.ndarray, b_mat: np.ndarray, c_stage: np.ndarray
 
 
 def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
-              controls: np.ndarray, reg: float = 1e-8) -> Linearization:
+              controls: np.ndarray) -> Linearization:
     """Jacobians, regularized condensed Hessian and QP factor at `horizon`
     and `controls`; no residual enters.
 
@@ -306,7 +296,7 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
             f"non-finite linearization at shooting node {bad}{where}")
 
     h_mat = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
-    h_mat[np.diag_indices_from(h_mat)] += reg
+    h_mat[np.diag_indices_from(h_mat)] += _REG
     u_lb, u_ub = problem.bounds()
     factor = prepare_box_qp(h_mat, (u_lb - controls).ravel(), (u_ub - controls).ravel())
     return Linearization(
@@ -333,7 +323,7 @@ def _unusable(prepared: Linearization | None, problem: AircraftShootingProblem,
 
 def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
                 controls: np.ndarray, horizon: ocp.Horizon | None = None,
-                residual: np.ndarray | None = None, reg: float = 1e-8,
+                residual: np.ndarray | None = None,
                 prepared: Linearization | None = None) -> SqpIterationResult:
     """One Gauss-Newton iteration with condensing and box-constrained QP.
 
@@ -353,7 +343,7 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     obj0 = problem.objective(residual)
 
     cause = _unusable(prepared, problem, horizon)
-    lin = prepared if cause is None else linearize(problem, horizon, controls, reg)
+    lin = prepared if cause is None else linearize(problem, horizon, controls)
     g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
                                lin.c_end, residual)
 
@@ -398,7 +388,9 @@ def apply_throttle_failure_weight(weights: ocp.Weights,
 
 
 class NmpcController:
-    """Stateful controller session: warm starting, fixed-iteration stepping.
+    """Stateful controller session: warm starting, up to
+    `cold_start_sqp_iter` SQP iterations on a cold start and one per warm
+    period (the real-time iteration).
 
     One `step` per controller period, and optionally one `prepare` between
     a step and the next; not reentrant. Without `prepare`, every period
@@ -476,7 +468,7 @@ class NmpcController:
             cause = "cold"
         else:
             controls = self._warm_controls(problem)
-            n_iter = self.cfg.max_sqp_iter
+            n_iter = 1
             cause = "prepare_failed" if self._prepare_failed else "not_prepared"
         self._prepare_failed = False
         offered = "prepared" if prepared is not None else f"synchronous:{cause}"

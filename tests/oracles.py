@@ -18,6 +18,7 @@ import numpy as np
 import fwnmpc
 from fwnmpc import model as md
 from fwnmpc import paths
+from fwnmpc.nmpc import ocp
 
 TWO_PI = 2.0 * np.pi
 
@@ -269,3 +270,38 @@ def run_at_thread_count(code, *args, threads):
     run = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                          check=True, env=env, capture_output=True, text=True)
     return run.stdout
+
+
+def reference_residuals(problem, horizon, controls):
+    """Two-pass weighted residuals of a shooting problem: one `raw_outputs`
+    call on nodes 0..N-1 and one on the end node."""
+    n = problem.n
+    stage_ctx = horizon.context.select(slice(0, n))
+    raw = ocp.raw_outputs(horizon.states[:n].T, controls.T, stage_ctx, problem.wind,
+                          problem.params, problem.guidance_cfg, problem.cfg)
+    stage_res = problem.stage_weight[:, None] * (raw - problem.stage_ref[:, None])
+    end_ctx = horizon.context.select(slice(n, n + 1))
+    raw_end = ocp.raw_outputs(horizon.states[n:].T, np.zeros((1, md.CONTROL_DIM)).T, end_ctx,
+                              problem.wind, problem.params, problem.guidance_cfg, problem.cfg)
+    end_res = problem.end_weight * (raw_end[:ocp.N_Y, 0] - problem.end_ref)
+    return np.concatenate([stage_res.T.ravel(), end_res])
+
+
+def reference_residual_jacobians(problem, horizon, controls):
+    """Two-pass weighted output Jacobians (C_k, D_k, C_N): one FD batch on
+    nodes 0..N-1 and one on the end node's state."""
+    n, n_x = problem.n, md.STATE_DIM
+    (x_batch, u_batch), steps = ocp.fd_batch(horizon.states[:n], controls)
+    ctx_batch = horizon.context.select(slice(0, n)).repeat(1 + steps.shape[1])
+    raw = ocp.raw_outputs(x_batch, u_batch, ctx_batch, problem.wind, problem.params,
+                          problem.guidance_cfg, problem.cfg)
+    jac = ocp.fd_jacobians(raw, steps, ocp.ANGLE_OUTPUT_ROWS)
+    jac *= problem.stage_weight[None, :, None]
+
+    (xe_batch,), steps_end = ocp.fd_batch(horizon.states[n:])
+    ctx_end = horizon.context.select(slice(n, n + 1)).repeat(1 + n_x)
+    raw_end = ocp.raw_outputs(xe_batch, np.zeros((md.CONTROL_DIM, 1 + n_x)), ctx_end,
+                              problem.wind, problem.params, problem.guidance_cfg, problem.cfg)
+    c_end = ocp.fd_jacobians(raw_end[:ocp.N_Y], steps_end,
+                             ocp.ANGLE_OUTPUT_ROWS)[0] * problem.end_weight[:, None]
+    return jac[:, :, :n_x], jac[:, :, n_x:], c_end

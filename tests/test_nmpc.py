@@ -12,7 +12,8 @@ from fwnmpc.nmpc import ocp, solver
 from fwnmpc.nmpc.qp import solve_box_qp
 from fwnmpc.scenarios import scenario_dubins_course, scenario_helix
 from oracles import central_difference_jacobians, random_envelope_states, \
-    reference_propagate_horizon, run_at_thread_count
+    reference_propagate_horizon, reference_residual_jacobians, reference_residuals, \
+    run_at_thread_count
 
 
 @pytest.fixture(scope="module")
@@ -769,6 +770,77 @@ class TestShiftHorizon:
         with pytest.raises(ValueError):
             ocp.shift_horizon(horizon, controls[:9], line_queue(), md.WindVector(), params,
                               cfg, pth.SwitchConfig())
+
+
+class TestOnePassOutputs:
+    """`residuals` and `residual_jacobians` evaluate the N+1 nodes in one
+    `raw_outputs` call, and equal the two-pass references bit for bit."""
+
+    @staticmethod
+    def assert_bytes_equal_reference(problem, horizon, controls):
+        residual = problem.residuals(horizon, controls)
+        assert residual.tobytes() == reference_residuals(problem, horizon, controls).tobytes()
+        blocks = problem.residual_jacobians(horizon, controls)
+        for got, want in zip(blocks, reference_residual_jacobians(problem, horizon, controls)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_helix_horizon_with_near_axis_node(self, params, refs, trim):
+        """Node 5 lies exactly on the axis of a descending helix."""
+        cfg = ocp.OcpConfig(n_steps=30)
+        x0 = trim.state(d=-50.0).as_array()
+        controls = np.tile([trim.u_t, 0.05, trim.theta_ref], (30, 1))
+        wind = md.WindVector(0.8, 0.4, 0.0)
+        free = make_problem(params, refs, line_queue(), wind, cfg=cfg).rollout(x0, controls)
+        c_n, c_e = free.states[5, :2]
+        helix = pth.ArcSegment(c=np.array([c_n, c_e, -74.0]), r_signed=-12.0,
+                               chi_p=2.0, gamma_p=np.radians(-10.0))
+        problem = make_problem(params, refs, pth.PathQueue(segments=(helix,)), wind, cfg=cfg)
+        horizon = problem.rollout(x0, controls)
+        assert horizon.axis_nodes == 1 and horizon.context.delta_chi[5] == 0.0
+        self.assert_bytes_equal_reference(problem, horizon, controls)
+
+    def test_dubins_horizon_with_end_node_on_the_next_segment(self, params, refs, trim):
+        """Wings level along the first leg of the Dubins course in its wind,
+        from the start point whose horizon switches at the end node."""
+        sc = scenario_dubins_course()
+        problem = solver.AircraftShootingProblem(
+            params, sc.ocp, sc.weights, refs, sc.guidance, sc.switching,
+            pth.PathQueue(segments=sc.segments), sc.wind)
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (sc.ocp.n_steps, 1))
+        horizon = problem.rollout(trim.state(n=259.0, e=0.0, d=-60.0).as_array(), controls)
+        assert horizon.seg_index[-2] == 0 < horizon.seg_index[-1]
+        self.assert_bytes_equal_reference(problem, horizon, controls)
+
+    def test_line_arc_loiter_horizon_in_wind(self, params, refs, trim):
+        segs = (
+            pth.LineSegment(b=np.array([60.0, 0.0, -50.0]), chi_p=0.0, gamma_p=0.0),
+            pth.ArcSegment(c=np.array([60.0, 40.0, -50.0]), r_signed=40.0,
+                           chi_p=np.pi / 2, gamma_p=0.0),
+            pth.LoiterSegment(c=np.array([100.0, 80.0, -50.0]), r_signed=40.0),
+        )
+        problem = make_problem(params, refs, pth.PathQueue(segments=segs),
+                               md.WindVector(0.5, -0.5, 0.0), n_steps=70)
+        controls = np.tile([trim.u_t, 0.3, trim.theta_ref], (70, 1))
+        horizon = problem.rollout(trim.state(n=20.0, e=0.0, d=-50.0).as_array(), controls)
+        assert list(np.unique(horizon.seg_index)) == [0, 1, 2]
+        self.assert_bytes_equal_reference(problem, horizon, controls)
+
+    def test_one_raw_outputs_call_each(self, params, refs, trim, monkeypatch):
+        problem = make_problem(params, refs, line_queue(), n_steps=12)
+        controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (12, 1))
+        horizon = problem.rollout(trim.state(e=3.0, d=-50.0).as_array(), controls)
+        columns = []
+        raw_outputs = ocp.raw_outputs
+
+        def counted(x, *args, **kwargs):
+            columns.append(x.shape[1])
+            return raw_outputs(x, *args, **kwargs)
+
+        monkeypatch.setattr(ocp, "raw_outputs", counted)
+        problem.residuals(horizon, controls)
+        assert columns == [13]
+        problem.residual_jacobians(horizon, controls)
+        assert columns == [13, 13 * (1 + md.STATE_DIM + md.CONTROL_DIM)]
 
 
 class TestPreparedIteration:

@@ -4,6 +4,7 @@ import dataclasses
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,43 @@ class TestConfigLoading:
         path = tmp_path / "bad2.yaml"
         path.write_text(bad)
         with pytest.raises(cfgio.ConfigError, match="segment type"):
+            cfgio.load_scenario(path)
+
+    def test_loading_from_a_path_closes_the_file(self, tmp_path):
+        scenario_path, params_path = tmp_path / "scn.yaml", tmp_path / "params.yaml"
+        scenario_path.write_text(SCENARIO_YAML)
+        params_path.write_text("open_loop: {c_d0: 0.04}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfgio.load_scenario(scenario_path)
+            cfgio.load_model_params(params_path)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("field, value", [("n_steps", "70.6"),
+                                              ("cold_start_sqp_iter", "2.5"),
+                                              ("seed", "1.5")])
+    def test_non_integral_integer_field_rejected(self, tmp_path, field, value):
+        """An integer field is never truncated: 70.6 is an error, not 70."""
+        text = SCENARIO_YAML + f"seed: {value}\n" if field == "seed" else \
+            SCENARIO_YAML.replace("ocp: {n_steps: 15, cold_start_sqp_iter: 2}",
+                                  f"ocp: {{n_steps: 15, cold_start_sqp_iter: 2, {field}: {value}}}")
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(cfgio.ConfigError, match=f"{field}: expected an integer"):
+            cfgio.load_scenario(path)
+
+    def test_integral_integer_fields_load(self, tmp_path):
+        path = tmp_path / "scn.yaml"
+        path.write_text(SCENARIO_YAML.replace("n_steps: 15", "n_steps: 15.0") + "seed: 7\n")
+        scenario = cfgio.load_scenario(path)
+        assert scenario.ocp.n_steps == 15 and scenario.seed == 7
+
+    def test_max_sqp_iter_is_not_an_ocp_key(self, tmp_path):
+        """A warm period runs one SQP iteration; there is no key to change it."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML.replace("cold_start_sqp_iter: 2",
+                                              "cold_start_sqp_iter: 2, max_sqp_iter: 1"))
+        with pytest.raises(cfgio.ConfigError, match="max_sqp_iter"):
             cfgio.load_scenario(path)
 
 
