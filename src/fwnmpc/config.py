@@ -39,9 +39,20 @@ def _check_keys(node: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+
+
 def _integer(value, where: str) -> int:
     """`value` as an int; a non-integral number is an error, not truncated."""
-    if int(value) != float(value):
+    try:
+        integral = int(value) == float(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)
 
@@ -107,11 +118,11 @@ def _load_ocp(node: dict) -> nmpc_ocp.OcpConfig:
     kwargs = {}
     for key, value in node.items():
         if key in _OCP_DEG_FIELDS:
-            kwargs[_OCP_DEG_FIELDS[key]] = float(np.radians(float(value)))
+            kwargs[_OCP_DEG_FIELDS[key]] = float(np.radians(_float(value, f"ocp.{key}")))
         elif key in ("n_steps", "cold_start_sqp_iter"):
             kwargs[key] = _integer(value, f"ocp.{key}")
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _float(value, f"ocp.{key}")
     return nmpc_ocp.OcpConfig(**kwargs)
 
 
@@ -188,8 +199,8 @@ def load_scenario(source) -> Scenario:
             name=str(node["name"]),
             initial_state=initial,
             segments=segments,
-            duration=float(node["duration"]),
-            v_a_ref=float(node.get("v_a_ref", 13.5)),
+            duration=_float(node["duration"], "duration"),
+            v_a_ref=_float(node.get("v_a_ref", 13.5), "v_a_ref"),
             wind=wind,
             plant_params=plant,
             controller_params=controller,
@@ -198,7 +209,7 @@ def load_scenario(source) -> Scenario:
             guidance=guidance_cfg,
             switching=_load_switching(node.get("switching")),
             events=tuple(events),
-            plant_dt=float(node.get("plant_dt", 0.01)),
+            plant_dt=_float(node.get("plant_dt", 0.01), "plant_dt"),
             seed=_integer(node.get("seed", 0), "seed"),
             measurement_noise=noise,
         )

@@ -13,13 +13,18 @@ forming the condensed Jacobian J; g = J^T r takes one O(N) adjoint pass.
 A warm controller period runs as a real-time iteration (Diehl, Bock and
 Schloeder 2005) in two phases. The preparation phase, `NmpcController.prepare`,
 runs between periods: it shifts the last accepted horizon by one node and
-builds a `Linearization` there, that is the Jacobians, H and the QP factor,
-none of which needs the measurement. The feedback phase, `step`, rolls out
-from the measured state, forms g from the fresh residual, solves the QP with
-the prepared factor and line-searches. A period whose rollout lands on
-another discrete context (segment index or helix leg), or whose weights or
-wind changed, linearizes synchronously instead; so does a cold start. A
-period in which a QP stops at its iteration limit keeps its line-searched
+builds a `Linearization` there: the Jacobians, H, the QP factor, and the
+gradient and M = J_u^T J_x0 at the shifted node 0, the prediction x_pred.
+The feedback phase, `step`, embeds the measurement (initial-value
+embedding): it solves the prepared QP for g = gradient + M (x_meas - x_pred)
+and sends the full step's first control, with no rollout. The next
+preparation runs that period's line search, node 0 held at the control
+sent. A period whose measurement is off the prediction, or that follows a
+line search that halved, takes the rollout feedback instead: g from a
+rollout from the measurement, the prepared QP and the line search. If the
+rollout lands on another discrete context (segment index or helix leg), or
+the weights or wind changed, it linearizes synchronously; so does a cold
+start. A period in which a QP stops at its iteration limit keeps its
 controls and is flagged degraded.
 """
 
@@ -39,6 +44,9 @@ from fwnmpc.nmpc.qp import QpFactor, prepare_box_qp, solve_box_qp
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
 _REG = 1e-8          # added to H's diagonal before the QP
+# largest max|x_meas - x_pred| (angle rows wrapped) that a period embeds into
+# the prepared linearization; a larger one takes the rollout path
+_EMBED_MAX_DX0 = 0.05
 
 
 @dataclass
@@ -70,6 +78,10 @@ class OcpSolution:
     # "prepare_failed" (`prepare` raised); for a degraded period, the
     # linearization the period was offered
     linearization: str = ""
+    # "embedded", or "rollout:<cause>" with a cause of "no_preparation",
+    # "after_halving", "weights_changed", "queue_changed" or "dx0_over_bound"
+    # (see `NmpcController`)
+    feedback: str = ""
     wall_time_s: float = 0.0      # feedback latency: measurement in, control out
     axis_nodes: int = 0           # near-axis arc/loiter nodes of the final horizon
 
@@ -157,6 +169,8 @@ class Linearization:
     not enter: the stage Jacobians at a horizon and its controls, the
     condensed Hessian H plus the regularization, and the QP factor of the
     controls' box; with the discrete context, weights and wind it holds for.
+    It also holds the gradient at the horizon's own initial state x0 and M,
+    so that g = gradient + M (x_0 - x0) to first order.
     """
 
     controls: np.ndarray          # (N, 3) linearization point
@@ -167,6 +181,10 @@ class Linearization:
     c_end: np.ndarray             # (7, 12), weighted
     h_mat: np.ndarray             # (3N, 3N)
     factor: QpFactor
+    gradient: np.ndarray          # (3N,) J_u^T r at the horizon
+    m_mat: np.ndarray             # (3N, 12) J_u^T J_x0
+    x0: np.ndarray                # (12,) the horizon's node 0
+    x_sw0: float                  # the horizon's switching state at node 0
     seg_index: np.ndarray         # (N+1,) segment index per node
     leg: np.ndarray               # (N+1,) frozen helix leg per node
     stage_weight: np.ndarray
@@ -192,9 +210,10 @@ class SqpIterationResult:
 
 def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
                                c_stage: np.ndarray, d_stage: np.ndarray,
-                               c_end: np.ndarray) -> np.ndarray:
-    """Gauss-Newton Hessian H = J^T J of the condensed problem, without
-    forming the condensed Jacobian J; `condensed_gradient` gives J^T r.
+                               c_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton Hessian H = J^T J of the condensed problem and
+    M = J^T J_x0, without forming the condensed Jacobian J;
+    `condensed_gradient` gives J^T r.
 
     Takes the stage blocks A_k = a_mat[k], B_k = b_mat[k], C_k = c_stage[k],
     D_k = d_stage[k] and the end block C_N = c_end; every dimension is read
@@ -209,14 +228,21 @@ def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
     product is large enough for a threaded BLAS to split, so the bits do not
     depend on the thread count. No residual enters, so H can be built before
     the measurement arrives.
+
+    Both passes also carry the n_x columns of the initial state x_0, from
+    S_0 = I, for M: the (n_dec, n_x) change of the gradient J^T r per unit
+    change of x_0. They ride in arrays of their own, so H keeps its bits.
     """
     n, n_x, n_u = b_mat.shape
     n_out = c_stage.shape[1]
     n_dec = n * n_u
 
-    # forward: rows[k] = J_k; sens[:, :m] holds S_k's nonzero columns
+    # forward: rows[k] = J_k; sens[:, :m] holds S_k's nonzero columns, and
+    # phi[k] the initial-state columns
     rows = np.empty((n, n_out, n_dec))
     sens, sens_next = np.empty((n_x, n_dec)), np.empty((n_x, n_dec))
+    phi = np.empty((n + 1, n_x, n_x))
+    phi[0] = np.eye(n_x)
     for k in range(n):
         m = k * n_u
         np.matmul(c_stage[k], sens[:, :m], out=rows[k, :, :m])
@@ -224,6 +250,7 @@ def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
         np.matmul(a_mat[k], sens[:, :m], out=sens_next[:, :m])
         sens_next[:, m:m + n_u] = b_mat[k]
         sens, sens_next = sens_next, sens
+        np.matmul(a_mat[k], phi[k], out=phi[k + 1])
     end_rows = c_end @ sens
 
     # backward: stack[:n_out] = J_k over stack[n_out:] = L_{k+1}; each node
@@ -237,6 +264,10 @@ def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
     np.matmul(c_end.T, end_rows, out=stack[n_out:])
     prod = np.empty((n_u + n_x, n_dec))
     h_mat = np.empty((n_dec, n_dec))
+    stack0, prod0 = np.empty((n_out + n_x, n_x)), np.empty((n_u + n_x, n_x))
+    np.matmul(c_end.T, c_end @ phi[n], out=stack0[n_out:])
+    x0_rows = c_stage @ phi[:n]
+    m_mat = np.empty((n_dec, n_x))
     for k in range(n - 1, -1, -1):
         m = k * n_u
         width = m + n_u
@@ -244,9 +275,13 @@ def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
         np.matmul(lhs[k], stack[:, :width], out=prod[:, :width])
         h_mat[m:width, :width] = prod[:n_u, :width]
         stack[n_out:, :m] = prod[n_u:, :m]
+        stack0[:n_out] = x0_rows[k]
+        np.matmul(lhs[k], stack0, out=prod0)
+        m_mat[m:width] = prod0[:n_u]
+        stack0[n_out:] = prod0[n_u:]
     for i in range(n_dec - 1):
         h_mat[i, i + 1:] = h_mat[i + 1:, i]
-    return h_mat
+    return h_mat, m_mat
 
 
 def condensed_gradient(a_mat: np.ndarray, b_mat: np.ndarray, c_stage: np.ndarray,
@@ -275,9 +310,10 @@ def condensed_gradient(a_mat: np.ndarray, b_mat: np.ndarray, c_stage: np.ndarray
 
 
 def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
-              controls: np.ndarray) -> Linearization:
-    """Jacobians, regularized condensed Hessian and QP factor at `horizon`
-    and `controls`; no residual enters.
+              controls: np.ndarray, residual: np.ndarray | None = None) -> Linearization:
+    """Jacobians, regularized condensed Hessian, QP factor, M and the
+    gradient of `residual` (by default the residual at `horizon`) at
+    `horizon` and `controls`.
 
     Raises `NonFiniteLinearizationError`, naming the first shooting node
     with a non-finite Jacobian entry, and `np.linalg.LinAlgError` if the
@@ -295,15 +331,25 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
         raise NonFiniteLinearizationError(
             f"non-finite linearization at shooting node {bad}{where}")
 
-    h_mat = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
+    h_mat, m_mat = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
     h_mat[np.diag_indices_from(h_mat)] += _REG
     u_lb, u_ub = problem.bounds()
     factor = prepare_box_qp(h_mat, (u_lb - controls).ravel(), (u_ub - controls).ravel())
+    if residual is None:
+        residual = problem.residuals(horizon, controls)
+    gradient = condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     return Linearization(
         controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
-        c_end=c_end, h_mat=h_mat, factor=factor, seg_index=horizon.seg_index,
+        c_end=c_end, h_mat=h_mat, factor=factor, gradient=gradient, m_mat=m_mat,
+        x0=horizon.states[0], x_sw0=float(horizon.x_sw[0]), seg_index=horizon.seg_index,
         leg=horizon.context.leg, stage_weight=problem.stage_weight,
         end_weight=problem.end_weight, wind=problem.wind)
+
+
+def _same_weights(prepared: Linearization, problem: AircraftShootingProblem) -> bool:
+    return (np.array_equal(prepared.stage_weight, problem.stage_weight)
+            and np.array_equal(prepared.end_weight, problem.end_weight)
+            and prepared.wind == problem.wind)
 
 
 def _unusable(prepared: Linearization | None, problem: AircraftShootingProblem,
@@ -314,11 +360,31 @@ def _unusable(prepared: Linearization | None, problem: AircraftShootingProblem,
     if not (np.array_equal(prepared.seg_index, horizon.seg_index)
             and np.array_equal(prepared.leg, horizon.context.leg)):
         return "context_changed"
-    if not (np.array_equal(prepared.stage_weight, problem.stage_weight)
-            and np.array_equal(prepared.end_weight, problem.end_weight)
-            and prepared.wind == problem.wind):
+    if not _same_weights(prepared, problem):
         return "weights_changed"
     return None
+
+
+def _line_search(problem: AircraftShootingProblem, x0: np.ndarray, controls: np.ndarray,
+                 delta: np.ndarray, obj0: float, held: np.ndarray | None = None):
+    """Full step, halving on objective increase: (controls, horizon,
+    residual, objective) of the first candidate clip(controls + alpha delta),
+    alpha = 1, 1/2, ..., with node 0 set to `held` if given, whose rollout
+    from `x0` does not raise the objective over `obj0`, else of the last
+    one; and the halvings, _MAX_HALVINGS + 1 when none was accepted."""
+    u_lb, u_ub = problem.bounds()
+    for halvings in range(_MAX_HALVINGS + 1):
+        cand_u = np.clip(controls + 0.5 ** halvings * delta, u_lb, u_ub)
+        if held is not None:
+            cand_u[0] = held
+        cand_h = problem.rollout(x0, cand_u)
+        cand_r = problem.residuals(cand_h, cand_u)
+        cand_obj = problem.objective(cand_r)
+        if cand_obj <= obj0 * (1.0 + _OBJ_SLACK) + _OBJ_SLACK:
+            break
+    else:
+        halvings = _MAX_HALVINGS + 1
+    return (cand_u, cand_h, cand_r, cand_obj), halvings
 
 
 def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
@@ -343,9 +409,13 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     obj0 = problem.objective(residual)
 
     cause = _unusable(prepared, problem, horizon)
-    lin = prepared if cause is None else linearize(problem, horizon, controls)
-    g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
-                               lin.c_end, residual)
+    if cause is None:
+        lin = prepared
+        g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
+                                   lin.c_end, residual)
+    else:
+        lin = linearize(problem, horizon, controls, residual)
+        g_vec = lin.gradient
 
     u_lb, u_ub = problem.bounds()
     qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - controls).ravel(),
@@ -353,24 +423,9 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     delta = qp.x.reshape(controls.shape)
     step_norm = float(np.max(np.abs(delta), initial=0.0))
 
-    # full step, halving on objective increase
-    alpha = 1.0
-    accepted = False
-    halvings = 0
-    best = (controls, horizon, residual, obj0)
-    for _ in range(_MAX_HALVINGS + 1):
-        cand_u = np.clip(controls + alpha * delta, u_lb, u_ub)
-        cand_h = problem.rollout(x0, cand_u)
-        cand_r = problem.residuals(cand_h, cand_u)
-        cand_obj = problem.objective(cand_r)
-        if cand_obj <= obj0 * (1.0 + _OBJ_SLACK) + _OBJ_SLACK:
-            best = (cand_u, cand_h, cand_r, cand_obj)
-            accepted = True
-            break
-        halvings += 1
-        alpha *= 0.5
-
-    u_new, h_new, r_new, obj_new = best
+    best, halvings = _line_search(problem, x0, controls, delta, obj0)
+    accepted = halvings <= _MAX_HALVINGS
+    u_new, h_new, r_new, obj_new = best if accepted else (controls, horizon, residual, obj0)
     return SqpIterationResult(
         controls=u_new, horizon=h_new, residual=r_new, objective=obj_new,
         objective_before=obj0, step_norm=step_norm, kkt_residual=qp.kkt_residual,
@@ -394,8 +449,17 @@ class NmpcController:
 
     One `step` per controller period, and optionally one `prepare` between
     a step and the next; not reentrant. Without `prepare`, every period
-    linearizes synchronously. All functions below the session are pure, so
-    the object may be moved between threads between calls.
+    linearizes synchronously. After `prepare`, a period is embedded
+    (`feedback` "embedded") when the queue's segment index and x_sw equal
+    the prediction's node 0, the weights and wind are unchanged and
+    max|dx0| <= `_EMBED_MAX_DX0`, angle rows wrapped; its line search waits
+    for the next `prepare`, or for `settle` after the last period, which
+    return the period's completed solution. Any other warm period rolls out
+    from the measurement (`sqp_iterate`), with `feedback`
+    "rollout:<cause>": "dx0_over_bound", "queue_changed", "weights_changed",
+    "after_halving" (the last period's line search halved) or
+    "no_preparation". All functions below the session are pure, so the
+    object may be moved between threads between calls.
     """
 
     def __init__(self, params: md.ModelParams, cfg: ocp.OcpConfig,
@@ -420,6 +484,10 @@ class NmpcController:
         self._last_horizon: tuple | None = None
         self._prepared: Linearization | None = None
         self._prepare_failed = False
+        # an embedded period awaiting its line search, and whether the last
+        # such line search halved
+        self._pending: tuple | None = None
+        self._halved = False
 
     def _problem(self, queue: pth.PathQueue, wind: md.WindVector) -> AircraftShootingProblem:
         return AircraftShootingProblem(self.params, self.cfg, self.weights, self.refs,
@@ -430,18 +498,20 @@ class NmpcController:
         shifted = np.vstack([self._controls[1:], self._controls[-1:]])
         return np.clip(shifted, *problem.bounds())
 
-    def prepare(self) -> None:
+    def prepare(self) -> OcpSolution | None:
         """Preparation phase for the next period, before its measurement.
 
-        Shifts the last accepted horizon by one node with the controls the
-        next warm start uses, and linearizes there (`linearize`). Does
-        nothing before the first successful step. A failure is kept, not
-        raised: the next step then linearizes synchronously.
+        Returns `settle()`, then shifts the last accepted horizon by one node
+        with the controls the next warm start uses, and linearizes there
+        (`linearize`). Prepares nothing before the first successful step. A
+        failure is kept, not raised: the next step then linearizes
+        synchronously.
         """
         self._prepared = None
         self._prepare_failed = False
+        done = self.settle()
         if self._last_horizon is None:
-            return
+            return done
         horizon, queue, wind = self._last_horizon
         problem = self._problem(queue, wind)
         controls = self._warm_controls(problem)
@@ -451,15 +521,55 @@ class NmpcController:
             self._prepared = linearize(problem, shifted, controls)
         except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError):
             self._prepare_failed = True
+        return done
+
+    def settle(self) -> OcpSolution | None:
+        """The deferred line search of the last period, if it was embedded:
+        `objective_before` from its warm controls, then `_line_search` with
+        node 0 held at the control sent, both rolled out from its
+        measurement. The accepted horizon is the one `prepare` shifts.
+
+        Returns a new solution of that period with the line search's states,
+        controls, objectives and halvings (the one `step` returned is left
+        as it was), or None if no period is pending. A rollout that raises
+        marks it degraded and leaves nothing to prepare from.
+        """
+        if self._pending is None:
+            return None
+        problem, x0, controls, delta, sent = self._pending
+        self._pending = None
+        try:
+            horizon = problem.rollout(x0, controls)
+            obj0 = problem.objective(problem.residuals(horizon, controls))
+            (u_new, h_new, _, obj), halvings = _line_search(
+                problem, x0, controls, delta, obj0, held=sent.controls[0])
+        except (md.ModelDomainError, FloatingPointError) as exc:
+            self._last_horizon = None
+            self._prepare_failed = True
+            done = replace(sent, degraded=True, degraded_reason=_degraded_reason(exc))
+        else:
+            self._halved = halvings > 0
+            self._controls = u_new
+            self._last_horizon = (h_new, problem.queue, problem.wind)
+            done = replace(sent, states=h_new.states, controls=u_new,
+                           seg_index=h_new.seg_index.copy(), x_sw=h_new.x_sw.copy(),
+                           objective=obj, objective_before=obj0, halvings=halvings,
+                           obj_nonincrease_ok=_nonincrease(obj, obj0),
+                           axis_nodes=h_new.axis_nodes)
+        self._last_solution = done
+        return done
 
     def step(self, measured: md.AircraftState, queue: pth.PathQueue,
              wind: md.WindVector) -> tuple[md.ControlInput, OcpSolution]:
         """Feedback phase: advance one controller period and return the first
-        control. `wall_time_s` of the solution is this call's wall time."""
+        control. `wall_time_s` of the solution is this call's wall time. A
+        line search still pending from an embedded period runs first."""
         t_start = time.perf_counter()
+        self.settle()
         x0 = measured.as_array()
         problem = self._problem(queue, wind)
         prepared, self._prepared = self._prepared, None
+        after_halving, self._halved = self._halved, False
 
         if self._controls is None:
             controls = np.clip(np.tile(self._trim_control, (self.cfg.n_steps, 1)),
@@ -472,22 +582,62 @@ class NmpcController:
             cause = "prepare_failed" if self._prepare_failed else "not_prepared"
         self._prepare_failed = False
         offered = "prepared" if prepared is not None else f"synchronous:{cause}"
+        if prepared is None:
+            feedback = "rollout:no_preparation"
+        else:
+            dx0 = x0 - prepared.x0
+            dx0[list(md.ANGLE_STATES)] = md.wrap_angle(dx0[list(md.ANGLE_STATES)])
+            feedback = _feedback_path(prepared, problem, queue, dx0, after_halving)
 
         try:
-            solution, horizon = self._solve(problem, x0, controls, n_iter, prepared)
+            if feedback == "embedded":
+                solution = self._embed(problem, x0, prepared, dx0)
+            else:
+                solution, horizon = self._solve(problem, x0, controls, n_iter, prepared)
         except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
             solution = self._degraded_solution(_degraded_reason(exc), offered)
+            solution.feedback = feedback
             solution.wall_time_s = time.perf_counter() - t_start
             return self._last_control, solution
 
         if prepared is None:
             solution.linearization = offered
+        solution.feedback = feedback
         solution.wall_time_s = time.perf_counter() - t_start
         self._controls = solution.controls
-        self._last_horizon = (horizon, queue, wind)
+        if feedback != "embedded":
+            self._last_horizon = (horizon, queue, wind)
+            self._halved = solution.halvings > 0
         self._last_control = md.ControlInput.from_array(solution.controls[0])
         self._last_solution = solution
         return self._last_control, solution
+
+    def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray, lin: Linearization,
+               dx0: np.ndarray) -> OcpSolution:
+        """The embedded feedback: g = gradient + M dx0, the prepared QP and
+        the full step, whose line search waits for `settle`. Until then the
+        solution's states, x_sw and objectives are NaN."""
+        u_lb, u_ub = problem.bounds()
+        # einsum: a fixed-order product, so the bits do not follow the BLAS threads
+        g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
+        qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - lin.controls).ravel(),
+                          (u_ub - lin.controls).ravel(), factor=lin.factor)
+        delta = qp.x.reshape(lin.controls.shape)
+        plan = np.clip(lin.controls + delta, u_lb, u_ub)
+        if not np.all(np.isfinite(plan)):
+            raise md.ModelDomainError("non-finite controls out of SQP")
+        n = self.cfg.n_steps
+        degraded = qp.status == "iteration_limit"
+        solution = OcpSolution(
+            states=np.full((n + 1, md.STATE_DIM), np.nan), controls=plan,
+            seg_index=lin.seg_index.copy(), x_sw=np.full(n + 1, np.nan),
+            objective=float("nan"), objective_before=float("nan"),
+            kkt_residual=qp.kkt_residual, qp_status=qp.status, qp_active_set=qp.n_active,
+            sqp_iters=1, halvings=0, obj_nonincrease_ok=True, degraded=degraded,
+            degraded_reason="qp_iteration_limit" if degraded else "",
+            linearization="prepared")
+        self._pending = (problem, x0, lin.controls, delta, solution)
+        return solution
 
     def _solve(self, problem: AircraftShootingProblem, x0: np.ndarray,
                controls: np.ndarray, n_iter: int, prepared: Linearization | None):
@@ -511,8 +661,7 @@ class NmpcController:
                 first = result
             if qp_status is None and result.qp_status != "optimal":
                 qp_status = result.qp_status
-            nonincrease_ok &= result.objective <= result.objective_before \
-                * (1.0 + 1e-9) + 1e-9
+            nonincrease_ok &= _nonincrease(result.objective, result.objective_before)
             controls, horizon, residual = result.controls, result.horizon, result.residual
             if result.step_norm < 1e-10:
                 break
@@ -547,6 +696,23 @@ class NmpcController:
         sol.degraded_reason = reason
         sol.linearization = linearization
         return sol
+
+
+def _nonincrease(objective: float, objective_before: float) -> bool:
+    """`OcpSolution.obj_nonincrease_ok` of one iteration."""
+    return bool(objective <= objective_before * (1.0 + 1e-9) + 1e-9)
+
+
+def _feedback_path(prepared: Linearization, problem: AircraftShootingProblem,
+                   queue: pth.PathQueue, dx0: np.ndarray, after_halving: bool) -> str:
+    """`OcpSolution.feedback` of a period offered `prepared` whose
+    measurement lies `dx0` from the prediction's node 0."""
+    causes = {"after_halving": after_halving,
+              "weights_changed": not _same_weights(prepared, problem),
+              "queue_changed": (queue.current_index, queue.x_sw)
+              != (prepared.seg_index[0], prepared.x_sw0),
+              "dx0_over_bound": not np.max(np.abs(dx0)) <= _EMBED_MAX_DX0}    # NaN: over
+    return next((f"rollout:{cause}" for cause, hit in causes.items() if hit), "embedded")
 
 
 def _degraded_reason(exc: Exception) -> str:

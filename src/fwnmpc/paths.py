@@ -242,9 +242,6 @@ class HorizonContext:
         self.leg[run] = leg
         return int(np.count_nonzero(on_axis))
 
-    def select(self, idx) -> "HorizonContext":
-        return HorizonContext(*[getattr(self, f)[idx] for f in _CTX_FIELDS])
-
     def repeat(self, k: int) -> "HorizonContext":
         return HorizonContext(*[np.repeat(getattr(self, f), k) for f in _CTX_FIELDS])
 

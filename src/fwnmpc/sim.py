@@ -124,10 +124,11 @@ class SimLog:
     # wall time of the preparation phase after each period, NaN where none
     # ran (after the last period); report-only, never in CSV
     prep_time_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # `OcpSolution.linearization` and `.degraded_reason` per period;
-    # report-only, never in CSV
+    # `OcpSolution.linearization`, `.feedback` and `.degraded_reason` per
+    # period; report-only, never in CSV
     linearization: tuple = ()
     degraded_reason: tuple = ()
+    feedback: tuple = ()
     # why the run stopped; report-only, never in CSV
     end_reason: str = END_COMPLETED
 
@@ -247,15 +248,18 @@ def run(scenario: Scenario) -> SimLog:
                                          d_dot_sp=0.0, e_prime=float("nan"),
                                          phi_ff=float("nan"))
 
-            rows.append((t, x.copy(), u_arr.copy(), errs, queue.current_index,
-                         queue.x_sw, motor_failed, sol))
-            # preparation phase for the next period, if there is one
+            # preparation phase for the next period, if there is one; either
+            # way an embedded period gets its line search and its row the
+            # completed solution
             if tick + ctrl_every <= n_ticks:
                 t_prep = time.perf_counter()
-                controller.prepare()
+                settled = controller.prepare()
                 prep_times.append(time.perf_counter() - t_prep)
             else:
+                settled = controller.settle()
                 prep_times.append(float("nan"))
+            rows.append((t, x.copy(), u_arr.copy(), errs, queue.current_index,
+                         queue.x_sw, motor_failed, settled or sol))
 
         if tick < n_ticks:
             try:
@@ -292,6 +296,7 @@ def run(scenario: Scenario) -> SimLog:
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
         prep_time_s=np.array(prep_times),
         linearization=tuple(r[7].linearization for r in rows),
+        feedback=tuple(r[7].feedback for r in rows),
         degraded_reason=tuple(r[7].degraded_reason for r in rows),
         end_reason=end_reason,
     )
@@ -394,6 +399,7 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
     wall_ms = 1e3 * log.wall_time_s
     synchronous = [lin.split(":", 1)[1] for lin in log.linearization
                    if lin.startswith("synchronous:")]
+    rollouts = [path.split(":", 1)[1] for path in log.feedback if path.startswith("rollout:")]
     degraded = int(np.count_nonzero(log.degraded))
     reasons = [r for r, d in zip(log.degraded_reason, log.degraded) if d]
     lines = [
@@ -414,6 +420,9 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f"preparation phase per period (ms): {_percentiles_ms(log.prep_time_s)}",
         f"synchronous linearizations: {len(synchronous)} of {log.time.shape[0]} periods"
         + (f" ({_counted(synchronous)})" if synchronous else ""),
+        f"embedded feedback: {log.feedback.count('embedded')} of {log.time.shape[0]} periods;"
+        f" rollout feedback: {len(rollouts)}"
+        + (f" ({_counted(rollouts)})" if rollouts else ""),
         f"objective non-increase satisfied: {bool(np.all(log.obj_nonincrease))}",
         f"degraded periods: {degraded}" + (f" ({_counted(reasons)})" if reasons else ""),
         f"periods with near-axis rollout nodes: {int(np.count_nonzero(log.axis_nodes))}",

@@ -576,19 +576,6 @@ def validate(structure: str, params, datasets: list,
     return {name: float(np.sqrt(sq_sum[name] / count)) for name in st.outputs}
 
 
-def train_validate_split(datasets: list, train_fraction: float = 0.7,
-                         seed: int = 0) -> tuple[list, list]:
-    """Shuffle and split experiment sets into training and validation groups."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(len(datasets))
-    n_train = int(round(train_fraction * len(datasets)))
-    n_train = min(max(n_train, 1), len(datasets) - 1) if len(datasets) > 1 else 1
-    train = [datasets[i] for i in order[:n_train]]
-    val = [datasets[i] for i in order[n_train:]]
-    return train, val
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data generation.
 # ---------------------------------------------------------------------------

@@ -272,15 +272,34 @@ def run_at_thread_count(code, *args, threads):
     return run.stdout
 
 
+def select_context(ctx, idx):
+    """The columns `idx` of a `paths.HorizonContext`."""
+    return paths.HorizonContext(**{f.name: getattr(ctx, f.name)[idx]
+                                   for f in dataclasses.fields(ctx)})
+
+
+def train_validate_split(datasets: list, train_fraction: float = 0.7,
+                         seed: int = 0) -> tuple[list, list]:
+    """Shuffle and split experiment sets into training and validation groups."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+    order = np.random.default_rng(seed).permutation(len(datasets))
+    n_train = int(round(train_fraction * len(datasets)))
+    n_train = min(max(n_train, 1), len(datasets) - 1) if len(datasets) > 1 else 1
+    train = [datasets[i] for i in order[:n_train]]
+    val = [datasets[i] for i in order[n_train:]]
+    return train, val
+
+
 def reference_residuals(problem, horizon, controls):
     """Two-pass weighted residuals of a shooting problem: one `raw_outputs`
     call on nodes 0..N-1 and one on the end node."""
     n = problem.n
-    stage_ctx = horizon.context.select(slice(0, n))
+    stage_ctx = select_context(horizon.context, slice(0, n))
     raw = ocp.raw_outputs(horizon.states[:n].T, controls.T, stage_ctx, problem.wind,
                           problem.params, problem.guidance_cfg, problem.cfg)
     stage_res = problem.stage_weight[:, None] * (raw - problem.stage_ref[:, None])
-    end_ctx = horizon.context.select(slice(n, n + 1))
+    end_ctx = select_context(horizon.context, slice(n, n + 1))
     raw_end = ocp.raw_outputs(horizon.states[n:].T, np.zeros((1, md.CONTROL_DIM)).T, end_ctx,
                               problem.wind, problem.params, problem.guidance_cfg, problem.cfg)
     end_res = problem.end_weight * (raw_end[:ocp.N_Y, 0] - problem.end_ref)
@@ -292,14 +311,14 @@ def reference_residual_jacobians(problem, horizon, controls):
     nodes 0..N-1 and one on the end node's state."""
     n, n_x = problem.n, md.STATE_DIM
     (x_batch, u_batch), steps = ocp.fd_batch(horizon.states[:n], controls)
-    ctx_batch = horizon.context.select(slice(0, n)).repeat(1 + steps.shape[1])
+    ctx_batch = select_context(horizon.context, slice(0, n)).repeat(1 + steps.shape[1])
     raw = ocp.raw_outputs(x_batch, u_batch, ctx_batch, problem.wind, problem.params,
                           problem.guidance_cfg, problem.cfg)
     jac = ocp.fd_jacobians(raw, steps, ocp.ANGLE_OUTPUT_ROWS)
     jac *= problem.stage_weight[None, :, None]
 
     (xe_batch,), steps_end = ocp.fd_batch(horizon.states[n:])
-    ctx_end = horizon.context.select(slice(n, n + 1)).repeat(1 + n_x)
+    ctx_end = select_context(horizon.context, slice(n, n + 1)).repeat(1 + n_x)
     raw_end = ocp.raw_outputs(xe_batch, np.zeros((md.CONTROL_DIM, 1 + n_x)), ctx_end,
                               problem.wind, problem.params, problem.guidance_cfg, problem.cfg)
     c_end = ocp.fd_jacobians(raw_end[:ocp.N_Y], steps_end,

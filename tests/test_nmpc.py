@@ -1,5 +1,6 @@
 """Tests for the NMPC layer: outputs, sensitivities, SQP, and controller."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from fwnmpc.nmpc.qp import solve_box_qp
 from fwnmpc.scenarios import scenario_dubins_course, scenario_helix
 from oracles import central_difference_jacobians, random_envelope_states, \
     reference_propagate_horizon, reference_residual_jacobians, reference_residuals, \
-    run_at_thread_count
+    run_at_thread_count, select_context
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ def toy_sqp_iterate(problem, x0, controls):
     obj0 = problem.objective(residual)
     a_mat, b_mat = problem.dynamics_jacobians(states, controls)
     c_stage, d_stage, c_end = problem.residual_jacobians(states, controls)
-    h_mat = solver.condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
+    h_mat, _ = solver.condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
     g_vec = solver.condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     h_mat[np.diag_indices_from(h_mat)] += 1e-12
     lb, ub = problem.bounds()
@@ -308,6 +309,25 @@ class TestSqpOnLinearProblem:
         # exact activation, not merely close
         assert u1[0, 0] == lb[0, 0] or u1[0, 0] == ub[0, 0]
 
+    def test_embedded_gradient_equals_rollout_gradient(self):
+        """g = g(x_pred) + M dx0 equals the gradient of a rollout from
+        x_pred + dx0 to rounding: the toy is linear, so the embedding is exact."""
+        problem = LinearToyProblem(self.A, self.B, self.Q, self.R, self.P, n=12)
+        x_pred, dx0 = np.array([1.0, -0.5]), np.array([0.03, -0.02])
+        controls = np.linspace(-0.2, 0.2, 12)[:, None]
+        states = problem.rollout(x_pred, controls)
+        blocks = problem.dynamics_jacobians(states, controls) \
+            + problem.residual_jacobians(states, controls)
+        _, m_mat = solver.condensed_normal_equations(*blocks)
+
+        def gradient(x0):
+            residual = problem.residuals(problem.rollout(x0, controls), controls)
+            return solver.condensed_gradient(*blocks, residual)
+
+        direct = gradient(x_pred + dx0)
+        np.testing.assert_allclose(gradient(x_pred) + m_mat @ dx0, direct,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(direct)))
+
 
 def _unit(n, i):
     v = np.zeros(n)
@@ -355,16 +375,16 @@ import sys
 import numpy as np
 from fwnmpc.nmpc.solver import condensed_gradient, condensed_normal_equations
 blk = np.load(sys.argv[1])
-h = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"])
+h, m = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"])
 g = condensed_gradient(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
-print(h.tobytes().hex(), g.tobytes().hex())
+print(h.tobytes().hex(), g.tobytes().hex(), m.tobytes().hex())
 """
 
 
 def normal_equations(blk):
     """H from `condensed_normal_equations` and g from `condensed_gradient`."""
     blocks = blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"]
-    return (solver.condensed_normal_equations(*blocks),
+    return (solver.condensed_normal_equations(*blocks)[0],
             solver.condensed_gradient(*blocks, blk["r"]))
 
 
@@ -403,8 +423,8 @@ class TestCondensedNormalEquations:
                                        rtol=1e-13, atol=1e-13)
 
     def test_bytes_equal_at_one_and_two_blas_threads(self, tmp_path):
-        """H and g of a dense 70-node problem, built in processes with one and
-        with two BLAS/OpenMP threads, have the same bits. (A BLAS that caps
+        """H, g and M of a dense 70-node problem, built in processes with one
+        and with two BLAS/OpenMP threads, have the same bits. (A BLAS that caps
         its threads at the CPU count runs one thread in both processes on a
         one-CPU machine, where the check cannot fail.)"""
         blk = random_stage_blocks(np.random.default_rng(70), 70, 3)
@@ -413,7 +433,7 @@ class TestCondensedNormalEquations:
         outputs = [run_at_thread_count(_NORMAL_EQUATIONS_SNIPPET, path, threads=threads).split()
                    for threads in (1, 2)]
         assert outputs[0] == outputs[1]
-        h_hex, g_hex = outputs[0]
+        h_hex, g_hex, _ = outputs[0]
         assert_matches_dense_oracle(np.frombuffer(bytes.fromhex(h_hex)).reshape(210, 210),
                                     np.frombuffer(bytes.fromhex(g_hex)), blk)
 
@@ -464,7 +484,7 @@ class TestAircraftSqp:
         stage_ref = refs.stage_reference()
         for k in range(10):
             raw = ocp.raw_outputs(horizon.states[k][:, None], controls[k][:, None],
-                                  horizon.context.select(slice(k, k + 1)),
+                                  select_context(horizon.context, slice(k, k + 1)),
                                   problem.wind, params, problem.guidance_cfg, cfg)[:, 0]
             err = raw - stage_ref
             err_y, err_z = err[:ocp.N_Y], err[ocp.N_Y:]
@@ -472,7 +492,7 @@ class TestAircraftSqp:
                            + err_z @ np.diag(weights.r_z / weights.z_scale ** 2) @ err_z) \
                 * cfg.t_step
         raw_end = ocp.raw_outputs(horizon.states[-1][:, None], np.zeros((3, 1)),
-                                  horizon.context.select(slice(10, 11)),
+                                  select_context(horizon.context, slice(10, 11)),
                                   problem.wind, params, problem.guidance_cfg, cfg)[:ocp.N_Y, 0]
         err_end = raw_end - refs.end_reference()
         total += float(err_end @ np.diag(weights.p_end / weights.y_scale ** 2) @ err_end)
@@ -888,6 +908,26 @@ class TestPreparedIteration:
         assert solver.sqp_iterate(calm, x0, controls, prepared=prepared).linearization \
             == "synchronous:weights_changed"
 
+    def test_m_matches_central_differences_of_the_gradient(self, params, refs, trim):
+        """M = J_u^T J_x0 of a helix linearization against central differences
+        of g(x0) = J_u^T r(rollout from x0), J_u held; g(x0) at the
+        linearization's own node 0 is its gradient."""
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        lin = solver.linearize(problem, problem.rollout(x0, controls), controls)
+
+        def gradient(x):
+            residual = problem.residuals(problem.rollout(x, controls), controls)
+            return solver.condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage,
+                                             lin.d_stage, lin.c_end, residual)
+
+        assert gradient(x0).tobytes() == lin.gradient.tobytes()
+        fd = np.empty_like(lin.m_mat)
+        for j in range(md.STATE_DIM):
+            h = 1e-5 * max(1.0, abs(x0[j]))
+            step = h * np.eye(md.STATE_DIM)[j]
+            fd[:, j] = (gradient(x0 + step) - gradient(x0 - step)) / (2.0 * h)
+        np.testing.assert_allclose(lin.m_mat, fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)))
+
     def test_rejects_linearization_at_other_controls(self, params, refs, trim):
         problem, x0, controls = self.helix_problem(params, refs, trim)
         prepared = solver.linearize(problem, problem.rollout(x0, controls), controls)
@@ -1100,8 +1140,31 @@ class TestRealTimeIteration:
         _, sol = ctrl.step(state, queue, md.WindVector())
         assert sol.linearization == "synchronous:not_prepared"
 
+    @staticmethod
+    def at_prediction(sol, queue, offset=0.0):
+        """The measurement at node 1 of the horizon that `sol` accepted, which
+        `prepare` shifts to the prediction's node 0, plus `offset`, and the
+        queue in that node's switching state."""
+        state = md.AircraftState.from_array(sol.states[1] + offset)
+        return state, pth.PathQueue(segments=queue.segments, x_sw=float(sol.x_sw[1]),
+                                    current_index=int(sol.seg_index[1]))
+
+    def embedding_ready(self, params, refs, trim):
+        """A controller after a warm period without halvings and its
+        `prepare`, the queue, and that period's solution."""
+        ctrl = self.controller(params, refs)
+        queue = line_queue()
+        _, sol = ctrl.step(trim.state(e=3.0, d=-50.0), queue, md.WindVector())
+        ctrl.prepare()
+        state, queue = self.at_prediction(sol, queue)
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.halvings == 0
+        return ctrl, queue, ctrl.prepare() or sol
+
     def test_step_is_feedback_only(self, params, refs, trim, monkeypatch):
-        """After `prepare`, a warm step computes no Jacobian and no QP factor."""
+        """After `prepare`, a warm step computes no Jacobian and no QP factor;
+        an embedded one, measured near the prediction, also no rollout, no
+        residual and no output."""
         ctrl = self.controller(params, refs)
         state, queue = trim.state(e=3.0, d=-50.0), line_queue()
         ctrl.step(state, queue, md.WindVector())
@@ -1122,6 +1185,125 @@ class TestRealTimeIteration:
         count(solver, "prepare_box_qp")
         _, sol = ctrl.step(state, queue, md.WindVector())
         assert sol.linearization == "prepared" and calls == []
+        assert sol.feedback == "rollout:dx0_over_bound"
+
+        ctrl.prepare()
+        count(ocp, "propagate_horizon")
+        count(solver.AircraftShootingProblem, "residuals")
+        count(ocp, "raw_outputs")
+        offset = np.full(md.STATE_DIM, 0.1 * solver._EMBED_MAX_DX0)
+        state, queue = self.at_prediction(sol, queue, offset)
+        calls.clear()
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.feedback == "embedded" and sol.linearization == "prepared"
+        assert calls == []
+        assert np.isnan(sol.objective) and np.isnan(sol.states).all()
+
+    @pytest.mark.parametrize("cause", ["dx0_over_bound", "queue_changed", "weights_changed",
+                                       "no_preparation"])
+    def test_fallback_takes_the_rollout_path(self, params, refs, trim, monkeypatch, cause):
+        """A period that cannot embed its measurement rolls it out, and its
+        feedback label names why."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        offset = 2.0 * solver._EMBED_MAX_DX0 if cause == "dx0_over_bound" else 0.0
+        state, queue = self.at_prediction(sol, queue, offset)
+        if cause == "queue_changed":
+            queue = replace(queue, x_sw=queue.x_sw + 0.25)
+        elif cause == "weights_changed":
+            ctrl.weights = solver.apply_throttle_failure_weight(ctrl.weights)
+        elif cause == "no_preparation":
+            ctrl.step(state, queue, md.WindVector())
+            state, queue = self.at_prediction(ctrl.settle(), queue)
+        iterations = []
+        iterate = solver.sqp_iterate
+        monkeypatch.setattr(solver, "sqp_iterate",
+                            lambda *args, **kwargs: iterations.append(1) or iterate(*args,
+                                                                                    **kwargs))
+        _, sol = ctrl.step(state, queue, md.WindVector())
+        assert sol.feedback == f"rollout:{cause}"
+        assert iterations == [1] and np.isfinite(sol.objective) and not sol.degraded
+
+    def test_embedded_period_completed_by_the_next_prepare(self, params, refs, trim):
+        """The deferred line search fills in a new solution; the one `step`
+        returned keeps its NaN placeholders."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        state, queue = self.at_prediction(sol, queue)
+        control, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded"
+        done = ctrl.prepare()
+        assert done is not sent and np.isnan(sent.objective)
+        assert done.halvings == 0 and done.obj_nonincrease_ok
+        assert done.objective <= done.objective_before
+        np.testing.assert_array_equal(done.controls, sent.controls)
+        assert done.states[0].tobytes() == state.as_array().tobytes()
+        assert control == md.ControlInput.from_array(done.controls[0])
+        assert ctrl.prepare() is None and ctrl.settle() is None
+
+    def test_embedded_step_agrees_with_the_rollout_step(self, params, refs, trim,
+                                                        monkeypatch):
+        """On the same prepared linearization, the embedded full step equals
+        the rollout feedback's bit for bit at the prediction, and to second
+        order in dx0 off it."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+
+        def both_steps(offset):
+            state, at = self.at_prediction(sol, queue, offset)
+            embedded, rollout = copy.deepcopy(ctrl), copy.deepcopy(ctrl)
+            _, sent = embedded.step(state, at, md.WindVector())
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_EMBED_MAX_DX0", -1.0)
+                _, rolled = rollout.step(state, at, md.WindVector())
+            assert (sent.feedback, rolled.feedback) == ("embedded", "rollout:dx0_over_bound")
+            assert rolled.halvings == 0
+            return sent.controls, rolled.controls
+
+        sent, rolled = both_steps(0.0)
+        assert sent.tobytes() == rolled.tobytes()
+        sent_off, rolled_off = both_steps(np.full(md.STATE_DIM, 0.01))
+        assert np.max(np.abs(sent_off - rolled_off)) \
+            <= 0.05 * np.max(np.abs(rolled_off - rolled))
+
+    def test_embedded_qp_at_its_limit_degrades_the_period(self, params, refs, trim,
+                                                          monkeypatch):
+        """The embedded QP goes through `solver.solve_box_qp`; one that stops
+        at its iteration limit flags the period degraded, also after its
+        line search."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        state, queue = self.at_prediction(sol, queue)
+        solve = solver.solve_box_qp
+        monkeypatch.setattr(solver, "solve_box_qp", lambda *args, **kwargs: replace(
+            solve(*args, **kwargs), status="iteration_limit"))
+        _, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded"
+        done = ctrl.prepare()
+        for sol in (sent, done):
+            assert sol.degraded and sol.degraded_reason == "qp_iteration_limit"
+            assert sol.qp_status == "iteration_limit"
+
+    def test_deferred_halving_holds_the_control_sent(self, params, refs, trim, monkeypatch):
+        """A full step rejected by the deferred line search is halved on
+        nodes 1..N-1 only, and the next period takes the rollout path."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        state, queue = self.at_prediction(sol, queue)
+        control, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded"
+        objective = solver.AircraftShootingProblem.objective
+        seen = []
+
+        def reject_full_step(problem, residual):
+            seen.append(objective(problem, residual))
+            return np.inf if len(seen) == 2 else seen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver.AircraftShootingProblem, "objective", reject_full_step)
+            done = ctrl.prepare()
+        assert len(seen) == 3 and done.halvings == 1 and done.objective == seen[2]
+        assert done.controls[0].tobytes() == sent.controls[0].tobytes()
+        assert control == md.ControlInput.from_array(done.controls[0])
+        assert not np.array_equal(done.controls[1:], sent.controls[1:])
+        state, queue = self.at_prediction(done, queue)
+        _, after = ctrl.step(state, queue, md.WindVector())
+        assert after.feedback == "rollout:after_halving"
 
 
 class TestThrottleFailureWeight:

