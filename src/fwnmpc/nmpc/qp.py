@@ -11,20 +11,26 @@ The free block H_FF is factored once per solve, by a blocked Cholesky
 factorization, and Newton steps reuse that factor while the working set
 stays as it is. The starting working set depends on the box alone, so
 `prepare_box_qp` can factor it before the gradient is known, and a solve
-given that factor starts with its triangular solves. The first working-set
-change turns the factor into a basis V of the free coordinates with
-V^T H_FF V = I (V = L^-T), and every change updates V in O(n^2) instead of
-solving from scratch (the Goldfarb-Idnani 1983 scheme, as in qpOASES): a
-released bound borders V with one H-orthonormalized column; a blocked bound
-is rotated into a single column of V by one Householder reflection, and
-that column is dropped. The Newton step on the free set is then -V V^T grad.
+given that factor starts with its triangular solves. A caller that already
+holds the first Newton step (`first_newton_step`, or an affine model of it
+in a parameter of g) passes it in, and the first iteration skips even
+those. The first working-set change turns the factor into a basis V of the
+free coordinates with V^T H_FF V = I (V = L^-T), and every change updates V
+in O(n^2) instead of solving from scratch (the Goldfarb-Idnani 1983 scheme,
+as in qpOASES): a released bound borders V with one H-orthonormalized
+column; a blocked bound is rotated into a single column of V by one
+Householder reflection, and that column is dropped. The Newton step on the
+free set is then -V V^T grad.
 
-All of this linear algebra uses numpy elementwise operations, `np.sum` and
-`np.einsum` (which never calls BLAS unless asked to optimize), and no BLAS
-or LAPACK call. Threaded BLAS/LAPACK kernels split their reductions by the
-thread count, so their bits, and with them the iterates and the closed-loop
-CSVs, would change with the BLAS thread-count setting; here the reduction
-order is fixed by the code alone.
+The bits do not depend on the BLAS thread count. LAPACK `potrf`
+(`np.linalg.cholesky`) and the inverse of the factor run on diagonal leaves
+of at most 32 rows, and every other product is a numpy `@` over a tile of at
+most 32 rows and 8192 entries of its left factor, with at most 32 columns
+on the right. OpenBLAS runs a potrf below order 64, an LU of fewer than
+10000 entries, a gemv of fewer than 9216 entries and a gemm of at most
+262144 multiply-adds on the calling thread alone, so no call is split by
+the thread count, and the iterates and the closed-loop CSVs keep their bits
+at any BLAS thread-count setting.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ import numpy as np
 
 _FREE, _LOWER, _UPPER = 0, -1, 1
 
-# Row block of the factorization: the pivots inside a block are eliminated
-# one at a time, everything else runs in block products.
+# Diagonal leaf of the factorization and row tile of the products; a tile
+# also reads at most _TILE entries of its left factor (module docstring)
 _BLOCK = 32
+_TILE = 8192
 
 _NOT_PD = "free block of the QP Hessian is not positive definite"
 
@@ -60,6 +67,14 @@ class QpFactor:
     free: np.ndarray          # indices of the starting free set
     chol: tuple | None        # `_cholesky` of H_FF, None if nothing is free
 
+    def newton_step(self, grad: np.ndarray) -> np.ndarray:
+        """-H_FF^-1 grad_F on the starting free set, zero elsewhere; a 2-D
+        `grad` (n, k) is solved for its k columns at once."""
+        step = np.zeros(grad.shape)
+        if self.free.size:
+            step[self.free] = -_cholesky_solve(*self.chol, grad[self.free])
+        return step
+
 
 def prepare_box_qp(h_mat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> QpFactor:
     """Factor the free block of `h_mat` at the starting point of
@@ -73,16 +88,31 @@ def prepare_box_qp(h_mat: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> QpFacto
     return _factor_free(h_mat, np.flatnonzero(state == _FREE))
 
 
+def first_newton_step(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
+                      ub: np.ndarray, factor: QpFactor) -> np.ndarray:
+    """The Newton step that the first iteration of
+    `solve_box_qp(h_mat, g_vec, lb, ub, factor=factor)` solves for, by the
+    same computation, so that passing it back as `first_step` leaves every
+    iterate's bits as they were."""
+    x, _ = _start(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float), None)
+    return factor.newton_step(_product(np.asarray(h_mat, dtype=float), x) + g_vec)
+
+
 def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
                  ub: np.ndarray, x0: np.ndarray | None = None,
-                 factor: QpFactor | None = None) -> QpResult:
+                 factor: QpFactor | None = None,
+                 first_step: np.ndarray | None = None) -> QpResult:
     """Minimize a strictly convex quadratic over a box.
 
     `factor`, from `prepare_box_qp` on the same `h_mat`, replaces the
     factorization of the starting free block; the iterates are the same to
-    the bit. Raises `ValueError` if its free set is not this solve's
-    starting free set, and `np.linalg.LinAlgError` if a free block of
-    `h_mat` met during the iteration is not numerically positive definite.
+    the bit. `first_step`, the first iteration's Newton step if known
+    (`first_newton_step`, or an affine model of it), replaces that
+    iteration's solve and must be zero off the starting free set; the
+    iteration runs on from it unchanged. Raises `ValueError` if the factor's
+    free set is not this solve's starting free set, and
+    `np.linalg.LinAlgError` if a free block of `h_mat` met during the
+    iteration is not numerically positive definite.
     """
     h_mat = np.asarray(h_mat, dtype=float)
     g_vec = np.asarray(g_vec, dtype=float)
@@ -103,11 +133,16 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
     basis = _FreeBasis(h_mat, factor)
 
     for it in range(1, max_iter + 1):
-        grad = _matvec(h_mat, x) + g_vec
-        step = basis.newton_step(grad)
+        if it > 1 or first_step is None:
+            grad = _product(h_mat, x) + g_vec
+            step = basis.newton_step(grad)
+        else:
+            grad, step = None, np.asarray(first_step, dtype=float)
 
         if np.max(np.abs(step), initial=0.0) <= tol:
             # stationary on the working set: check bound multipliers
+            if grad is None:
+                grad = _product(h_mat, x) + g_vec
             lam = np.where(state == _LOWER, grad, np.where(state == _UPPER, -grad, np.inf))
             lam[fixed] = np.inf
             worst = np.flatnonzero(lam < -tol)
@@ -141,7 +176,7 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
             basis.remove(blocking)
         x = np.clip(x, lb, ub)
 
-    grad = _matvec(h_mat, x) + g_vec
+    grad = _product(h_mat, x) + g_vec
     return QpResult(x=x, status="iteration_limit", n_iter=max_iter,
                     n_active=int(np.count_nonzero(state != _FREE)),
                     kkt_residual=_kkt_residual(grad, state, fixed))
@@ -203,20 +238,18 @@ class _FreeBasis:
         self.rows = np.zeros(n, dtype=np.intp)
         self.m = factor.free.size
         self.rows[:self.m] = factor.free
-        self.chol = factor.chol   # read only, so a prepared factor serves many solves
+        self.factor = factor      # read only, so a prepared factor serves many solves
         self.v = None
 
     def newton_step(self, grad: np.ndarray) -> np.ndarray:
         """-H_FF^-1 grad_F on the free set, zero elsewhere."""
+        if self.v is None:
+            return self.factor.newton_step(grad)
         step = np.zeros(grad.shape[0])
         m = self.m
         if m:
-            rows = self.rows[:m]
-            if self.v is None:
-                step[rows] = -_cholesky_solve(*self.chol, grad[rows])
-            else:
-                v = self.v[:m, :m]
-                step[rows] = -_matvec(v, np.einsum("ji,j->i", v, grad[rows]))
+            rows, v = self.rows[:m], self.v[:m, :m]
+            step[rows] = -_product(v, _product(v.T, grad[rows]))
         return step
 
     def add(self, i: int) -> None:
@@ -224,13 +257,13 @@ class _FreeBasis:
         v_full = self._basis()
         m = self.m
         rows, v = self.rows[:m], v_full[:m, :m]
-        coef = np.einsum("ji,j->i", v, self.h_mat[rows, i])
+        coef = _product(v.T, self.h_mat[rows, i])
         h_ii = self.h_mat[i, i]
         pivot = h_ii - np.sum(coef * coef)
         if not pivot > self.pivot_rtol * abs(h_ii):
             raise np.linalg.LinAlgError(_NOT_PD)
         scale = 1.0 / math.sqrt(pivot)
-        v_full[:m, m] = -scale * _matvec(v, coef)
+        v_full[:m, m] = -scale * _product(v, coef)
         v_full[m, :m] = 0.0
         v_full[m, m] = scale
         self.rows[m] = i
@@ -246,7 +279,7 @@ class _FreeBasis:
         u[-1] += math.copysign(math.sqrt(np.sum(u * u)), u[-1])
         beta = np.sum(u * u)
         if beta > 0.0:
-            v -= np.multiply.outer(_matvec(v, u) * (2.0 / beta), u)
+            v -= np.multiply.outer(_product(v, u) * (2.0 / beta), u)
         last = m - 1
         v[k, :last] = v[last, :last]
         self.rows[k] = self.rows[last]
@@ -257,12 +290,20 @@ class _FreeBasis:
             n = self.h_mat.shape[0]
             self.v = np.zeros((n, n))
             if self.m:
-                self.v[:self.m, :self.m] = _inverse_transpose(*self.chol)
+                self.v[:self.m, :self.m] = _inverse_transpose(self.factor.chol[0])
         return self.v
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,j->i", a, x)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in row tiles of a that OpenBLAS runs on one thread each (see
+    the module docstring); b has at most _BLOCK columns."""
+    rows = max(1, min(_BLOCK, _TILE // max(a.shape[1], 1)))
+    if a.shape[0] <= rows:
+        return a @ b
+    out = np.empty(a.shape[:1] + b.shape[1:])
+    for r0 in range(0, a.shape[0], rows):
+        np.matmul(a[r0:r0 + rows], b, out=out[r0:r0 + rows])
+    return out
 
 
 def _blocks(n: int):
@@ -270,73 +311,65 @@ def _blocks(n: int):
 
 
 def _cholesky(a: np.ndarray, pivot_rtol: float):
-    """Blocked left-looking Cholesky a = L L^T.
+    """Blocked left-looking Cholesky a = L L^T, with LAPACK on each diagonal
+    leaf of the Schur complement.
 
-    Returns L, of which only the blocks below the diagonal blocks are
-    filled, and the inverses of its diagonal blocks. Only the lower
-    triangle of `a` is used.
+    Returns the factor as the block rows of its two substitutions, with
+    V_kk = L_kk^-T: forward row k is [-V_kk^T L_k,<k | V_kk^T], so that
+    y_k = row [y_<k; r_k] solves L y = r, and back row k is
+    [V_kk | -V_kk L_>k,k^T], so that x_k = row [y_k; x_>k] solves L^T x = y.
+    Only the lower triangle of `a` is used. Raises `np.linalg.LinAlgError`
+    at a pivot not above `pivot_rtol` times its diagonal entry of `a`.
     """
     n = a.shape[0]
-    floor = (pivot_rtol * np.abs(np.diagonal(a))).tolist()
+    floor = pivot_rtol * np.abs(np.diagonal(a))
     low = np.zeros((n, n))
-    inv_diag = []
+    fwd, back = [], []
     for k0, k1 in _blocks(n):
+        b = k1 - k0
         # block column of the Schur complement left by the previous blocks
         col = a[k0:, k0:k1]
         if k0:
-            col = col - np.einsum("ik,jk->ij", low[k0:, :k0], low[k0:k1, :k0])
-        # the transpose puts the lower triangle where the kernel reads
-        l_kk_inv = _pivot_block(col[:k1 - k0].T, floor[k0:k1])
-        inv_diag.append(l_kk_inv)
-        if k1 < n:
-            low[k1:, k0:k1] = np.einsum("ik,jk->ij", col[k1 - k0:], l_kk_inv)
-    return low, inv_diag
+            col = col - _product(low[k0:, :k0], low[k0:k1, :k0].T)
+        l_kk = np.linalg.cholesky(col[:b])
+        # potrf refuses only pivots <= 0; a pivot is its diagonal entry squared
+        if not np.all(np.diagonal(l_kk) ** 2 > floor[k0:k1]):
+            raise np.linalg.LinAlgError(_NOT_PD)
+        # an upper-triangular LU needs no pivoting, so this is back
+        # substitution, exactly zero below the diagonal
+        v_kk = np.linalg.inv(l_kk.T)
+        low[k1:, k0:k1] = _product(col[b:], v_kk)
+        row = np.empty((b, k1))
+        row[:, :k0] = -_product(low[k0:k1, :k0].T, v_kk).T
+        row[:, k0:] = v_kk.T
+        fwd.append(row)
+        row = np.empty((b, n - k0))
+        row[:, :b] = v_kk
+        row[:, b:] = -_product(low[k1:, k0:k1], v_kk.T).T
+        back.append(row)
+    return fwd, back
 
 
-def _cholesky_solve(low: np.ndarray, inv_diag: list, rhs: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 rhs by blocked forward and back substitution."""
-    n = rhs.shape[0]
-    blocks = _blocks(n)
-    y = np.empty_like(rhs)
-    for (k0, k1), l_kk_inv in zip(blocks, inv_diag):
-        r = rhs[k0:k1] - _matvec(low[k0:k1, :k0], y[:k0]) if k0 else rhs[k0:k1]
-        y[k0:k1] = _matvec(l_kk_inv, r)
-    for (k0, k1), l_kk_inv in reversed(list(zip(blocks, inv_diag))):
-        r = y[k0:k1] - np.einsum("ji,j->i", low[k1:, k0:k1], y[k1:]) if k1 < n else y[k0:k1]
-        y[k0:k1] = np.einsum("ji,j->i", l_kk_inv, r)
+def _cholesky_solve(fwd: list, back: list, rhs: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 rhs, of one column or several, by blocked forward and back
+    substitution with the block rows of `_cholesky`, one product each."""
+    blocks = _blocks(rhs.shape[0])
+    y = np.array(rhs, dtype=float)
+    for (k0, k1), row in zip(blocks, fwd):
+        y[k0:k1] = _product(row, y[:k1])
+    for (k0, k1), row in zip(reversed(blocks), reversed(back)):
+        y[k0:k1] = _product(row, y[k0:])
     return y
 
 
-def _inverse_transpose(low: np.ndarray, inv_diag: list) -> np.ndarray:
+def _inverse_transpose(fwd: list) -> np.ndarray:
     """Upper-triangular V = L^-T, so that V^T (L L^T) V = I: by blocks,
-    V22 = L22^-T and V12 = -V11 L21^T V22."""
-    n = low.shape[0]
+    V22 = L22^-T and V12 = -V11 L21^T V22, where -L21^T V22 and V22 are the
+    transposed parts of forward row k."""
+    n = fwd[-1].shape[1]
     v = np.zeros((n, n))
-    for (k0, k1), l_kk_inv in zip(_blocks(n), inv_diag):
-        v[k0:k1, k0:k1] = l_kk_inv.T
+    for (k0, k1), row in zip(_blocks(n), fwd):
+        v[k0:k1, k0:k1] = row[:, k0:].T
         if k0:
-            cross = np.einsum("ki,jk->ij", low[k0:k1, :k0], l_kk_inv)
-            v[:k0, k0:k1] = -np.einsum("ik,kj->ij", v[:k0, :k0], cross)
+            v[:k0, k0:k1] = _product(v[:k0, :k0], row[:, :k0].T)
     return v
-
-
-def _pivot_block(s: np.ndarray, floor: list) -> np.ndarray:
-    """Inverse L^-1 of the Cholesky factor of one diagonal block s = L L^T,
-    reading the upper triangle of s.
-
-    Eliminating [s | I] by rows, one scaled pivot at a time, turns s into
-    L^T and I into L^-1.
-    """
-    b = s.shape[0]
-    aug = np.zeros((b, 2 * b))
-    aug[:, :b] = s
-    aug[:, b:] = np.eye(b)
-    for j in range(b):
-        pivot = aug[j, j]
-        if not pivot > floor[j]:
-            raise np.linalg.LinAlgError(_NOT_PD)
-        # row j of L^-1 is still zero from column b + j + 1 on
-        row = aug[j, j:b + j + 1]
-        row *= 1.0 / math.sqrt(pivot)
-        aug[j + 1:, j + 1:b + j + 1] -= row[1:b - j, None] * row[1:]
-    return aug[:, b:]

@@ -14,17 +14,18 @@ A warm controller period runs as a real-time iteration (Diehl, Bock and
 Schloeder 2005) in two phases. The preparation phase, `NmpcController.prepare`,
 runs between periods: it shifts the last accepted horizon by one node and
 builds a `Linearization` there: the Jacobians, H, the QP factor, and the
-gradient and M = J_u^T J_x0 at the shifted node 0, the prediction x_pred.
+gradient and M = J_u^T J_x0 at the shifted node 0, the prediction x_pred,
+and the QP's first Newton step there, s0 + K (x_meas - x_pred).
 The feedback phase, `step`, embeds the measurement (initial-value
 embedding): it solves the prepared QP for g = gradient + M (x_meas - x_pred)
-and sends the full step's first control, with no rollout. The next
-preparation runs that period's line search, node 0 held at the control
-sent. A period whose measurement is off the prediction, or that follows a
-line search that halved, takes the rollout feedback instead: g from a
-rollout from the measurement, the prepared QP and the line search. If the
-rollout lands on another discrete context (segment index or helix leg), or
-the weights or wind changed, it linearizes synchronously; so does a cold
-start. A period in which a QP stops at its iteration limit keeps its
+from that first step and sends the full step's first control, with no
+rollout. The next preparation runs that period's line search, node 0 held
+at the control sent. A period whose measurement is off the prediction, or
+that follows a line search that halved, takes the rollout feedback instead:
+g from a rollout from the measurement, the prepared QP and the line search.
+If the rollout lands on another discrete context (segment index or helix
+leg), or the weights or wind changed, it linearizes synchronously; so does a
+cold start. A period in which a QP stops at its iteration limit keeps its
 controls and is flagged degraded.
 """
 
@@ -39,7 +40,7 @@ from fwnmpc import guidance as gd
 from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp
-from fwnmpc.nmpc.qp import QpFactor, prepare_box_qp, solve_box_qp
+from fwnmpc.nmpc.qp import QpFactor, first_newton_step, prepare_box_qp, solve_box_qp
 
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
@@ -63,6 +64,7 @@ class OcpSolution:
     qp_status: str                # first non-optimal QP status of the period, else "optimal"
     qp_active_set: int
     sqp_iters: int
+    qp_iters: int                 # QP iterations summed over the period; 0 if its solver raised
     halvings: int                 # line-search halvings summed over the period's iterations
     obj_nonincrease_ok: bool
     degraded: bool = False        # a solver failure, or a QP at its iteration limit
@@ -170,7 +172,9 @@ class Linearization:
     condensed Hessian H plus the regularization, and the QP factor of the
     controls' box; with the discrete context, weights and wind it holds for.
     It also holds the gradient at the horizon's own initial state x0 and M,
-    so that g = gradient + M (x_0 - x0) to first order.
+    so that g = gradient + M (x_0 - x0) to first order, and the QP's first
+    Newton step for that g, s0 + K (x_0 - x0): -H_FF^-1 g_F on its starting
+    free set F, zero on the fixed set.
     """
 
     controls: np.ndarray          # (N, 3) linearization point
@@ -183,6 +187,8 @@ class Linearization:
     factor: QpFactor
     gradient: np.ndarray          # (3N,) J_u^T r at the horizon
     m_mat: np.ndarray             # (3N, 12) J_u^T J_x0
+    s0: np.ndarray                # (3N,) the QP's first Newton step for `gradient`
+    k_mat: np.ndarray             # (3N, 12) its change per unit change of x0
     x0: np.ndarray                # (12,) the horizon's node 0
     x_sw0: float                  # the horizon's switching state at node 0
     seg_index: np.ndarray         # (N+1,) segment index per node
@@ -203,6 +209,7 @@ class SqpIterationResult:
     kkt_residual: float
     qp_status: str
     qp_active_set: int
+    qp_iters: int
     halvings: int
     accepted: bool
     linearization: str            # "prepared" or "synchronous:<cause>"
@@ -313,7 +320,9 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
               controls: np.ndarray, residual: np.ndarray | None = None) -> Linearization:
     """Jacobians, regularized condensed Hessian, QP factor, M and the
     gradient of `residual` (by default the residual at `horizon`) at
-    `horizon` and `controls`.
+    `horizon` and `controls`, and s0 and K (`Linearization`). s0 comes from
+    the solve that the QP's first iteration makes, so a QP started from it
+    has the bits of one that is not.
 
     Raises `NonFiniteLinearizationError`, naming the first shooting node
     with a non-finite Jacobian entry, and `np.linalg.LinAlgError` if the
@@ -334,13 +343,15 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
     h_mat, m_mat = condensed_normal_equations(a_mat, b_mat, c_stage, d_stage, c_end)
     h_mat[np.diag_indices_from(h_mat)] += _REG
     u_lb, u_ub = problem.bounds()
-    factor = prepare_box_qp(h_mat, (u_lb - controls).ravel(), (u_ub - controls).ravel())
+    lb, ub = (u_lb - controls).ravel(), (u_ub - controls).ravel()
+    factor = prepare_box_qp(h_mat, lb, ub)
     if residual is None:
         residual = problem.residuals(horizon, controls)
     gradient = condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     return Linearization(
         controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
         c_end=c_end, h_mat=h_mat, factor=factor, gradient=gradient, m_mat=m_mat,
+        s0=first_newton_step(h_mat, gradient, lb, ub, factor), k_mat=factor.newton_step(m_mat),
         x0=horizon.states[0], x_sw0=float(horizon.x_sw[0]), seg_index=horizon.seg_index,
         leg=horizon.context.leg, stage_weight=problem.stage_weight,
         end_weight=problem.end_weight, wind=problem.wind)
@@ -396,8 +407,9 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     `prepared`, a `linearize` result at these `controls`, stands in for the
     linearization at the rollout from `x0` when the rollout has the same
     segment index and helix leg at every node and the problem the same
-    weights and wind; otherwise the iteration linearizes synchronously.
-    Either way g comes from the rollout's residual. Raises `ValueError` if
+    weights and wind; otherwise the iteration linearizes synchronously,
+    and its QP starts from the linearization's first Newton step. Either
+    way g comes from the rollout's residual. Raises `ValueError` if
     `prepared` holds other controls.
     """
     if prepared is not None and not np.array_equal(prepared.controls, controls):
@@ -413,13 +425,14 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
         lin = prepared
         g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
                                    lin.c_end, residual)
+        first_step = None
     else:
         lin = linearize(problem, horizon, controls, residual)
-        g_vec = lin.gradient
+        g_vec, first_step = lin.gradient, lin.s0
 
     u_lb, u_ub = problem.bounds()
     qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - controls).ravel(),
-                      (u_ub - controls).ravel(), factor=lin.factor)
+                      (u_ub - controls).ravel(), factor=lin.factor, first_step=first_step)
     delta = qp.x.reshape(controls.shape)
     step_norm = float(np.max(np.abs(delta), initial=0.0))
 
@@ -429,7 +442,7 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
     return SqpIterationResult(
         controls=u_new, horizon=h_new, residual=r_new, objective=obj_new,
         objective_before=obj0, step_norm=step_norm, kkt_residual=qp.kkt_residual,
-        qp_status=qp.status, qp_active_set=qp.n_active,
+        qp_status=qp.status, qp_active_set=qp.n_active, qp_iters=qp.n_iter,
         halvings=halvings, accepted=accepted,
         linearization="prepared" if cause is None else f"synchronous:{cause}")
 
@@ -614,14 +627,17 @@ class NmpcController:
 
     def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray, lin: Linearization,
                dx0: np.ndarray) -> OcpSolution:
-        """The embedded feedback: g = gradient + M dx0, the prepared QP and
-        the full step, whose line search waits for `settle`. Until then the
-        solution's states, x_sw and objectives are NaN."""
+        """The embedded feedback: g = gradient + M dx0, the prepared QP from
+        its first step s0 + K dx0, and the full step, whose line search
+        waits for `settle`. Until then the solution's states, x_sw and
+        objectives are NaN."""
         u_lb, u_ub = problem.bounds()
         # einsum: a fixed-order product, so the bits do not follow the BLAS threads
         g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
+        first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
         qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - lin.controls).ravel(),
-                          (u_ub - lin.controls).ravel(), factor=lin.factor)
+                          (u_ub - lin.controls).ravel(), factor=lin.factor,
+                          first_step=first_step)
         delta = qp.x.reshape(lin.controls.shape)
         plan = np.clip(lin.controls + delta, u_lb, u_ub)
         if not np.all(np.isfinite(plan)):
@@ -633,8 +649,8 @@ class NmpcController:
             seg_index=lin.seg_index.copy(), x_sw=np.full(n + 1, np.nan),
             objective=float("nan"), objective_before=float("nan"),
             kkt_residual=qp.kkt_residual, qp_status=qp.status, qp_active_set=qp.n_active,
-            sqp_iters=1, halvings=0, obj_nonincrease_ok=True, degraded=degraded,
-            degraded_reason="qp_iteration_limit" if degraded else "",
+            sqp_iters=1, qp_iters=qp.n_iter, halvings=0, obj_nonincrease_ok=True,
+            degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
             linearization="prepared")
         self._pending = (problem, x0, lin.controls, delta, solution)
         return solution
@@ -650,12 +666,14 @@ class NmpcController:
         result = None
         qp_status = None      # the first QP status of the period that is not optimal
         iters_run = 0
+        qp_iters = 0
         halvings = 0
         for _ in range(max(n_iter, 1)):
             result = sqp_iterate(problem, x0, controls, horizon=horizon,
                                  residual=residual, prepared=prepared)
             prepared = None
             iters_run += 1
+            qp_iters += result.qp_iters
             halvings += result.halvings
             if first is None:
                 first = result
@@ -674,7 +692,7 @@ class NmpcController:
             seg_index=horizon.seg_index.copy(), x_sw=horizon.x_sw.copy(),
             objective=result.objective, objective_before=float(first.objective_before),
             kkt_residual=result.kkt_residual, qp_status=qp_status or result.qp_status,
-            qp_active_set=result.qp_active_set, sqp_iters=iters_run,
+            qp_active_set=result.qp_active_set, sqp_iters=iters_run, qp_iters=qp_iters,
             halvings=halvings, obj_nonincrease_ok=bool(nonincrease_ok),
             degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
             linearization=first.linearization, axis_nodes=horizon.axis_nodes)
@@ -691,7 +709,8 @@ class NmpcController:
                 seg_index=np.zeros(n + 1, dtype=int), x_sw=np.zeros(n + 1),
                 objective=float("nan"), objective_before=float("nan"),
                 kkt_residual=float("nan"), qp_status="failed", qp_active_set=0,
-                sqp_iters=0, halvings=0, obj_nonincrease_ok=True)
+                sqp_iters=0, qp_iters=0, halvings=0, obj_nonincrease_ok=True)
+        sol.qp_iters = 0
         sol.degraded = True
         sol.degraded_reason = reason
         sol.linearization = linearization

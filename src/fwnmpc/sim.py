@@ -121,6 +121,8 @@ class SimLog:
     events_applied: tuple
     # near-axis rollout nodes per period; report-only, never in CSV
     axis_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # `OcpSolution.qp_iters` per period; report-only, never in CSV
+    qp_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # wall time of the preparation phase after each period, NaN where none
     # ran (after the last period); report-only, never in CSV
     prep_time_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -294,6 +296,7 @@ def run(scenario: Scenario) -> SimLog:
         wall_time_s=np.array([r[7].wall_time_s for r in rows]),
         events_applied=tuple(applied),
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
+        qp_iters=np.array([r[7].qp_iters for r in rows], dtype=int),
         prep_time_s=np.array(prep_times),
         linearization=tuple(r[7].linearization for r in rows),
         feedback=tuple(r[7].feedback for r in rows),
@@ -423,6 +426,7 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f"embedded feedback: {log.feedback.count('embedded')} of {log.time.shape[0]} periods;"
         f" rollout feedback: {len(rollouts)}"
         + (f" ({_counted(rollouts)})" if rollouts else ""),
+        f"QP iterations per period: p50 {np.median(log.qp_iters):g}  max {np.max(log.qp_iters)}",
         f"objective non-increase satisfied: {bool(np.all(log.obj_nonincrease))}",
         f"degraded periods: {degraded}" + (f" ({_counted(reasons)})" if reasons else ""),
         f"periods with near-axis rollout nodes: {int(np.count_nonzero(log.axis_nodes))}",

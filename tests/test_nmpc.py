@@ -373,11 +373,17 @@ def assert_matches_dense_oracle(h_mat, g_vec, blk):
 _NORMAL_EQUATIONS_SNIPPET = """
 import sys
 import numpy as np
+from fwnmpc.nmpc.qp import first_newton_step, prepare_box_qp
 from fwnmpc.nmpc.solver import condensed_gradient, condensed_normal_equations
 blk = np.load(sys.argv[1])
 h, m = condensed_normal_equations(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"])
 g = condensed_gradient(blk["a"], blk["b"], blk["c"], blk["d"], blk["c_end"], blk["r"])
-print(h.tobytes().hex(), g.tobytes().hex(), m.tobytes().hex())
+# the prepared first step, as `linearize` makes it
+factor = prepare_box_qp(h, blk["lb"], blk["ub"])
+s0 = first_newton_step(h, g, blk["lb"], blk["ub"], factor)
+k = factor.newton_step(m)
+print(h.tobytes().hex(), g.tobytes().hex(), m.tobytes().hex(), s0.tobytes().hex(),
+      k.tobytes().hex())
 """
 
 
@@ -423,19 +429,33 @@ class TestCondensedNormalEquations:
                                        rtol=1e-13, atol=1e-13)
 
     def test_bytes_equal_at_one_and_two_blas_threads(self, tmp_path):
-        """H, g and M of a dense 70-node problem, built in processes with one
-        and with two BLAS/OpenMP threads, have the same bits. (A BLAS that caps
-        its threads at the CPU count runs one thread in both processes on a
-        one-CPU machine, where the check cannot fail.)"""
+        """H, g and M of a dense 70-node problem, and the QP's prepared first
+        step s0 and K for a box that starts with some variables fixed, built in
+        processes with one and with two BLAS/OpenMP threads, have the same
+        bits. (A BLAS that caps its threads at the CPU count runs one thread in
+        both processes on a one-CPU machine, where the check cannot fail.)"""
         blk = random_stage_blocks(np.random.default_rng(70), 70, 3)
+        lb, ub = -np.ones(210), np.ones(210)
+        lb[::17] = 0.0
         path = tmp_path / "blocks.npz"
-        np.savez(path, **blk)
+        np.savez(path, lb=lb, ub=ub, **blk)
         outputs = [run_at_thread_count(_NORMAL_EQUATIONS_SNIPPET, path, threads=threads).split()
                    for threads in (1, 2)]
         assert outputs[0] == outputs[1]
-        h_hex, g_hex, _ = outputs[0]
-        assert_matches_dense_oracle(np.frombuffer(bytes.fromhex(h_hex)).reshape(210, 210),
-                                    np.frombuffer(bytes.fromhex(g_hex)), blk)
+        h_hex, g_hex, m_hex, s0_hex, k_hex = outputs[0]
+        h_mat = np.frombuffer(bytes.fromhex(h_hex)).reshape(210, 210)
+        g_vec = np.frombuffer(bytes.fromhex(g_hex))
+        assert_matches_dense_oracle(h_mat, g_vec, blk)
+        # s0 = -H_FF^-1 g_F and K = -H_FF^-1 M_F, zero on the fixed start
+        free = np.flatnonzero(lb < 0.0)
+        h_ff = h_mat[np.ix_(free, free)]
+        for got_hex, rhs in ((s0_hex, g_vec),
+                             (k_hex, np.frombuffer(bytes.fromhex(m_hex)).reshape(210, 12))):
+            got = np.frombuffer(bytes.fromhex(got_hex)).reshape(rhs.shape)
+            expected = -np.linalg.solve(h_ff, rhs[free])
+            assert not np.any(np.delete(got, free, axis=0))
+            np.testing.assert_allclose(got[free], expected, rtol=0,
+                                       atol=1e-10 * np.max(np.abs(expected)))
 
 
 class TestAircraftSqp:
@@ -928,6 +948,25 @@ class TestPreparedIteration:
             fd[:, j] = (gradient(x0 + step) - gradient(x0 - step)) / (2.0 * h)
         np.testing.assert_allclose(lin.m_mat, fd, rtol=0, atol=1e-6 * np.max(np.abs(fd)))
 
+    @pytest.mark.parametrize("on_bound", [False, True])
+    def test_first_step_matches_a_dense_solve(self, params, refs, trim, on_bound):
+        """s0 = -H_FF^-1 g_F and K = -H_FF^-1 M_F of a helix linearization on
+        the QP's starting free set F, zero on its fixed set, against
+        np.linalg.solve; with the roll of nodes 0-3 on its bound, F leaves
+        them out."""
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        if not on_bound:
+            controls[:, 1] = 0.3
+        lin = solver.linearize(problem, problem.rollout(x0, controls), controls)
+        free = lin.factor.free
+        assert (free.size < controls.size) == on_bound
+        h_ff = lin.h_mat[np.ix_(free, free)]
+        for got, rhs in ((lin.s0, lin.gradient), (lin.k_mat, lin.m_mat)):
+            expected = -np.linalg.solve(h_ff, rhs[free])
+            assert not np.any(np.delete(got, free, axis=0))
+            np.testing.assert_allclose(got[free], expected, rtol=0,
+                                       atol=1e-10 * np.max(np.abs(expected)))
+
     def test_rejects_linearization_at_other_controls(self, params, refs, trim):
         problem, x0, controls = self.helix_problem(params, refs, trim)
         prepared = solver.linearize(problem, problem.rollout(x0, controls), controls)
@@ -1262,6 +1301,34 @@ class TestRealTimeIteration:
         sent_off, rolled_off = both_steps(np.full(md.STATE_DIM, 0.01))
         assert np.max(np.abs(sent_off - rolled_off)) \
             <= 0.05 * np.max(np.abs(rolled_off - rolled))
+
+    def test_qp_iters_count_the_periods_qp_iterations(self, params, refs, trim, monkeypatch):
+        """`qp_iters` sums the QP iterations of a cold start's SQP
+        iterations, and is the embedded QP's own count in an embedded
+        period, where the deferred line search keeps it."""
+        counts = []
+        solve = solver.solve_box_qp
+
+        def counted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            counts.append(result.n_iter)
+            return result
+
+        monkeypatch.setattr(solver, "solve_box_qp", counted)
+        ctrl = self.controller(params, refs)
+        _, sol = ctrl.step(trim.state(e=3.0, d=-50.0), line_queue(), md.WindVector())
+        assert sol.sqp_iters == len(counts) > 1 and sol.qp_iters == sum(counts)
+
+        # off the prediction, s0 + K dx0 is the exact first step: one step
+        # and the stationarity check, as at the prediction
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        offset = np.full(md.STATE_DIM, 0.1 * solver._EMBED_MAX_DX0)
+        state, queue = self.at_prediction(sol, queue, offset)
+        counts.clear()
+        _, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded" and sent.qp_active_set == 0
+        assert counts == [2] and sent.qp_iters == 2
+        assert ctrl.prepare().qp_iters == 2
 
     def test_embedded_qp_at_its_limit_degrades_the_period(self, params, refs, trim,
                                                           monkeypatch):

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fwnmpc.nmpc.qp import _factor_free, _FreeBasis, prepare_box_qp, solve_box_qp
+from fwnmpc.nmpc.qp import _factor_free, _FreeBasis, first_newton_step, prepare_box_qp, \
+    solve_box_qp
 from oracles import run_at_thread_count
 
 
@@ -224,6 +225,97 @@ class TestPreparedFactor:
         with pytest.raises(np.linalg.LinAlgError):
             prepare_box_qp(np.ones((2, 2)), -np.ones(2), np.ones(2))
 
+    def test_pivot_below_the_floor_in_a_later_leaf_raises(self):
+        """Variable 40, in the second diagonal leaf, is nearly a copy of
+        variable 10 in the first: its pivot after the Schur update is about
+        2e-15 of its diagonal entry, positive, so LAPACK accepts it, but
+        below the relative floor of 70 machine epsilons."""
+        n = 70
+        h = np.eye(n)
+        h[10, 40] = h[40, 10] = 1.0 - 1e-15
+        low = np.linalg.cholesky(h)
+        assert 0.0 < low[40, 40] ** 2 < n * np.finfo(float).eps
+        with pytest.raises(np.linalg.LinAlgError):
+            prepare_box_qp(h, -np.ones(n), np.ones(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_box_qp(h, np.ones(n), -np.ones(n), np.ones(n))
+
+
+class TestPreparedFirstStep:
+    """`solve_box_qp` given its first Newton step."""
+
+    @pytest.mark.parametrize("n", [12, 210])
+    def test_replays_the_first_iteration(self, n):
+        """From a start with some variables fixed away from zero, so that
+        the first gradient is H x + g."""
+        h, g, lb, ub = TestPreparedFactor.box_qp(n, n)
+        lb[::9] = 0.2
+        ub = np.maximum(ub, lb)
+        factor = prepare_box_qp(h, lb, ub)
+        step = first_newton_step(h, g, lb, ub, factor)
+        assert not np.any(np.delete(step, factor.free))
+        plain = solve_box_qp(h, g, lb, ub)
+        prepared = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        assert plain.n_iter > 2 and plain.n_active > 0
+        assert prepared.x.tobytes() == plain.x.tobytes()
+        assert (prepared.status, prepared.n_iter, prepared.n_active, prepared.kkt_residual) \
+            == (plain.status, plain.n_iter, plain.n_active, plain.kkt_residual)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_affine_first_step_crossing_a_bound_matches_oracle(self, seed):
+        """g(p) = g0 + M p: the first step s0 + K p, with s0 for g0 and
+        K = -H_FF^-1 M_F, crosses a bound; the solve from it ends where the
+        plain solve and the enumeration oracle do."""
+        rng = np.random.default_rng(seed)
+        n = 6
+        h = random_spd(rng, n, cond=30.0)
+        g0, m_mat, p = rng.normal(size=n), rng.normal(size=(n, 3)), 3.0 * rng.normal(size=3)
+        lb, ub = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        lb[0] = 0.0      # starts on a bound
+        factor = prepare_box_qp(h, lb, ub)
+        k_mat = factor.newton_step(m_mat)
+        assert not np.any(k_mat[0])
+        g = g0 + m_mat @ p
+        step = first_newton_step(h, g0, lb, ub, factor) + k_mat @ p
+        np.testing.assert_allclose(step, first_newton_step(h, g, lb, ub, factor),
+                                   rtol=0, atol=1e-12 * np.max(np.abs(step)))
+        assert np.any(step > ub) or np.any(step < lb)
+        prepared = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        plain = solve_box_qp(h, g, lb, ub)
+        assert prepared.status == "optimal" and prepared.n_active > 0
+        assert (prepared.n_iter, prepared.n_active) == (plain.n_iter, plain.n_active)
+        np.testing.assert_allclose(prepared.x, plain.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prepared.x, enumerate_box_qp(h, g, lb, ub), atol=1e-8)
+
+    def test_first_step_is_taken_as_given(self):
+        """Half the Newton step as the first step leaves the other half to a
+        second Newton step: one iteration more, the same optimum."""
+        rng = np.random.default_rng(5)
+        n = 40
+        h, g = random_spd(rng, n, cond=1e2), rng.normal(size=n)
+        lb, ub = -1e6 * np.ones(n), 1e6 * np.ones(n)
+        factor = prepare_box_qp(h, lb, ub)
+        plain = solve_box_qp(h, g, lb, ub, factor=factor)
+        half = solve_box_qp(h, g, lb, ub, factor=factor,
+                            first_step=0.5 * first_newton_step(h, g, lb, ub, factor))
+        assert plain.n_iter == 2 and half.n_iter == 3
+        np.testing.assert_allclose(half.x, plain.x, rtol=0, atol=1e-12)
+
+    def test_stationary_first_step(self):
+        """A zero first step goes straight to the multiplier check, which
+        releases the bound whose multiplier has the wrong sign."""
+        h = np.diag([2.0, 2.0])
+        g = np.array([-1.0, 0.0])
+        lb, ub = np.array([0.0, -1.0]), np.ones(2)
+        factor = prepare_box_qp(h, lb, ub)
+        step = first_newton_step(h, g, lb, ub, factor)
+        assert not np.any(step)
+        plain = solve_box_qp(h, g, lb, ub)
+        prepared = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        assert prepared.x.tobytes() == plain.x.tobytes()
+        assert prepared.n_iter == plain.n_iter
+        np.testing.assert_allclose(prepared.x, [0.5, 0.0])
+
 
 class TestFreeBasis:
     """The factor kept by the solver against np.linalg.solve, on free blocks
@@ -265,12 +357,29 @@ class TestFreeBasis:
 
 
 _THREADS_SNIPPET = """
+import hashlib
 import sys
 import numpy as np
-from fwnmpc.nmpc.qp import solve_box_qp
+from fwnmpc.nmpc.qp import first_newton_step, prepare_box_qp, solve_box_qp
 data = np.load(sys.argv[1])
-res = solve_box_qp(data["h"], data["g"], data["lb"], data["ub"])
+h, g, lb, ub = data["h"], data["g"], data["lb"], data["ub"]
+res = solve_box_qp(h, g, lb, ub)
 print(res.status, res.n_iter, res.n_active, res.x.tobytes().hex())
+# the prepared path: the factor, and a solve from the affine first step
+# s0 + K p for g + M p, which changes the working set
+factor = prepare_box_qp(h, lb, ub)
+digest = hashlib.sha256()
+for rows in factor.chol:
+    for row in rows:
+        digest.update(row.tobytes())
+m_mat, p = data["m"], data["p"]
+s0 = first_newton_step(h, g, lb, ub, factor)
+k_mat = factor.newton_step(m_mat)
+step = s0 + np.einsum("ij,j->i", k_mat, p)
+res = solve_box_qp(h, g + np.einsum("ij,j->i", m_mat, p), lb, ub, factor=factor,
+                   first_step=step)
+print(digest.hexdigest(), s0.tobytes().hex(), k_mat.tobytes().hex(), res.status, res.n_iter,
+      res.n_active, res.x.tobytes().hex())
 """
 
 
@@ -285,12 +394,13 @@ class TestThreadCountIndependence:
         h = random_spd(rng, n, cond=1e3)
         g = 40.0 * rng.normal(size=n)
         lb, ub = -np.ones(n), np.ones(n)
+        m_mat, p = rng.normal(size=(n, 12)), 10.0 * rng.normal(size=12)
         qp_path = tmp_path / "qp.npz"
-        np.savez(qp_path, h=h, g=g, lb=lb, ub=ub)
+        np.savez(qp_path, h=h, g=g, lb=lb, ub=ub, m=m_mat, p=p)
 
         outputs = [run_at_thread_count(_THREADS_SNIPPET, qp_path, threads=threads).split()
                    for threads in (1, 2)]
-        status, n_iter, n_active, x_hex = outputs[0]
+        status, n_iter, n_active, x_hex = outputs[0][:4]
         assert status == "optimal"
         assert 0 < int(n_active) < n
         assert int(n_iter) > 2
@@ -302,3 +412,17 @@ class TestThreadCountIndependence:
         ref = x.copy()
         ref[free] = np.linalg.solve(h[np.ix_(free, free)], -(g[free] + h[np.ix_(free, ~free)] @ x[~free]))
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10)
+
+        # the prepared path: s0 and K solve the free block (all of it here),
+        # and the solve from s0 + K p changes the working set and ends where
+        # the plain solve does
+        _, s0_hex, k_hex, status, n_iter, n_active, x_hex = outputs[0][4:]
+        s0 = np.frombuffer(bytes.fromhex(s0_hex))
+        k_mat = np.frombuffer(bytes.fromhex(k_hex)).reshape(n, 12)
+        np.testing.assert_allclose(s0, -np.linalg.solve(h, g), rtol=0, atol=1e-10 * np.max(np.abs(s0)))
+        np.testing.assert_allclose(k_mat, -np.linalg.solve(h, m_mat), rtol=0,
+                                   atol=1e-10 * np.max(np.abs(k_mat)))
+        assert status == "optimal" and int(n_iter) > 2 and 0 < int(n_active) < n
+        plain = solve_box_qp(h, g + m_mat @ p, lb, ub)
+        assert (plain.n_iter, plain.n_active) == (int(n_iter), int(n_active))
+        np.testing.assert_allclose(np.frombuffer(bytes.fromhex(x_hex)), plain.x, rtol=0, atol=1e-10)

@@ -301,6 +301,9 @@ class TestCsvAndReport:
         assert "embedded feedback: 30 of 31 periods; rollout feedback: 1 (no_preparation 1)" \
             in report
         assert "degraded periods: 0\n" in report
+        assert f"QP iterations per period: p50 {np.median(log.qp_iters):g}" \
+               f"  max {np.max(log.qp_iters)}\n" in report
+        assert log.qp_iters.shape == log.sqp_iters.shape and np.all(log.qp_iters >= 1)
         axis_nodes = np.zeros_like(log.axis_nodes)
         axis_nodes[[1, 3]] = [2, 1]
         report = sim.emit_report(dataclasses.replace(log, axis_nodes=axis_nodes))
