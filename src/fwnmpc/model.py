@@ -3,15 +3,22 @@
 The airframe is abstracted at the autopilot interface: attitude references
 and throttle command go in; the stabilized attitude/rate response, the
 open-loop velocity-axis dynamics, and 3DOF position kinematics in wind come
-out. Each piece of the model (attitude rates, force balance, body
-accelerations) is written once, and one derivative serves the simulation
-plant, the NMPC prediction model, and the two identification structures of
-`fwnmpc.sysid`, which integrate the same rate functions over parameter
-columns. `_derivative_scalar` repeats the derivative on plain floats for
-single states, and `rk4_step_floats` fuses it into one RK4 step on a list of
-floats; a single state integrates an order of magnitude faster that way
-than as a one-column array. The plant, the horizon rollout and the sysid
-data generation all step single states.
+out. Each piece of the model (power curve, forces, force balance, attitude
+rates, position kinematics) is written once, and `derivative` composes them
+into one state derivative for the simulation plant, the NMPC prediction
+model and the data generation of `fwnmpc.sysid`, whose two identification
+structures integrate the same rate functions over parameter columns.
+
+The body is written once and evaluated in two elementwise namespaces: under
+`numpy` it broadcasts over state and parameter columns (finite-difference
+batches, parameter trials); under `FLOATS` (`math` trig, a float maximum,
+`bool`) it runs on plain floats, which `rk4_step_floats` fuses into one RK4
+step on a list. A single state integrates an order of magnitude faster that
+way than as a one-column array, and the plant, the horizon rollout and the
+sysid data generation all step single states. Each expression keeps the
+form that rounds the same in both namespaces (`v_a * v_a`, not `v_a ** 2`);
+only the power curve's powers may round apart, libm's `pow` on a float
+against numpy's loop on an array.
 
 Conventions: NED inertial axes (altitude is -d), all angles in radians,
 angles stored wrapped to (-pi, pi].
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from types import ModuleType
 
 import numpy as np
 
@@ -257,19 +265,25 @@ def default_params() -> ModelParams:
     return ModelParams()
 
 
-@dataclass
-class DynamicsDiagnostics:
-    """Mutable counters for guard activations inside the dynamics."""
-
-    prop_guard_count: int = 0
-
-
 # ---------------------------------------------------------------------------
-# Array core: every function below broadcasts elementwise over its state
-# quantities and over parameter fields, which it reads by name and which may
-# be floats or arrays over columns. The same code serves scalar calls,
-# finite-difference batches, and the parameter trials of `sysid`.
+# One body of rate expressions. Every function below takes an elementwise
+# namespace `xp`: `numpy` (the default) broadcasts over state quantities and
+# over parameter fields, which are read by name and may be floats or arrays
+# over columns; `FLOATS` evaluates the same expressions on plain floats.
 # ---------------------------------------------------------------------------
+
+def _float_maximum(a, b):
+    """The larger of two floats; a NaN `a` stays NaN, as under `np.maximum`."""
+    return b if a < b else a
+
+
+# The plain-float namespace: `math` trig, a float maximum for the propeller
+# floor and `bool` for the domain test. One state evaluates an order of
+# magnitude faster on plain floats than as a one-column array. A module
+# object, since its attribute reads are the fastest the interpreter has.
+FLOATS = ModuleType("FLOATS")
+vars(FLOATS).update(cos=math.cos, sin=math.sin, maximum=_float_maximum, any=bool)
+
 
 def power_curve(delta_t, ol: OpenLoopParams):
     """Motor power polynomial in the lagged throttle state (W)."""
@@ -277,30 +291,25 @@ def power_curve(delta_t, ol: OpenLoopParams):
 
 
 def forces_array(v_a, alpha, delta_t, ol: OpenLoopParams, consts: PhysicalConstants,
-                 diag: DynamicsDiagnostics | None = None):
-    """Thrust, drag, and lift (N) for airspeed/AoA/throttle-state arrays.
+                 xp=np):
+    """Thrust, drag, and lift (N) at airspeed, angle of attack and throttle state.
 
-    The propeller free stream v_a*cos(alpha) is floored at PROP_SPEED_FLOOR;
-    activations are counted on `diag` when provided.
+    The propeller free stream v_a*cos(alpha) is floored at PROP_SPEED_FLOOR.
+    Under `numpy` the inputs enter as float arrays, so a numpy scalar's
+    powers take the array loop's bits, not libm's.
     """
-    v_a = np.asarray(v_a, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    delta_t = np.asarray(delta_t, dtype=float)
-
-    v_prop = v_a * np.cos(alpha)
-    clamped = v_prop < PROP_SPEED_FLOOR
-    if diag is not None and np.any(clamped):
-        diag.prop_guard_count += int(np.count_nonzero(clamped))
-    v_prop = np.maximum(v_prop, PROP_SPEED_FLOOR)
-
-    thrust = power_curve(delta_t, ol) / v_prop
-    qbar_s = 0.5 * consts.rho_air * v_a ** 2 * consts.s_wing
-    drag = qbar_s * (ol.c_d0 + ol.c_dalpha * alpha + ol.c_dalpha2 * alpha ** 2)
-    lift = qbar_s * (ol.c_l0 + ol.c_lalpha * alpha + ol.c_lalpha2 * alpha ** 2)
+    if xp is np:
+        v_a = np.asarray(v_a, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
+        delta_t = np.asarray(delta_t, dtype=float)
+    thrust = power_curve(delta_t, ol) / xp.maximum(v_a * xp.cos(alpha), PROP_SPEED_FLOOR)
+    qbar_s = 0.5 * consts.rho_air * v_a * v_a * consts.s_wing
+    drag = qbar_s * (ol.c_d0 + ol.c_dalpha * alpha + ol.c_dalpha2 * alpha * alpha)
+    lift = qbar_s * (ol.c_l0 + ol.c_lalpha * alpha + ol.c_lalpha2 * alpha * alpha)
     return thrust, drag, lift
 
 
-def attitude_rates(phi, theta, p, q, r, v_a, gamma, phi_ref, theta_ref, cl):
+def attitude_rates(phi, theta, p, q, r, v_a, gamma, phi_ref, theta_ref, cl, xp=np):
     """Rates of (phi, theta, p, q, r) for the stabilized attitude response.
 
     `cl` is read by field name only, so a `ClosedLoopParams` or any object
@@ -308,39 +317,38 @@ def attitude_rates(phi, theta, p, q, r, v_a, gamma, phi_ref, theta_ref, cl):
     """
     alpha = theta - gamma
     return (p,
-            q * np.cos(phi) - r * np.sin(phi),
+            q * xp.cos(phi) - r * xp.sin(phi),
             cl.l_p * p + cl.l_r * r + cl.l_ephi * (phi_ref - phi),
-            v_a ** 2 * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
-                        + cl.m_etheta * (theta_ref - theta)),
+            v_a * v_a * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
+                         + cl.m_etheta * (theta_ref - theta)),
             cl.n_r * r + cl.n_phi * phi + cl.n_phiref * phi_ref)
 
 
 def force_balance(v_a, gamma, phi, theta, delta_t, u_t, ol, consts: PhysicalConstants,
-                  diag: DynamicsDiagnostics | None = None):
+                  xp=np):
     """Rates of (v_a, gamma, delta_t) and the normal force (N).
 
     The normal force, thrust plus lift perpendicular to the airspeed vector
-    in the symmetry plane, also turns the heading (see `derivative_array`).
+    in the symmetry plane, also turns the heading (see `derivative`).
     `ol` is read by field name only, like `cl` in `attitude_rates`.
     """
     alpha = theta - gamma
-    thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts, diag)
+    thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts, xp)
     m, g = consts.m, consts.g
-    normal_force = thrust * np.sin(alpha) + lift
-    v_a_dot = (thrust * np.cos(alpha) - drag) / m - g * np.sin(gamma)
-    gamma_dot = (normal_force * np.cos(phi) - m * g * np.cos(gamma)) / (m * v_a)
+    normal_force = thrust * xp.sin(alpha) + lift
+    v_a_dot = (thrust * xp.cos(alpha) - drag) / m - g * xp.sin(gamma)
+    gamma_dot = (normal_force * xp.cos(phi) - m * g * xp.cos(gamma)) / (m * v_a)
     delta_t_dot = (u_t - delta_t) / ol.tau_t
     return v_a_dot, gamma_dot, delta_t_dot, normal_force
 
 
-def specific_forces(v_a, alpha, delta_t, ol, consts: PhysicalConstants,
-                    diag: DynamicsDiagnostics | None = None):
+def specific_forces(v_a, alpha, delta_t, ol, consts: PhysicalConstants):
     """x-body and z-body specific accelerations (m/s^2).
 
     Note the rotation's (2,2) entry is -cos(alpha): positive lift maps to
     negative a_z in the down-positive body axis.
     """
-    thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts, diag)
+    thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts)
     f_xv = (thrust * np.cos(alpha) - drag) / consts.m
     f_zv = (thrust * np.sin(alpha) + lift) / consts.m
     a_x = np.cos(alpha) * f_xv + np.sin(alpha) * f_zv
@@ -348,72 +356,48 @@ def specific_forces(v_a, alpha, delta_t, ol, consts: PhysicalConstants,
     return a_x, a_z
 
 
-def kinematics_array(x, wind: WindVector):
-    """Position rates [n_dot, e_dot, d_dot] in wind."""
+def kinematics(x, wind: WindVector, xp=np):
+    """Position rates (n_dot, e_dot, d_dot) in wind."""
     v_a, gamma, xi = x[IDX_VA], x[IDX_GAMMA], x[IDX_XI]
-    cos_gamma = np.cos(gamma)
-    n_dot = v_a * cos_gamma * np.cos(xi) + wind.w_n
-    e_dot = v_a * cos_gamma * np.sin(xi) + wind.w_e
-    d_dot = -v_a * np.sin(gamma) + wind.w_d
-    return np.stack(np.broadcast_arrays(n_dot, e_dot, d_dot))
+    cos_gamma = xp.cos(gamma)
+    return (v_a * cos_gamma * xp.cos(xi) + wind.w_n,
+            v_a * cos_gamma * xp.sin(xi) + wind.w_e,
+            -v_a * xp.sin(gamma) + wind.w_d)
 
 
-def body_accelerations_array(x, ol: OpenLoopParams, consts: PhysicalConstants,
-                             diag: DynamicsDiagnostics | None = None):
+def kinematics_array(x, wind: WindVector):
+    """Position rates [n_dot, e_dot, d_dot] in wind, stacked as one array."""
+    return np.stack(np.broadcast_arrays(*kinematics(x, wind)))
+
+
+def body_accelerations_array(x, ol: OpenLoopParams, consts: PhysicalConstants):
     """`specific_forces` at state columns of shape (12,) or (12, B)."""
     return specific_forces(x[IDX_VA], x[IDX_THETA] - x[IDX_GAMMA], x[IDX_DELTA_T],
-                           ol, consts, diag)
+                           ol, consts)
 
 
-def _derivative_scalar(x, u, wind: WindVector, params: ModelParams,
-                       diag: DynamicsDiagnostics | None = None) -> tuple:
-    """Plain-float derivative of one state; `x` and `u` are float sequences."""
-    v_a, gamma, xi = x[IDX_VA], x[IDX_GAMMA], x[IDX_XI]
-    phi, theta = x[IDX_PHI], x[IDX_THETA]
-    p, q, r = x[IDX_P], x[IDX_Q], x[IDX_R]
-    delta_t = x[IDX_DELTA_T]
-    u_t, phi_ref, theta_ref = u
-    ol, cl, consts = params.open_loop, params.closed_loop, params.constants
+def derivative(x, u, wind: WindVector, params: ModelParams, xp=np) -> tuple:
+    """The state derivative as a tuple of the 12 rates, in state order.
 
-    cos_gamma = math.cos(gamma)
-    if abs(cos_gamma) < COS_GAMMA_FLOOR:
+    `x` and `u` are indexed by the state and control layouts: float lists
+    under `FLOATS`, arrays (one entry or one row of columns each) under
+    `numpy`. The plant, the predictor and the data generation all use it.
+    """
+    v_a, gamma, phi, theta = x[IDX_VA], x[IDX_GAMMA], x[IDX_PHI], x[IDX_THETA]
+    cos_gamma = xp.cos(gamma)
+    if xp.any(abs(cos_gamma) < COS_GAMMA_FLOOR):
         raise ModelDomainError("flight path angle too close to vertical for heading dynamics")
-    alpha = theta - gamma
-    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-
-    v_prop = v_a * cos_a
-    if v_prop < PROP_SPEED_FLOOR:
-        if diag is not None:
-            diag.prop_guard_count += 1
-        v_prop = PROP_SPEED_FLOOR
-    power = ol.c_t1 * delta_t + ol.c_t2 * delta_t ** 2 + ol.c_t3 * delta_t ** 3
-    thrust = power / v_prop
-    qbar_s = 0.5 * consts.rho_air * v_a * v_a * consts.s_wing
-    drag = qbar_s * (ol.c_d0 + ol.c_dalpha * alpha + ol.c_dalpha2 * alpha * alpha)
-    lift = qbar_s * (ol.c_l0 + ol.c_lalpha * alpha + ol.c_lalpha2 * alpha * alpha)
-    side_force = thrust * sin_a + lift
-    m, g = consts.m, consts.g
-
-    return (
-        v_a * cos_gamma * math.cos(xi) + wind.w_n,
-        v_a * cos_gamma * math.sin(xi) + wind.w_e,
-        -v_a * math.sin(gamma) + wind.w_d,
-        (thrust * cos_a - drag) / m - g * math.sin(gamma),
-        (side_force * cos_phi - m * g * cos_gamma) / (m * v_a),
-        sin_phi * side_force / (m * v_a * cos_gamma),
-        p,
-        q * cos_phi - r * sin_phi,
-        cl.l_p * p + cl.l_r * r + cl.l_ephi * (phi_ref - phi),
-        v_a * v_a * (cl.m_0 + cl.m_alpha * alpha + cl.m_q * q
-                     + cl.m_etheta * (theta_ref - theta)),
-        cl.n_r * r + cl.n_phi * phi + cl.n_phiref * phi_ref,
-        (u_t - delta_t) / ol.tau_t,
-    )
+    consts = params.constants
+    v_a_dot, gamma_dot, delta_t_dot, normal_force = force_balance(
+        v_a, gamma, phi, theta, x[IDX_DELTA_T], u[IDX_U_T], params.open_loop, consts, xp)
+    return (*kinematics(x, wind, xp), v_a_dot, gamma_dot,
+            xp.sin(phi) * normal_force / (consts.m * v_a * cos_gamma),
+            *attitude_rates(phi, theta, x[IDX_P], x[IDX_Q], x[IDX_R], v_a, gamma,
+                            u[IDX_PHI_REF], u[IDX_THETA_REF], params.closed_loop, xp),
+            delta_t_dot)
 
 
-def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float,
-                    diag: DynamicsDiagnostics | None = None) -> list:
+def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float) -> list:
     """One RK4 step of a single state held as a list of floats.
 
     The stage sums keep the grouping of the array form, `x + (0.5*dt)*k`
@@ -424,10 +408,10 @@ def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float
     if dt <= 0.0:
         raise ValueError("integration step dt must be > 0")
     half = 0.5 * dt
-    k1 = _derivative_scalar(x, u, wind, params, diag)
-    k2 = _derivative_scalar([a + half * b for a, b in zip(x, k1)], u, wind, params, diag)
-    k3 = _derivative_scalar([a + half * b for a, b in zip(x, k2)], u, wind, params, diag)
-    k4 = _derivative_scalar([a + dt * b for a, b in zip(x, k3)], u, wind, params, diag)
+    k1 = derivative(x, u, wind, params, FLOATS)
+    k2 = derivative([a + half * b for a, b in zip(x, k1)], u, wind, params, FLOATS)
+    k3 = derivative([a + half * b for a, b in zip(x, k2)], u, wind, params, FLOATS)
+    k4 = derivative([a + dt * b for a, b in zip(x, k3)], u, wind, params, FLOATS)
     sixth = dt / 6.0
     x_next = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
               for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
@@ -438,31 +422,17 @@ def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float
     return x_next
 
 
-def derivative_array(x, u, wind: WindVector, params: ModelParams,
-                     diag: DynamicsDiagnostics | None = None):
-    """Full state derivative; single source of truth for plant and predictor."""
+def derivative_array(x, u, wind: WindVector, params: ModelParams):
+    """`derivative` as an array: a single state of shape (12,) on plain
+    floats, state columns of shape (12, B) under `numpy`."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim == 1:
-        return np.array(_derivative_scalar(x.tolist(), u.tolist(), wind, params, diag))
-    v_a, gamma, phi, theta = x[IDX_VA], x[IDX_GAMMA], x[IDX_PHI], x[IDX_THETA]
-    cos_gamma = np.cos(gamma)
-    if np.any(np.abs(cos_gamma) < COS_GAMMA_FLOOR):
-        raise ModelDomainError("flight path angle too close to vertical for heading dynamics")
-    out = np.empty_like(x)
-    out[IDX_N:IDX_D + 1] = kinematics_array(x, wind)
-    out[IDX_VA], out[IDX_GAMMA], out[IDX_DELTA_T], normal_force = force_balance(
-        v_a, gamma, phi, theta, x[IDX_DELTA_T], u[IDX_U_T], params.open_loop,
-        params.constants, diag)
-    out[IDX_XI] = np.sin(phi) * normal_force / (params.constants.m * v_a * cos_gamma)
-    out[IDX_PHI], out[IDX_THETA], out[IDX_P], out[IDX_Q], out[IDX_R] = attitude_rates(
-        phi, theta, x[IDX_P], x[IDX_Q], x[IDX_R], v_a, gamma,
-        u[IDX_PHI_REF], u[IDX_THETA_REF], params.closed_loop)
-    return out
+        return np.array(derivative(x.tolist(), u.tolist(), wind, params, FLOATS))
+    return np.stack(derivative(x, u, wind, params))
 
 
-def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float,
-                   diag: DynamicsDiagnostics | None = None):
+def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float):
     """Classical fourth-order Runge-Kutta step with post-step angle wrap.
 
     A single state of shape (12,) runs through `rk4_step_floats`; state
@@ -471,13 +441,13 @@ def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float,
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         u = np.asarray(u, dtype=float).tolist()
-        return np.array(rk4_step_floats(x.tolist(), u, wind, params, dt, diag))
+        return np.array(rk4_step_floats(x.tolist(), u, wind, params, dt))
     if dt <= 0.0:
         raise ValueError("integration step dt must be > 0")
-    k1 = derivative_array(x, u, wind, params, diag)
-    k2 = derivative_array(x + 0.5 * dt * k1, u, wind, params, diag)
-    k3 = derivative_array(x + 0.5 * dt * k2, u, wind, params, diag)
-    k4 = derivative_array(x + dt * k3, u, wind, params, diag)
+    k1 = derivative_array(x, u, wind, params)
+    k2 = derivative_array(x + 0.5 * dt * k1, u, wind, params)
+    k3 = derivative_array(x + 0.5 * dt * k2, u, wind, params)
+    k4 = derivative_array(x + dt * k3, u, wind, params)
     x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     for idx in ANGLE_STATES:
         x_next[idx] = wrap_angle(x_next[idx])
@@ -521,14 +491,12 @@ def solve_trim(params: ModelParams, v_a: float, gamma: float = 0.0,
     limits (e.g. a commanded climb beyond the power available).
     """
     ol, consts = params.open_loop, params.constants
-    m, g = consts.m, consts.g
 
     def residual(z):
         alpha, delta_t = z
-        thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts)
-        f1 = (thrust * np.cos(alpha) - drag) / m - g * np.sin(gamma)
-        f2 = ((thrust * np.sin(alpha) + lift) - m * g * np.cos(gamma)) / (m * v_a)
-        return np.array([float(f1), float(f2)])
+        v_a_dot, gamma_dot, _, _ = force_balance(v_a, gamma, 0.0, alpha + gamma, delta_t,
+                                                 delta_t, ol, consts)
+        return np.array([float(v_a_dot), float(gamma_dot)])
 
     z = np.array([0.03, 0.5])
     for _ in range(max_iter):

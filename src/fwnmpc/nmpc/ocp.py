@@ -13,7 +13,6 @@ smooth state, so it is never differentiated through.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,17 +241,11 @@ def _extend_nodes(rows: list, sw_nodes: list, idx_nodes: list, controls: list,
     n_seg = len(segments)
     terms: dict[int, tuple | None] = {}
     x, sw, idx = rows[-1], sw_nodes[-1], idx_nodes[-1]
-
-    def ground_velocity():
-        v_a, gamma, xi = x[3], x[4], x[5]
-        cg = math.cos(gamma)
-        return (v_a * cg * math.cos(xi) + wind.w_n, v_a * cg * math.sin(xi) + wind.w_e,
-                -v_a * math.sin(gamma) + wind.w_d)
-
     for u in controls:
         if idx not in terms:
             terms[idx] = pth.terminal_data(segments[idx])
-        conds = pth.terminal_conditions(terms[idx], x, ground_velocity, switch_cfg)
+        conds = pth.terminal_conditions(terms[idx], x,
+                                        lambda: md.kinematics(x, wind, md.FLOATS), switch_cfg)
         sw, idx = pth.advance_switch(sw, idx, n_seg,
                                      pth.terminal_conditions_met(segments[idx], conds),
                                      switch_cfg, dt)

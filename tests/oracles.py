@@ -105,7 +105,7 @@ def central_difference_jacobians(x, u, wind, params, dt):
     return a_mat, b_mat
 
 
-def _reference_derivative(x, u, wind, params, diag=None):
+def _reference_derivative(x, u, wind, params):
     """Plain-float state derivative returned as an array, as the scalar RK4
     path computed it before the fused float step."""
     v_a, gamma, xi = float(x[md.IDX_VA]), float(x[md.IDX_GAMMA]), float(x[md.IDX_XI])
@@ -124,8 +124,6 @@ def _reference_derivative(x, u, wind, params, diag=None):
 
     v_prop = v_a * cos_a
     if v_prop < md.PROP_SPEED_FLOOR:
-        if diag is not None:
-            diag.prop_guard_count += 1
         v_prop = md.PROP_SPEED_FLOOR
     power = ol.c_t1 * delta_t + ol.c_t2 * delta_t ** 2 + ol.c_t3 * delta_t ** 3
     thrust = power / v_prop
@@ -152,14 +150,14 @@ def _reference_derivative(x, u, wind, params, diag=None):
     ])
 
 
-def reference_rk4_step(x, u, wind, params, dt, diag=None):
+def reference_rk4_step(x, u, wind, params, dt):
     """Single-state RK4 step with array stage sums and post-step angle wrap,
     the form of the scalar path before the fused float step."""
     x = np.asarray(x, dtype=float)
-    k1 = _reference_derivative(x, u, wind, params, diag)
-    k2 = _reference_derivative(x + 0.5 * dt * k1, u, wind, params, diag)
-    k3 = _reference_derivative(x + 0.5 * dt * k2, u, wind, params, diag)
-    k4 = _reference_derivative(x + dt * k3, u, wind, params, diag)
+    k1 = _reference_derivative(x, u, wind, params)
+    k2 = _reference_derivative(x + 0.5 * dt * k1, u, wind, params)
+    k3 = _reference_derivative(x + 0.5 * dt * k2, u, wind, params)
+    k4 = _reference_derivative(x + dt * k3, u, wind, params)
     x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     for idx in md.ANGLE_STATES:
         x_next[idx] = math.pi - ((math.pi - x_next[idx]) % TWO_PI)

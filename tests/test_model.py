@@ -73,10 +73,10 @@ class TestAngleOfAttack:
         self.assert_alpha(params, -0.05, 0.05, -0.10)
 
 
-def forces(state, params, diag=None):
+def forces(state, params):
     """(thrust, drag, lift) of a state at alpha = theta - gamma."""
     return m.forces_array(state.v_a, state.theta - state.gamma, state.delta_t,
-                          params.open_loop, params.constants, diag)
+                          params.open_loop, params.constants)
 
 
 def body_accelerations(state, params):
@@ -174,11 +174,15 @@ class TestForces:
         assert l2 == pytest.approx(4.0 * l1, rel=1e-14)
 
     def test_prop_guard_counted(self, params):
-        diag = m.DynamicsDiagnostics()
+        """Below PROP_SPEED_FLOOR the thrust divides by the floor, exactly,
+        on columns and on plain floats."""
         st_ = m.AircraftState(v_a=0.5, delta_t=0.5)
-        thrust, _, _ = forces(st_, params, diag)
-        assert diag.prop_guard_count == 1
-        assert np.isfinite(thrust)
+        expected = m.power_curve(np.asarray(0.5), params.open_loop) / m.PROP_SPEED_FLOOR
+        thrust, _, _ = forces(st_, params)
+        assert thrust.tobytes() == expected.tobytes()
+        thrust, _, _ = m.forces_array(0.5, 0.0, 0.5, params.open_loop, params.constants,
+                                      m.FLOATS)
+        assert thrust == m.power_curve(0.5, params.open_loop) / m.PROP_SPEED_FLOOR
 
 
 class TestVelocityDynamics:
@@ -288,17 +292,44 @@ class TestFullDerivative:
         np.testing.assert_allclose(der[6:11], att, rtol=1e-15)
 
     def test_batched_matches_scalar(self, params):
+        """Columns through `numpy` give the bits of single states through
+        `FLOATS` wherever the power curve does; a cubed numpy array and a
+        cubed float may round apart, and then the rates agree to rounding."""
         rng = np.random.default_rng(7)
-        xs = np.stack([m.AircraftState(v_a=12 + i, gamma=0.01 * i, xi=0.1 * i,
-                                       phi=0.05 * i, theta=0.02 * i,
-                                       delta_t=0.1 * i).as_array()
-                       for i in range(5)], axis=1)
-        us = rng.uniform([0, -0.3, -0.2], [1, 0.3, 0.2], size=(5, 3)).T
+        grid = [m.AircraftState(v_a=12 + i, gamma=0.01 * i, xi=0.1 * i, phi=0.05 * i,
+                                theta=0.02 * i, delta_t=0.1 * i).as_array()
+                for i in range(5)]
+        below_floor = m.AircraftState(v_a=0.6 * m.PROP_SPEED_FLOOR, theta=0.1,
+                                      delta_t=0.5).as_array()
+        xs = np.column_stack([*grid, *random_envelope_states(rng, 200), below_floor])
+        n = xs.shape[1]
+        us = rng.uniform([0, -0.3, -0.2], [1, 0.3, 0.2], size=(n, 3)).T
         wind = m.WindVector(1.0, 0.5, -0.2)
         batch = m.derivative_array(xs, us, wind, params)
-        for i in range(5):
+        ol = params.open_loop
+        same_power = m.power_curve(xs[m.IDX_DELTA_T], ol) == np.array(
+            [m.power_curve(d, ol) for d in xs[m.IDX_DELTA_T].tolist()])
+        assert same_power[:5].all() and same_power[-1]
+        for i in range(n):
             single = m.derivative_array(xs[:, i], us[:, i], wind, params)
-            np.testing.assert_allclose(batch[:, i], single, rtol=1e-15)
+            if same_power[i]:
+                assert batch[:, i].tobytes() == single.tobytes()
+            else:
+                np.testing.assert_allclose(batch[:, i], single, rtol=1e-15, atol=1e-14)
+
+    def test_near_vertical_column_rejected(self, params, trim):
+        """One near-vertical column fails the whole batch with the message of
+        the single-state path."""
+        xs = np.repeat(trim.state().as_array()[:, None], 4, axis=1)
+        xs[m.IDX_GAMMA, 2] = 1.55
+        us = np.repeat(trim.control().as_array()[:, None], 4, axis=1)
+        with pytest.raises(m.ModelDomainError) as single:
+            m.rk4_step_floats(xs[:, 2].tolist(), us[:, 2].tolist(), m.WindVector(),
+                              params, 0.1)
+        with pytest.raises(m.ModelDomainError) as batch:
+            m.rk4_step_array(xs, us, m.WindVector(), params, 0.1)
+        assert str(batch.value) == str(single.value)
+        assert "vertical" in str(batch.value)
 
 
 class TestParameterColumns:
@@ -419,15 +450,13 @@ class TestRk4StepFloats:
                 == expected.tobytes()
 
     def test_prop_guard_count_matches_oracle(self, params, trim):
-        """Below PROP_SPEED_FLOOR every clamped stage is counted, as before."""
+        """Below PROP_SPEED_FLOOR the clamped step keeps the oracle's bytes."""
         x = trim.state(xi=0.3).as_array()
         x[m.IDX_VA] = 0.6 * m.PROP_SPEED_FLOOR
         u = trim.control().as_array()
-        diag, diag_ref = m.DynamicsDiagnostics(), m.DynamicsDiagnostics()
-        got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.01, diag)
-        expected = reference_rk4_step(x, u, self.WIND, params, 0.01, diag_ref)
+        got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.01)
+        expected = reference_rk4_step(x, u, self.WIND, params, 0.01)
         assert np.array(got).tobytes() == expected.tobytes()
-        assert diag.prop_guard_count == diag_ref.prop_guard_count > 0
 
     @pytest.mark.parametrize("field, value, message", [
         ("gamma", 1.55, "vertical"),
