@@ -349,10 +349,11 @@ def specific_forces(v_a, alpha, delta_t, ol, consts: PhysicalConstants):
     negative a_z in the down-positive body axis.
     """
     thrust, drag, lift = forces_array(v_a, alpha, delta_t, ol, consts)
-    f_xv = (thrust * np.cos(alpha) - drag) / consts.m
-    f_zv = (thrust * np.sin(alpha) + lift) / consts.m
-    a_x = np.cos(alpha) * f_xv + np.sin(alpha) * f_zv
-    a_z = np.sin(alpha) * f_xv - np.cos(alpha) * f_zv
+    cos_alpha, sin_alpha = np.cos(alpha), np.sin(alpha)
+    f_xv = (thrust * cos_alpha - drag) / consts.m
+    f_zv = (thrust * sin_alpha + lift) / consts.m
+    a_x = cos_alpha * f_xv + sin_alpha * f_zv
+    a_z = sin_alpha * f_xv - cos_alpha * f_zv
     return a_x, a_z
 
 

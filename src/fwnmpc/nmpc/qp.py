@@ -22,6 +22,15 @@ column; a blocked bound is rotated into a single column of V by one
 Householder reflection, and that column is dropped. The Newton step on the
 free set is then -V V^T grad.
 
+After a full step that no bound blocked, the next iteration computes the
+gradient, as every iteration does, and a free gradient within the step
+tolerance certifies that the point is stationary on its working set: the
+iteration goes on to the multiplier check without solving for a step that
+would be zero to rounding. Every other iteration, including one after a
+full step whose free gradient is above the tolerance, solves for its Newton
+step, so a first step that is not the exact Newton step is followed by one
+that is.
+
 The bits do not depend on the BLAS thread count. LAPACK `potrf`
 (`np.linalg.cholesky`) and the inverse of the factor run on diagonal leaves
 of at most 32 rows, and every other product is a numpy `@` over a tile of at
@@ -109,8 +118,11 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
     the bit. `first_step`, the first iteration's Newton step if known
     (`first_newton_step`, or an affine model of it), replaces that
     iteration's solve and must be zero off the starting free set; the
-    iteration runs on from it unchanged. Raises `ValueError` if the factor's
-    free set is not this solve's starting free set, and
+    iteration runs on from it unchanged, so a first step that is not the
+    Newton step is followed by a Newton step. After a full step that no
+    bound blocked, a free gradient within the step tolerance certifies the
+    point without a solve (module docstring). Raises `ValueError` if the
+    factor's free set is not this solve's starting free set, and
     `np.linalg.LinAlgError` if a free block of `h_mat` met during the
     iteration is not numerically positive definite.
     """
@@ -132,26 +144,33 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
         raise ValueError("the prepared factor's free set is not the solve's starting free set")
     basis = _FreeBasis(h_mat, factor)
 
+    full_step = False         # the last iteration took its whole step, no bound blocking
     for it in range(1, max_iter + 1):
         if it > 1 or first_step is None:
             grad = _product(h_mat, x) + g_vec
-            step = basis.newton_step(grad)
+            # after a full step, a free gradient within tol certifies that
+            # the iterate is stationary on its working set
+            if full_step and np.maximum.reduce(np.abs(grad[state == _FREE]), initial=0.0) <= tol:
+                step = None
+            else:
+                step = basis.newton_step(grad)
         else:
             grad, step = None, np.asarray(first_step, dtype=float)
 
-        if np.max(np.abs(step), initial=0.0) <= tol:
+        if step is None or np.max(np.abs(step), initial=0.0) <= tol:
             # stationary on the working set: check bound multipliers
             if grad is None:
                 grad = _product(h_mat, x) + g_vec
-            lam = np.where(state == _LOWER, grad, np.where(state == _UPPER, -grad, np.inf))
-            lam[fixed] = np.inf
-            worst = np.flatnonzero(lam < -tol)
+            viol = _violations(grad, state, fixed)
+            active = state != _FREE
+            worst = np.flatnonzero(active & (viol > tol))
             if worst.size == 0:
-                kkt = _kkt_residual(grad, state, fixed)
                 return QpResult(x=x, status="optimal", n_iter=it,
-                                n_active=int(np.count_nonzero(state != _FREE)), kkt_residual=kkt)
+                                n_active=int(np.count_nonzero(active)),
+                                kkt_residual=_kkt_residual(viol))
             state[worst[0]] = _FREE  # release lowest index (Bland)
             basis.add(worst[0])
+            full_step = False
             continue
 
         # ratio test toward the nearest blocking bound, scanning candidates
@@ -159,9 +178,8 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
         free = state == _FREE
         up = free & (step > tol)
         down = free & (step < -tol)
-        ratio = np.full(n, np.inf)
-        ratio[up] = (ub[up] - x[up]) / step[up]
-        ratio[down] = (lb[down] - x[down]) / step[down]
+        ratio = np.divide(np.where(up, ub, lb) - x, step, out=np.full(n, np.inf),
+                          where=up | down)
         alpha = 1.0
         blocking = -1
         for i in np.flatnonzero(ratio < 1.0 - 1e-15):
@@ -174,30 +192,37 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
             state[blocking] = side
             x[blocking] = ub[blocking] if side == _UPPER else lb[blocking]
             basis.remove(blocking)
-        x = np.clip(x, lb, ub)
+        np.clip(x, lb, ub, out=x)
+        full_step = blocking < 0
 
     grad = _product(h_mat, x) + g_vec
     return QpResult(x=x, status="iteration_limit", n_iter=max_iter,
                     n_active=int(np.count_nonzero(state != _FREE)),
-                    kkt_residual=_kkt_residual(grad, state, fixed))
+                    kkt_residual=_kkt_residual(_violations(grad, state, fixed)))
 
 
-def _kkt_residual(grad: np.ndarray, state: np.ndarray, fixed: np.ndarray) -> float:
-    """Max complementarity/stationarity violation at the current point."""
-    free_viol = np.where(state == _FREE, np.abs(grad), 0.0)
-    lower_viol = np.where(state == _LOWER, np.maximum(-grad, 0.0), 0.0)
-    upper_viol = np.where(state == _UPPER, np.maximum(grad, 0.0), 0.0)
-    viol = np.maximum(free_viol, np.maximum(lower_viol, upper_viol))
+def _violations(grad: np.ndarray, state: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Per variable: |grad| if free; on an active bound the multiplier's
+    violation, -lambda (above zero where the multiplier has the wrong sign);
+    zero if fixed."""
+    viol = np.where(state == _FREE, np.abs(grad), state * grad)
     viol[fixed] = 0.0
-    return float(np.max(viol, initial=0.0))
+    return viol
+
+
+def _kkt_residual(viol: np.ndarray) -> float:
+    """Max complementarity/stationarity violation of `_violations`; abs
+    makes a zero +0.0."""
+    return abs(float(np.maximum.reduce(viol, initial=0.0)))
 
 
 def _start(lb: np.ndarray, ub: np.ndarray, x0: np.ndarray | None):
     """Feasible starting point and working set: bounds the point sits on
     are active."""
-    if np.any(lb > ub):
+    if (lb > ub).any():
         raise ValueError("inconsistent box bounds")
-    x = np.clip(np.zeros(lb.shape[0]) if x0 is None else np.asarray(x0, dtype=float), lb, ub)
+    x = np.zeros(lb.shape[0]) if x0 is None else np.array(x0, dtype=float)
+    np.clip(x, lb, ub, out=x)
     state = np.full(lb.shape[0], _FREE, dtype=np.int8)
     state[x <= lb] = _LOWER
     state[x >= ub] = _UPPER

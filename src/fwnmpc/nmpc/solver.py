@@ -31,6 +31,7 @@ controls and is flagged degraded.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, replace
 
@@ -48,6 +49,7 @@ _REG = 1e-8          # added to H's diagonal before the QP
 # largest max|x_meas - x_pred| (angle rows wrapped) that a period embeds into
 # the prepared linearization; a larger one takes the rollout path
 _EMBED_MAX_DX0 = 0.05
+_ANGLE_ROWS = np.array(md.ANGLE_STATES)
 
 
 @dataclass
@@ -169,8 +171,9 @@ class AircraftShootingProblem:
 class Linearization:
     """The part of one Gauss-Newton iteration that the measured state does
     not enter: the stage Jacobians at a horizon and its controls, the
-    condensed Hessian H plus the regularization, and the QP factor of the
-    controls' box; with the discrete context, weights and wind it holds for.
+    condensed Hessian H plus the regularization, and the QP's box with the
+    factor of its starting free block; with the discrete context, weights
+    and wind it holds for.
     It also holds the gradient at the horizon's own initial state x0 and M,
     so that g = gradient + M (x_0 - x0) to first order, and the QP's first
     Newton step for that g, s0 + K (x_0 - x0): -H_FF^-1 g_F on its starting
@@ -184,6 +187,8 @@ class Linearization:
     d_stage: np.ndarray           # (N, 11, 3), weighted
     c_end: np.ndarray             # (7, 12), weighted
     h_mat: np.ndarray             # (3N, 3N)
+    lb: np.ndarray                # (3N,) the QP's box: the control bounds less `controls`
+    ub: np.ndarray                # (3N,)
     factor: QpFactor
     gradient: np.ndarray          # (3N,) J_u^T r at the horizon
     m_mat: np.ndarray             # (3N, 12) J_u^T J_x0
@@ -286,8 +291,8 @@ def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
         np.matmul(lhs[k], stack0, out=prod0)
         m_mat[m:width] = prod0[:n_u]
         stack0[n_out:] = prod0[n_u:]
-    for i in range(n_dec - 1):
-        h_mat[i, i + 1:] = h_mat[i + 1:, i]
+    # mirror the lower triangle onto the strict upper one
+    np.copyto(h_mat, h_mat.T, where=np.tri(n_dec, k=-1, dtype=bool).T)
     return h_mat, m_mat
 
 
@@ -350,7 +355,7 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
     gradient = condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     return Linearization(
         controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
-        c_end=c_end, h_mat=h_mat, factor=factor, gradient=gradient, m_mat=m_mat,
+        c_end=c_end, h_mat=h_mat, lb=lb, ub=ub, factor=factor, gradient=gradient, m_mat=m_mat,
         s0=first_newton_step(h_mat, gradient, lb, ub, factor), k_mat=factor.newton_step(m_mat),
         x0=horizon.states[0], x_sw0=float(horizon.x_sw[0]), seg_index=horizon.seg_index,
         leg=horizon.context.leg, stage_weight=problem.stage_weight,
@@ -430,9 +435,7 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
         lin = linearize(problem, horizon, controls, residual)
         g_vec, first_step = lin.gradient, lin.s0
 
-    u_lb, u_ub = problem.bounds()
-    qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - controls).ravel(),
-                      (u_ub - controls).ravel(), factor=lin.factor, first_step=first_step)
+    qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor, first_step=first_step)
     delta = qp.x.reshape(controls.shape)
     step_norm = float(np.max(np.abs(delta), initial=0.0))
 
@@ -472,7 +475,9 @@ class NmpcController:
     "rollout:<cause>": "dx0_over_bound", "queue_changed", "weights_changed",
     "after_halving" (the last period's line search halved) or
     "no_preparation". All functions below the session are pure, so the
-    object may be moved between threads between calls.
+    object may be moved between threads between calls. `weights` may be
+    replaced between periods, and the new object is read from the next
+    period on; it must not be changed in place.
     """
 
     def __init__(self, params: md.ModelParams, cfg: ocp.OcpConfig,
@@ -488,6 +493,7 @@ class NmpcController:
         self._trim_control = np.array([refs.u_t_trim, 0.0, refs.theta_ref_trim])
         self._last_control = md.ControlInput(u_t=refs.u_t_trim, phi_ref=0.0,
                                              theta_ref=refs.theta_ref_trim)
+        self._base_problem: AircraftShootingProblem | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -503,8 +509,16 @@ class NmpcController:
         self._halved = False
 
     def _problem(self, queue: pth.PathQueue, wind: md.WindVector) -> AircraftShootingProblem:
-        return AircraftShootingProblem(self.params, self.cfg, self.weights, self.refs,
-                                       self.guidance_cfg, self.switch_cfg, queue, wind)
+        """The period's problem, a shallow copy that shares its weight,
+        reference and bound arrays with the problem built once per `weights`
+        object (the weights are replaced, never changed in place)."""
+        if self._base_problem is None or self._base_problem.weights is not self.weights:
+            self._base_problem = AircraftShootingProblem(
+                self.params, self.cfg, self.weights, self.refs, self.guidance_cfg,
+                self.switch_cfg, queue, wind)
+        problem = copy.copy(self._base_problem)
+        problem.queue, problem.wind = queue, wind
+        return problem
 
     def _warm_controls(self, problem: AircraftShootingProblem) -> np.ndarray:
         """The last accepted controls shifted by one node, last row repeated."""
@@ -576,37 +590,32 @@ class NmpcController:
              wind: md.WindVector) -> tuple[md.ControlInput, OcpSolution]:
         """Feedback phase: advance one controller period and return the first
         control. `wall_time_s` of the solution is this call's wall time. A
-        line search still pending from an embedded period runs first."""
+        line search still pending from an embedded period runs first. Only
+        the rollout path builds the warm start (`_solve`)."""
         t_start = time.perf_counter()
         self.settle()
         x0 = measured.as_array()
         problem = self._problem(queue, wind)
         prepared, self._prepared = self._prepared, None
         after_halving, self._halved = self._halved, False
+        prepare_failed, self._prepare_failed = self._prepare_failed, False
 
-        if self._controls is None:
-            controls = np.clip(np.tile(self._trim_control, (self.cfg.n_steps, 1)),
-                               *problem.bounds())
-            n_iter = self.cfg.cold_start_sqp_iter
-            cause = "cold"
-        else:
-            controls = self._warm_controls(problem)
-            n_iter = 1
-            cause = "prepare_failed" if self._prepare_failed else "not_prepared"
-        self._prepare_failed = False
-        offered = "prepared" if prepared is not None else f"synchronous:{cause}"
         if prepared is None:
+            cause = ("cold" if self._controls is None
+                     else "prepare_failed" if prepare_failed else "not_prepared")
+            offered = f"synchronous:{cause}"
             feedback = "rollout:no_preparation"
         else:
+            offered = "prepared"
             dx0 = x0 - prepared.x0
-            dx0[list(md.ANGLE_STATES)] = md.wrap_angle(dx0[list(md.ANGLE_STATES)])
+            dx0[_ANGLE_ROWS] = md.wrap_angle(dx0[_ANGLE_ROWS])
             feedback = _feedback_path(prepared, problem, queue, dx0, after_halving)
 
         try:
             if feedback == "embedded":
                 solution = self._embed(problem, x0, prepared, dx0)
             else:
-                solution, horizon = self._solve(problem, x0, controls, n_iter, prepared)
+                solution, horizon = self._solve(problem, x0, prepared)
         except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
             solution = self._degraded_solution(_degraded_reason(exc), offered)
             solution.feedback = feedback
@@ -627,19 +636,20 @@ class NmpcController:
 
     def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray, lin: Linearization,
                dx0: np.ndarray) -> OcpSolution:
-        """The embedded feedback: g = gradient + M dx0, the prepared QP from
-        its first step s0 + K dx0, and the full step, whose line search
-        waits for `settle`. Until then the solution's states, x_sw and
-        objectives are NaN."""
-        u_lb, u_ub = problem.bounds()
+        """The embedded feedback: g = gradient + M dx0, the prepared QP on
+        the prepared box from its first step s0 + K dx0, and the full step,
+        whose line search waits for `settle`. When the first step is not
+        blocked, the QP's second iteration certifies it from the free
+        gradient, without a solve, so the QP costs the ratio test, one
+        product with H and the multiplier check. Until `settle` the
+        solution's states, x_sw and objectives are NaN."""
         # einsum: a fixed-order product, so the bits do not follow the BLAS threads
         g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
         first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
-        qp = solve_box_qp(lin.h_mat, g_vec, (u_lb - lin.controls).ravel(),
-                          (u_ub - lin.controls).ravel(), factor=lin.factor,
+        qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor,
                           first_step=first_step)
         delta = qp.x.reshape(lin.controls.shape)
-        plan = np.clip(lin.controls + delta, u_lb, u_ub)
+        plan = np.clip(lin.controls + delta, *problem.bounds())
         if not np.all(np.isfinite(plan)):
             raise md.ModelDomainError("non-finite controls out of SQP")
         n = self.cfg.n_steps
@@ -656,9 +666,17 @@ class NmpcController:
         return solution
 
     def _solve(self, problem: AircraftShootingProblem, x0: np.ndarray,
-               controls: np.ndarray, n_iter: int, prepared: Linearization | None):
-        """The period's SQP iterations; the first one may use `prepared`.
-        Returns the solution and its final horizon."""
+               prepared: Linearization | None):
+        """The period's SQP iterations, from the trim controls on a cold
+        start and from `_warm_controls` otherwise; the first one may use
+        `prepared`. Returns the solution and its final horizon."""
+        if self._controls is None:
+            controls = np.clip(np.tile(self._trim_control, (self.cfg.n_steps, 1)),
+                               *problem.bounds())
+            n_iter = self.cfg.cold_start_sqp_iter
+        else:
+            controls = self._warm_controls(problem)
+            n_iter = 1
         horizon = None
         residual = None
         nonincrease_ok = True
@@ -725,13 +743,17 @@ def _nonincrease(objective: float, objective_before: float) -> bool:
 def _feedback_path(prepared: Linearization, problem: AircraftShootingProblem,
                    queue: pth.PathQueue, dx0: np.ndarray, after_halving: bool) -> str:
     """`OcpSolution.feedback` of a period offered `prepared` whose
-    measurement lies `dx0` from the prediction's node 0."""
-    causes = {"after_halving": after_halving,
-              "weights_changed": not _same_weights(prepared, problem),
-              "queue_changed": (queue.current_index, queue.x_sw)
-              != (prepared.seg_index[0], prepared.x_sw0),
-              "dx0_over_bound": not np.max(np.abs(dx0)) <= _EMBED_MAX_DX0}    # NaN: over
-    return next((f"rollout:{cause}" for cause, hit in causes.items() if hit), "embedded")
+    measurement lies `dx0` from the prediction's node 0: the first cause
+    that holds, in this order, or "embedded"."""
+    if after_halving:
+        return "rollout:after_halving"
+    if not _same_weights(prepared, problem):
+        return "rollout:weights_changed"
+    if (queue.current_index, queue.x_sw) != (prepared.seg_index[0], prepared.x_sw0):
+        return "rollout:queue_changed"
+    if not np.max(np.abs(dx0)) <= _EMBED_MAX_DX0:    # NaN: over
+        return "rollout:dx0_over_bound"
+    return "embedded"
 
 
 def _degraded_reason(exc: Exception) -> str:

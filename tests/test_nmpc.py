@@ -10,6 +10,7 @@ from fwnmpc import guidance as gd
 from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp, solver
+from fwnmpc.nmpc import qp as qp_module
 from fwnmpc.nmpc.qp import solve_box_qp
 from fwnmpc.scenarios import scenario_dubins_course, scenario_helix
 from oracles import central_difference_jacobians, random_envelope_states, \
@@ -1203,7 +1204,8 @@ class TestRealTimeIteration:
     def test_step_is_feedback_only(self, params, refs, trim, monkeypatch):
         """After `prepare`, a warm step computes no Jacobian and no QP factor;
         an embedded one, measured near the prediction, also no rollout, no
-        residual and no output."""
+        residual, no output, no warm start and no QP solve: its QP takes the
+        prepared first step, and the free gradient certifies it."""
         ctrl = self.controller(params, refs)
         state, queue = trim.state(e=3.0, d=-50.0), line_queue()
         ctrl.step(state, queue, md.WindVector())
@@ -1230,12 +1232,14 @@ class TestRealTimeIteration:
         count(ocp, "propagate_horizon")
         count(solver.AircraftShootingProblem, "residuals")
         count(ocp, "raw_outputs")
+        count(solver.NmpcController, "_warm_controls")
+        count(qp_module, "_cholesky_solve")
         offset = np.full(md.STATE_DIM, 0.1 * solver._EMBED_MAX_DX0)
         state, queue = self.at_prediction(sol, queue, offset)
         calls.clear()
         _, sol = ctrl.step(state, queue, md.WindVector())
         assert sol.feedback == "embedded" and sol.linearization == "prepared"
-        assert calls == []
+        assert calls == [] and sol.qp_iters == 2
         assert np.isnan(sol.objective) and np.isnan(sol.states).all()
 
     @pytest.mark.parametrize("cause", ["dx0_over_bound", "queue_changed", "weights_changed",

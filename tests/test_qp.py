@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from fwnmpc.nmpc import qp as qp_module
 from fwnmpc.nmpc.qp import _factor_free, _FreeBasis, first_newton_step, prepare_box_qp, \
     solve_box_qp
-from oracles import run_at_thread_count
+from oracles import reference_solve_box_qp, run_at_thread_count
 
 
 def enumerate_box_qp(h_mat, g_vec, lb, ub):
@@ -315,6 +316,94 @@ class TestPreparedFirstStep:
         assert prepared.x.tobytes() == plain.x.tobytes()
         assert prepared.n_iter == plain.n_iter
         np.testing.assert_allclose(prepared.x, [0.5, 0.0])
+
+
+class TestAgainstReferenceLoop:
+    """`solve_box_qp` against the plain active-set loop it optimizes
+    (`oracles.reference_solve_box_qp`), which solves for a Newton step in
+    every iteration after the first: the same bits and counts."""
+
+    @staticmethod
+    def assert_same(res, ref):
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.status, res.n_iter, res.n_active, res.kkt_residual) \
+            == (ref.status, ref.n_iter, ref.n_active, ref.kkt_residual)
+
+    @staticmethod
+    def random_box_qp(rng, n, g_scale):
+        """Some bounds at zero, so that the start sits on them, and some
+        fixed."""
+        h = random_spd(rng, n, cond=1e3)
+        g = g_scale * rng.normal(size=n)
+        lb, ub = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        lb[rng.random(n) < 0.1] = 0.0
+        ub[rng.random(n) < 0.1] = 0.0
+        fixed = rng.random(n) < 0.05
+        lb[fixed] = ub[fixed] = 0.0
+        return h, g, lb, ub
+
+    @pytest.mark.parametrize("n", [5, 12, 70, 210])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("g_scale", [0.05, 3.0])
+    def test_bytes_equal_reference(self, n, seed, g_scale):
+        rng = np.random.default_rng(1000 * n + seed)
+        h, g, lb, ub = self.random_box_qp(rng, n, g_scale)
+        cases = [(g, {})]
+        # warm: a start on a mix of bounds and interior points, some of
+        # whose bounds the multiplier check releases
+        x0 = np.where(rng.random(n) < 0.3, np.where(rng.random(n) < 0.5, lb, ub),
+                      0.5 * (lb + ub))
+        cases.append((g, {"x0": x0}))
+        factor = prepare_box_qp(h, lb, ub)
+        cases.append((g, {"factor": factor}))
+        cases.append((g, {"factor": factor,
+                          "first_step": first_newton_step(h, g, lb, ub, factor)}))
+        m_mat, p = rng.normal(size=(n, 12)), g_scale * rng.normal(size=12)
+        step = first_newton_step(h, g, lb, ub, factor) + factor.newton_step(m_mat) @ p
+        cases.append((g + m_mat @ p, {"factor": factor, "first_step": step}))
+        for g_case, kwargs in cases:
+            res = solve_box_qp(h, g_case, lb, ub, **kwargs)
+            self.assert_same(res, reference_solve_box_qp(h, g_case, lb, ub, **kwargs))
+
+    def test_free_gradient_over_tol_falls_back_to_a_newton_step(self, monkeypatch):
+        """g so large that the free gradient after the exact first Newton
+        step stays above the tolerance: the second iteration solves for its
+        step, as the reference does."""
+        rng = np.random.default_rng(11)
+        n = 70
+        h = random_spd(rng, n, cond=1e3)
+        g = 1e8 * rng.normal(size=n)
+        lb, ub = -1e12 * np.ones(n), 1e12 * np.ones(n)
+        factor = prepare_box_qp(h, lb, ub)
+        step = first_newton_step(h, g, lb, ub, factor)
+        assert np.max(np.abs(h @ step + g)) > 1e-10
+        solves = []
+        newton_step = qp_module._FreeBasis.newton_step
+
+        def counted(basis, grad):
+            solves.append(grad)
+            return newton_step(basis, grad)
+
+        monkeypatch.setattr(qp_module._FreeBasis, "newton_step", counted)
+        res = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        assert len(solves) >= 1
+        self.assert_same(res, reference_solve_box_qp(h, g, lb, ub, factor=factor, first_step=step))
+
+    def test_exact_first_step_is_certified_without_a_solve(self, monkeypatch):
+        """The exact first Newton step of an unconstrained QP: the second
+        iteration's free gradient is within the tolerance, so it solves
+        nothing and goes to the multiplier check."""
+        rng = np.random.default_rng(12)
+        n = 210
+        h, g = random_spd(rng, n, cond=1e3), rng.normal(size=n)
+        lb, ub = -1e6 * np.ones(n), 1e6 * np.ones(n)
+        factor = prepare_box_qp(h, lb, ub)
+        step = first_newton_step(h, g, lb, ub, factor)
+        monkeypatch.setattr(qp_module, "_cholesky_solve", None)
+        res = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        monkeypatch.undo()
+        assert res.n_iter == 2
+        self.assert_same(res, reference_solve_box_qp(h, g, lb, ub, factor=factor, first_step=step))
 
 
 class TestFreeBasis:

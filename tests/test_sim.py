@@ -14,6 +14,7 @@ import yaml
 from fwnmpc import cli, config as cfgio, model as md, paths as pth, sim
 from fwnmpc.nmpc import ocp as nmpc_ocp
 from fwnmpc.scenarios import BUILTIN_SCENARIOS, chain_arc, chain_line
+from oracles import checkout_env
 
 
 def short_line_scenario(**overrides) -> sim.Scenario:
@@ -560,7 +561,7 @@ class TestCli:
         assert "validation RMSE" in capsys.readouterr().out
 
     def test_console_script_entry(self):
-        result = subprocess.run([sys.executable, "-m", "fwnmpc.cli",
-                                 "list-scenarios"], capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-m", "fwnmpc.cli", "list-scenarios"],
+                                env=checkout_env(), capture_output=True, text=True)
         assert result.returncode == 0
         assert "helix" in result.stdout
