@@ -7,8 +7,8 @@ Library layers, bottom to top:
   over frozen segment contexts, and the float segment-switching step
 - :mod:`fwnmpc.guidance` -- the look-ahead guidance kernel: lateral and
   longitudinal errors and the roll feed-forward
-- :mod:`fwnmpc.nmpc` -- multiple-shooting NMPC with an active-set QP core,
-  whose outputs compose the closest-point and guidance kernels
+- :mod:`fwnmpc.nmpc` -- multiple-shooting NMPC with a projected-Newton
+  box-QP core, whose outputs compose the closest-point and guidance kernels
 - :mod:`fwnmpc.sysid` -- grey-box output-error parameter identification
 - :mod:`fwnmpc.sim` -- deterministic closed-loop scenario harness, logging
   through the same kernels at one position

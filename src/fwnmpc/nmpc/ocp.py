@@ -55,6 +55,8 @@ class OcpConfig:
             raise ValueError("horizon needs at least 2 shooting intervals")
         if self.t_step <= 0.0 or self.t_iter <= 0.0:
             raise ValueError("t_step and t_iter must be > 0")
+        if self.cold_start_sqp_iter < 1:
+            raise ValueError("cold_start_sqp_iter must be >= 1")
         if not (self.u_t_min < self.u_t_max and self.phi_ref_max > 0.0
                 and self.theta_ref_max > 0.0):
             raise ValueError("control bounds must be ordered and non-empty")

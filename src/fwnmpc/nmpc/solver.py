@@ -3,8 +3,8 @@
 Each iteration re-propagates the horizon from the measured state (so the
 shooting gaps vanish identically), linearizes dynamics and weighted outputs,
 condenses the continuity constraints into a dense control-space QP with box
-bounds, solves it with the primal active-set method, and applies the full
-step with objective-increase fallback to step halving.
+bounds, solves it by projected Newton, and applies the full step with
+objective-increase fallback to step halving.
 
 Condensing builds H = J^T J stage by stage with a forward sensitivity pass
 and a backward adjoint pass (Andersson et al. 2013), in O(N^2) and without
@@ -638,11 +638,11 @@ class NmpcController:
                dx0: np.ndarray) -> OcpSolution:
         """The embedded feedback: g = gradient + M dx0, the prepared QP on
         the prepared box from its first step s0 + K dx0, and the full step,
-        whose line search waits for `settle`. When the first step is not
-        blocked, the QP's second iteration certifies it from the free
-        gradient, without a solve, so the QP costs the ratio test, one
-        product with H and the multiplier check. Until `settle` the
-        solution's states, x_sw and objectives are NaN."""
+        whose line search waits for `settle`. When the first step stays in
+        the box, the QP takes it as it is and its second iteration ends the
+        solve at the KKT check, without a solve, so the QP costs one product
+        with H and that check. Until `settle` the solution's states, x_sw
+        and objectives are NaN."""
         # einsum: a fixed-order product, so the bits do not follow the BLAS threads
         g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
         first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
@@ -686,7 +686,7 @@ class NmpcController:
         iters_run = 0
         qp_iters = 0
         halvings = 0
-        for _ in range(max(n_iter, 1)):
+        for _ in range(n_iter):
             result = sqp_iterate(problem, x0, controls, horizon=horizon,
                                  residual=residual, prepared=prepared)
             prepared = None

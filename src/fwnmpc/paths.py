@@ -191,15 +191,15 @@ class HorizonContext:
                    anchor_d=z(), chi_p=z(), gamma_p=z(), r_signed=z(), leg=z(),
                    delta_chi=z(), lam=z(), seg_index=np.zeros(m, dtype=int))
 
-    def fill_run(self, run: slice, seg, pos: np.ndarray, leg_cap: int | None = None) -> int:
+    def fill_run(self, run: slice, seg, pos: np.ndarray) -> int:
         """Record the frozen data of the nodes in `run`, all on segment `seg`,
         from their (M, 3) positions `pos`.
 
         Nodes of an arc choose their helix leg under a cap: the lowest leg
-        chosen so far in the run, starting from `leg_cap`, so legs already
-        passed are refused. A node within AXIS_EPS of an arc or loiter axis
-        has no closest point; it gets delta_chi = 0 and leg 0 and carries
-        the cap across unchanged. Returns the number of such near-axis nodes.
+        chosen so far in the run, so legs already passed are refused. A node
+        within AXIS_EPS of an arc or loiter axis has no closest point; it
+        gets delta_chi = 0 and leg 0 and carries the cap across unchanged.
+        Returns the number of such near-axis nodes.
         """
         if isinstance(seg, LineSegment):
             self.kind[run] = KIND_LINE
@@ -234,8 +234,6 @@ class HorizonContext:
                            / pitch) + 0.0
             leg[on_axis] = np.inf
             leg = np.minimum.accumulate(leg)
-            if leg_cap is not None:
-                leg = np.minimum(leg, leg_cap)
         delta_chi[on_axis] = 0.0
         leg[on_axis] = 0.0
         self.delta_chi[run] = delta_chi
@@ -295,11 +293,11 @@ def closest_point_columns(r, ctx: HorizonContext) -> tuple:
              np.where(line, t_line_d, -sin_g)))
 
 
-def _closest_point_one(seg: PathSegment, r, leg_cap: int | None) -> ClosestPoint:
+def _closest_point_one(seg: PathSegment, r) -> ClosestPoint:
     """`closest_point_columns` at one position through a one-node context."""
     r = np.asarray(r, dtype=float)
     ctx = HorizonContext.allocate(1)
-    near_axis = ctx.fill_run(slice(None), seg, r[None, :], leg_cap)
+    near_axis = ctx.fill_run(slice(None), seg, r[None, :])
     p, t_hat = closest_point_columns(r[:, None], ctx)
     return ClosestPoint(p=np.concatenate(p), t_hat=np.concatenate(t_hat),
                         valid=not near_axis, delta_chi=float(ctx.delta_chi[0]),
@@ -308,26 +306,24 @@ def _closest_point_one(seg: PathSegment, r, leg_cap: int | None) -> ClosestPoint
 
 def closest_point_line(seg: LineSegment, r) -> ClosestPoint:
     """Orthogonal projection onto the infinite line through `b`."""
-    return _closest_point_one(seg, r, None)
+    return _closest_point_one(seg, r)
 
 
-def closest_point_arc(seg, r, leg_cap: int | None = None) -> ClosestPoint:
+def closest_point_arc(seg, r) -> ClosestPoint:
     """Decoupled closest point on an arc, helix, or loiter circle.
 
     The helix leg is the nearest one in altitude, found from the backward
     angular distance to the exit point plus a rounded whole number of
-    turns. `leg_cap` limits the chosen leg index from above, which refuses
-    legs already passed when tracking progress along the helix. A query
-    within AXIS_EPS of the axis is flagged invalid.
+    turns. A query within AXIS_EPS of the axis is flagged invalid.
     """
-    return _closest_point_one(seg, r, leg_cap)
+    return _closest_point_one(seg, r)
 
 
-def closest_point(seg: PathSegment, r, leg_cap: int | None = None) -> ClosestPoint:
+def closest_point(seg: PathSegment, r) -> ClosestPoint:
     """Dispatch to the line or arc closest-point computation."""
     if isinstance(seg, LineSegment):
         return closest_point_line(seg, r)
-    return closest_point_arc(seg, r, leg_cap=leg_cap)
+    return closest_point_arc(seg, r)
 
 
 def terminal_point(seg) -> np.ndarray:

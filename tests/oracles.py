@@ -18,7 +18,7 @@ import numpy as np
 import fwnmpc
 from fwnmpc import model as md
 from fwnmpc import paths
-from fwnmpc.nmpc import ocp, qp
+from fwnmpc.nmpc import ocp
 
 TWO_PI = 2.0 * np.pi
 
@@ -329,87 +329,3 @@ def reference_residual_jacobians(problem, horizon, controls):
     c_end = ocp.fd_jacobians(raw_end[:ocp.N_Y], steps_end,
                              ocp.ANGLE_OUTPUT_ROWS)[0] * problem.end_weight[:, None]
     return jac[:, :, :n_x], jac[:, :, n_x:], c_end
-
-
-def reference_solve_box_qp(h_mat, g_vec, lb, ub, x0=None, factor=None, first_step=None):
-    """The active-set loop of `qp.solve_box_qp` in its plain form: every
-    iteration after the first solves for its Newton step, including the one
-    after an unblocked full step, and the multiplier check, ratio test and
-    KKT residual each make their own array passes. It shares the factor and
-    its updates (`_FreeBasis`) and the tiled products with the solver."""
-    h_mat = np.asarray(h_mat, dtype=float)
-    g_vec = np.asarray(g_vec, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    n = g_vec.shape[0]
-    tol = 1e-10
-    max_iter = 3 * n + 10
-    free_, lower, upper = 0, -1, 1
-
-    def kkt_residual(grad, state, fixed):
-        free_viol = np.where(state == free_, np.abs(grad), 0.0)
-        lower_viol = np.where(state == lower, np.maximum(-grad, 0.0), 0.0)
-        upper_viol = np.where(state == upper, np.maximum(grad, 0.0), 0.0)
-        viol = np.maximum(free_viol, np.maximum(lower_viol, upper_viol))
-        viol[fixed] = 0.0
-        return float(np.max(viol, initial=0.0))
-
-    if np.any(lb > ub):
-        raise ValueError("inconsistent box bounds")
-    x = np.clip(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float), lb, ub)
-    state = np.full(n, free_, dtype=np.int8)
-    state[x <= lb] = lower
-    state[x >= ub] = upper
-    fixed = lb == ub
-    start_free = np.flatnonzero(state == free_)
-    if factor is None:
-        factor = qp._factor_free(h_mat, start_free)
-    elif not np.array_equal(factor.free, start_free):
-        raise ValueError("the prepared factor's free set is not the solve's starting free set")
-    basis = qp._FreeBasis(h_mat, factor)
-
-    for it in range(1, max_iter + 1):
-        if it > 1 or first_step is None:
-            grad = qp._product(h_mat, x) + g_vec
-            step = basis.newton_step(grad)
-        else:
-            grad, step = None, np.asarray(first_step, dtype=float)
-
-        if np.max(np.abs(step), initial=0.0) <= tol:
-            if grad is None:
-                grad = qp._product(h_mat, x) + g_vec
-            lam = np.where(state == lower, grad, np.where(state == upper, -grad, np.inf))
-            lam[fixed] = np.inf
-            worst = np.flatnonzero(lam < -tol)
-            if worst.size == 0:
-                return qp.QpResult(x=x, status="optimal", n_iter=it,
-                                   n_active=int(np.count_nonzero(state != free_)),
-                                   kkt_residual=kkt_residual(grad, state, fixed))
-            state[worst[0]] = free_
-            basis.add(worst[0])
-            continue
-
-        free = state == free_
-        up = free & (step > tol)
-        down = free & (step < -tol)
-        ratio = np.full(n, np.inf)
-        ratio[up] = (ub[up] - x[up]) / step[up]
-        ratio[down] = (lb[down] - x[down]) / step[down]
-        alpha = 1.0
-        blocking = -1
-        for i in np.flatnonzero(ratio < 1.0 - 1e-15):
-            if ratio[i] < alpha - 1e-15:
-                alpha, blocking = ratio[i], i
-
-        x = x + max(alpha, 0.0) * step
-        if blocking >= 0:
-            side = upper if up[blocking] else lower
-            state[blocking] = side
-            x[blocking] = ub[blocking] if side == upper else lb[blocking]
-            basis.remove(blocking)
-        x = np.clip(x, lb, ub)
-
-    grad = qp._product(h_mat, x) + g_vec
-    return qp.QpResult(x=x, status="iteration_limit", n_iter=max_iter,
-                       n_active=int(np.count_nonzero(state != free_)),
-                       kkt_residual=kkt_residual(grad, state, fixed))

@@ -148,19 +148,6 @@ class TestClosestPointArc:
             cp_l = paths.closest_point_arc(loiter, r)
             np.testing.assert_allclose(cp_a.p, cp_l.p, atol=1e-12)
 
-    def test_leg_cap_refuses_passed_legs(self):
-        seg = paths.ArcSegment(c=np.array([0.0, 0.0, -200.0]), r_signed=35.0,
-                               chi_p=0.0, gamma_p=np.radians(8.0))
-        pitch = TWO_PI * 35.0 * np.tan(np.radians(8.0))
-        # aircraft slightly closer to the next lower leg
-        b = paths.terminal_point(seg)
-        r = b + np.array([0.0, 0.0, 1.6 * pitch])
-        free = paths.closest_point_arc(seg, r)
-        capped = paths.closest_point_arc(seg, r, leg_cap=1)
-        assert free.leg == 2
-        assert capped.leg == 1
-        assert capped.p[2] == pytest.approx(free.p[2] - pitch, rel=1e-12)
-
     def test_tangent_continuity_along_helix(self):
         seg = paths.ArcSegment(c=np.array([0.0, 0.0, -100.0]), r_signed=35.0,
                                chi_p=0.0, gamma_p=np.radians(8.0))

@@ -133,6 +133,13 @@ class TestRunLoop:
             err = np.abs(x - predicted)
             assert np.max(err) < 1e-5
 
+    def test_helix_cold_period_qp_iterations(self):
+        """The cold period's eight SQP iterations take at most 60 QP
+        iterations in all: a QP iteration moves many bounds at once."""
+        log = sim.run(dataclasses.replace(BUILTIN_SCENARIOS["helix"](), duration=0.1))
+        assert log.linearization[0] == "synchronous:cold" and log.sqp_iters[0] == 8
+        assert log.qp_iters[0] <= 60
+
     def test_line_guidance_errors_converge_below_millirad(self):
         """Plant = prediction model, zero wind, straight line: both guidance
         errors settle below 1e-3 and stay there."""
@@ -350,7 +357,7 @@ class TestTwoPhaseController:
         counts = {"step": 0, "probed_qp": 0, "qp": 0, "qp_in_prepare": 0}
         in_prepare = [False]
         step, prepare = nmpc_solver.NmpcController.step, nmpc_solver.NmpcController.prepare
-        probed, basis = nmpc_solver.solve_box_qp, nmpc_qp._FreeBasis
+        probed, result = nmpc_solver.solve_box_qp, nmpc_qp.QpResult
 
         def step_probe(*args, **kwargs):
             counts["step"] += 1
@@ -367,8 +374,8 @@ class TestTwoPhaseController:
             counts["probed_qp"] += 1
             return probed(*args, **kwargs)
 
-        class CountedBasis(basis):
-            # every solve builds exactly one working-set basis
+        class CountedResult(result):
+            # every solve returns exactly one result
             def __init__(self, *args, **kwargs):
                 counts["qp"] += 1
                 counts["qp_in_prepare"] += in_prepare[0]
@@ -377,7 +384,7 @@ class TestTwoPhaseController:
         monkeypatch.setattr(nmpc_solver.NmpcController, "step", step_probe)
         monkeypatch.setattr(nmpc_solver.NmpcController, "prepare", prepare_probe)
         monkeypatch.setattr(nmpc_solver, "solve_box_qp", qp_probe)
-        monkeypatch.setattr(nmpc_qp, "_FreeBasis", CountedBasis)
+        monkeypatch.setattr(nmpc_qp, "QpResult", CountedResult)
         log = sim.run(dataclasses.replace(BUILTIN_SCENARIOS["helix"](), duration=1.0))
         assert counts["step"] == log.time.size == 11
         assert counts["qp_in_prepare"] == 0
@@ -485,6 +492,15 @@ class TestConfigLoading:
         path.write_text(SCENARIO_YAML.replace("n_steps: 15", "n_steps: 15.0") + "seed: 7\n")
         scenario = cfgio.load_scenario(path)
         assert scenario.ocp.n_steps == 15 and scenario.seed == 7
+
+    def test_cold_start_without_iterations_rejected(self, tmp_path):
+        """`cold_start_sqp_iter: 0` is an error, not one iteration."""
+        with pytest.raises(ValueError, match="cold_start_sqp_iter"):
+            nmpc_ocp.OcpConfig(cold_start_sqp_iter=0)
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML.replace("cold_start_sqp_iter: 2", "cold_start_sqp_iter: 0"))
+        with pytest.raises(cfgio.ConfigError, match="cold_start_sqp_iter"):
+            cfgio.load_scenario(path)
 
     def test_max_sqp_iter_is_not_an_ocp_key(self, tmp_path):
         """A warm period runs one SQP iteration; there is no key to change it."""
