@@ -9,16 +9,29 @@ into one state derivative for the simulation plant, the NMPC prediction
 model and the data generation of `fwnmpc.sysid`, whose two identification
 structures integrate the same rate functions over parameter columns.
 
-The body is written once and evaluated in two elementwise namespaces: under
+The body is written once and evaluated in elementwise namespaces: under
 `numpy` it broadcasts over state and parameter columns (finite-difference
 batches, parameter trials); under `FLOATS` (`math` trig, a float maximum,
-`bool`) it runs on plain floats, which `rk4_step_floats` fuses into one RK4
-step on a list. A single state integrates an order of magnitude faster that
-way than as a one-column array, and the plant, the horizon rollout and the
-sysid data generation all step single states. Each expression keeps the
-form that rounds the same in both namespaces (`v_a * v_a`, not `v_a ** 2`);
-only the power curve's powers may round apart, libm's `pow` on a float
-against numpy's loop on an array.
+`bool`) it runs on plain floats. Each expression keeps the form that rounds
+the same in both (`v_a * v_a`, not `v_a ** 2`); only the power curve's
+powers may round apart, libm's `pow` on a float against numpy's loop on an
+array.
+
+The plant, the horizon rollout and the sysid data generation step single
+states, so the plain-float RK4 step is generated code. At import, the body
+is evaluated once more in a recording namespace whose values are symbols:
+the state, the control and every wind and parameter field. From that record
+`_generate_rk4_floats` emits one straight-line function for the four stages,
+the angle wrap and the finite check, which takes the wind and parameter
+fields as arguments, so it serves every parameter set. It computes the
+float operations of four `FLOATS` evaluations in the same operand order and
+gives their bits: a repeated expression is computed once, a single-use one
+is written inline but never moved across the `|cos gamma|` guard, and a
+stage position nothing reads is dropped. An operation the recorder does not
+know raises at generation. The source holds only names the recorder made,
+float and int literals from the body, whose `repr` reads back as the same
+number, and the body's own error messages; nothing in it comes from
+outside input.
 
 Conventions: NED inertial axes (altitude is -d), all angles in radians,
 angles stored wrapped to (-pi, pi].
@@ -28,7 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from types import ModuleType
+from functools import partial
+from operator import attrgetter
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 
@@ -398,29 +413,210 @@ def derivative(x, u, wind: WindVector, params: ModelParams, xp=np) -> tuple:
             delta_t_dot)
 
 
+# ---------------------------------------------------------------------------
+# The generated plain-float RK4 step. `derivative` is evaluated once more, on
+# symbols in a recording namespace, and the record is emitted as one
+# straight-line function of the coefficient tuple `c` (the wind and parameter
+# fields in `_STEP_GROUPS` order), the state, the control and dt.
+# ---------------------------------------------------------------------------
+
+_STEP_GROUPS = ((None, WindVector), ("closed_loop", ClosedLoopParams),
+                ("open_loop", OpenLoopParams), ("constants", PhysicalConstants))
+_WIND_COEFFICIENTS = attrgetter(*(f.name for f in fields(WindVector)))
+_PARAM_COEFFICIENTS = attrgetter(*(f"{group}.{f.name}" for group, cls in _STEP_GROUPS[1:]
+                                   for f in fields(cls)))
+_N_COEFFICIENTS = sum(len(fields(cls)) for _, cls in _STEP_GROUPS)
+
+
+def _binary(op: str):
+    """The operator `op` and its reflection on symbols, operands in order."""
+    fmt = f"({{}} {op} {{}})"
+    return (lambda a, b: a.rec.record(fmt, a, b)), (lambda a, b: a.rec.record(fmt, b, a))
+
+
+class _Symbol:
+    """A value of the recording namespace: one node of its record. An
+    operation the recorder does not know raises, so a body that uses one
+    cannot be traced into a step that computes something else."""
+
+    __slots__ = ("rec", "node")
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+    __pow__, __rpow__ = _binary("**")
+
+    def __init__(self, rec: "_Recorder", node: int):
+        self.rec, self.node = rec, node
+
+    def __neg__(self):
+        return self.rec.record("(-{})", self)
+
+    def __abs__(self):
+        return self.rec.record("abs({})", self)
+
+    def __lt__(self, other):
+        return self.rec.record("({} < {})", self, other)
+
+    def _unknown(self, *args):
+        raise TypeError("the recording namespace has no such operation")
+
+    __eq__ = __ne__ = __le__ = __gt__ = __ge__ = __bool__ = __float__ = __index__ = _unknown
+    __array_ufunc__ = None     # numpy hands its operators back to the symbol
+
+
+def _literal(value) -> str:
+    """Source text of a constant of the body: a finite float or int, whose
+    `repr` reads back as the same number."""
+    if type(value) not in (float, int) or not math.isfinite(value):
+        raise TypeError(f"the recorder cannot emit the constant {value!r}")
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Recorder:
+    """The recording namespace. Each operation on its symbols appends a node,
+    a format and its operands (node numbers or literal text), unless the
+    same node is already recorded, so an expression the body repeats is one
+    node. Each `any` appends a guard, which is true only at `raise_at`."""
+
+    def __init__(self, raise_at: int | None = None):
+        self.nodes: list[tuple] = []
+        self.known: dict[tuple, int] = {}
+        self.guards: list[int] = []
+        self.raise_at = raise_at
+
+    def record(self, fmt: str, *args) -> _Symbol:
+        key = (fmt, tuple(a.node if isinstance(a, _Symbol) else _literal(a) for a in args))
+        if key not in self.known:
+            self.known[key] = len(self.nodes)
+            self.nodes.append(key)
+        return _Symbol(self, self.known[key])
+
+    def cos(self, a):
+        return self.record("cos({})", a)
+
+    def sin(self, a):
+        return self.record("sin({})", a)
+
+    def maximum(self, a, b):
+        return self.record("({} if {} < {} else {})", b, a, b, a)   # `_float_maximum`
+
+    def any(self, condition: _Symbol) -> bool:
+        self.guards.append(len(self.nodes))
+        self.nodes.append(("guard", (condition.node,)))
+        return len(self.guards) - 1 == self.raise_at
+
+    def __getattr__(self, name):
+        raise TypeError(f"the recording namespace has no `{name}`")
+
+
+def _trace(body, raise_at: int | None = None):
+    """The recorder after `body(x, u, wind, params, xp)` on symbols, and the
+    rates. Nodes 0-11 are the state x0..x11; then come u0..u2 and c0..c26."""
+    rec = _Recorder(raise_at)
+    x = [rec.record(f"x{i}") for i in range(STATE_DIM)]
+    u = [rec.record(f"u{i}") for i in range(CONTROL_DIM)]
+    c = iter([rec.record(f"c{j}") for j in range(_N_COEFFICIENTS)])
+    groups = {group: SimpleNamespace(**{f.name: next(c) for f in fields(cls)})
+              for group, cls in _STEP_GROUPS}
+    wind = groups.pop(None)
+    return rec, [r.node for r in body(x, u, wind, SimpleNamespace(**groups), rec)]
+
+
+def _generate_rk4_floats(body=derivative):
+    """Compile the plain-float RK4 step `(c, x, u, dt) -> list` of `body`.
+
+    The state derivative is written out once per stage: a node used once
+    is inlined into its user unless a guard lies between them, a node used
+    more often or a rate gets a name, and an unused one (a stage's position
+    input) is dropped. The message of each guard comes from tracing the body
+    again with that guard true. The source holds only names made here and
+    literal text from the body.
+    """
+    rec, rates = _trace(body)
+    messages = []
+    for k in range(len(rec.guards)):
+        try:
+            _trace(body, raise_at=k)
+        except ModelDomainError as exc:
+            messages.append(str(exc))
+        else:
+            raise TypeError("a guard of the body raises no ModelDomainError")
+    guard = dict(zip(rec.guards, messages))
+    segment = [sum(g < k for g in rec.guards) for k in range(len(rec.nodes) + 1)]
+    uses, user = [0] * len(rec.nodes), [len(rec.nodes)] * len(rec.nodes)
+    for k, (_, args) in enumerate(rec.nodes):
+        for a in args:
+            if isinstance(a, int):
+                uses[a] += 1
+                user[a] = k
+    for r in rates:
+        uses[r] += 2     # a rate is read by the stage sums, so it is named
+
+    lines = [f"{', '.join(f'c{j}' for j in range(_N_COEFFICIENTS))} = c",
+             f"{', '.join(f'x{i}' for i in range(STATE_DIM))} = x",
+             f"{', '.join(f'u{i}' for i in range(CONTROL_DIM))} = u",
+             "if dt <= 0.0:",
+             "    raise ValueError('integration step dt must be > 0')",
+             "half = 0.5 * dt"]
+
+    def stage(state: list) -> list:
+        text = {}
+        for k, (fmt, args) in enumerate(rec.nodes):
+            if k in guard:
+                lines.append(f"if {text[args[0]]}:")
+                lines.append(f"    raise ModelDomainError({guard[k]!r})")
+                continue
+            if not uses[k]:
+                continue
+            src = state[k] if k < STATE_DIM else fmt.format(
+                *(text[a] if isinstance(a, int) else a for a in args))
+            if src.isidentifier() or (uses[k] == 1 and segment[k] == segment[user[k]]):
+                text[k] = src
+            else:
+                text[k] = f"t{len(lines)}"
+                lines.append(f"{text[k]} = {src}")
+        return [text[r] for r in rates]
+
+    k1 = stage([f"x{i}" for i in range(STATE_DIM)])
+    k2 = stage([f"(x{i} + (half * {k}))" for i, k in enumerate(k1)])
+    k3 = stage([f"(x{i} + (half * {k}))" for i, k in enumerate(k2)])
+    k4 = stage([f"(x{i} + (dt * {k}))" for i, k in enumerate(k3)])
+    lines.append("sixth = dt / 6.0")
+    lines += [f"y{i} = x{i} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+              for i, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))]
+    lines += [f"y{i} = {math.pi!r} - (({math.pi!r} - y{i}) % {TWO_PI!r})" for i in ANGLE_STATES]
+    y = [f"y{i}" for i in range(STATE_DIM)]
+    lines.append(f"if not ({' and '.join(f'isfinite({v})' for v in y)}):")
+    lines.append("    raise ModelDomainError('non-finite state after integration step')")
+    lines.append(f"return [{', '.join(y)}]")
+    source = "def rk4_step(c, x, u, dt):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
+                 "ModelDomainError": ModelDomainError}
+    exec(compile(source, "<generated rk4_step_floats>", "exec"), namespace)
+    return namespace["rk4_step"]
+
+
+_RK4_FLOATS = _generate_rk4_floats()
+
+
 def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float) -> list:
     """One RK4 step of a single state held as a list of floats.
 
-    The stage sums keep the grouping of the array form, `x + (0.5*dt)*k`
-    and `x + (dt/6)*(((k1 + 2k2) + 2k3) + k4)`, so a step gives the same
-    bits as the array-stage scalar step it replaces. `u` is a sequence of
+    Runs the step generated from `derivative`, whose float operations are
+    those of four `FLOATS` evaluations with the stage sums of the array
+    form, `x + (0.5*dt)*k` and `x + (dt/6)*(((k1 + 2k2) + 2k3) + k4)`, so a
+    step gives the bits of the array-stage scalar step. `u` is a sequence of
     three floats.
     """
-    if dt <= 0.0:
-        raise ValueError("integration step dt must be > 0")
-    half = 0.5 * dt
-    k1 = derivative(x, u, wind, params, FLOATS)
-    k2 = derivative([a + half * b for a, b in zip(x, k1)], u, wind, params, FLOATS)
-    k3 = derivative([a + half * b for a, b in zip(x, k2)], u, wind, params, FLOATS)
-    k4 = derivative([a + dt * b for a, b in zip(x, k3)], u, wind, params, FLOATS)
-    sixth = dt / 6.0
-    x_next = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    for idx in ANGLE_STATES:
-        x_next[idx] = math.pi - ((math.pi - x_next[idx]) % TWO_PI)
-    if not all(map(math.isfinite, x_next)):
-        raise ModelDomainError("non-finite state after integration step")
-    return x_next
+    return float_step(wind, params)(x, u, dt)
+
+
+def float_step(wind: WindVector, params: ModelParams):
+    """`rk4_step_floats` with `wind` and `params` bound: `step(x, u, dt)`,
+    for a loop that steps many states under one wind and parameter set."""
+    return partial(_RK4_FLOATS, _WIND_COEFFICIENTS(wind) + _PARAM_COEFFICIENTS(params))
 
 
 def derivative_array(x, u, wind: WindVector, params: ModelParams):

@@ -1,5 +1,7 @@
-"""Multiple-shooting NMPC: path following, airspeed stabilization, soft
-angle-of-attack constraint, box-constrained controls."""
+"""Single-shooting NMPC with condensing: path following, airspeed
+stabilization, soft angle-of-attack constraint, box-constrained controls.
+The controls are the only decision variables; every iteration propagates
+the horizon from the measured state (see `fwnmpc.nmpc.solver`)."""
 
 from fwnmpc.nmpc.ocp import (
     OcpConfig,

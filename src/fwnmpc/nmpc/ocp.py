@@ -241,6 +241,7 @@ def _extend_nodes(rows: list, sw_nodes: list, idx_nodes: list, controls: list,
     """Append one node per control row to the plain-float node lists: the
     switching step at the last node, then one RK4 step."""
     n_seg = len(segments)
+    step = md.float_step(wind, params)
     terms: dict[int, tuple | None] = {}
     x, sw, idx = rows[-1], sw_nodes[-1], idx_nodes[-1]
     for u in controls:
@@ -251,7 +252,7 @@ def _extend_nodes(rows: list, sw_nodes: list, idx_nodes: list, controls: list,
         sw, idx = pth.advance_switch(sw, idx, n_seg,
                                      pth.terminal_conditions_met(segments[idx], conds),
                                      switch_cfg, dt)
-        x = md.rk4_step_floats(x, u, wind, params, dt)
+        x = step(x, u, dt)
         rows.append(x)
         sw_nodes.append(sw)
         idx_nodes.append(idx)

@@ -129,10 +129,14 @@ class AircraftShootingProblem:
     def residuals(self, horizon: ocp.Horizon, controls: np.ndarray) -> np.ndarray:
         """Weighted residual vector, stages then end term, from one output
         pass over the N+1 nodes (node N with zero controls)."""
-        n = self.n
         node_u = np.vstack([controls, np.zeros((1, md.CONTROL_DIM))])
-        raw = ocp.raw_outputs(horizon.states.T, node_u.T, horizon.context,
-                              self.wind, self.params, self.guidance_cfg, self.cfg)
+        return self._weighted(ocp.raw_outputs(horizon.states.T, node_u.T, horizon.context,
+                                              self.wind, self.params, self.guidance_cfg,
+                                              self.cfg))
+
+    def _weighted(self, raw: np.ndarray) -> np.ndarray:
+        """The residual vector of the (R, N+1) raw outputs at the nodes."""
+        n = self.n
         stage_res = self.stage_weight[:, None] * (raw[:, :n] - self.stage_ref[:, None])
         end_res = self.end_weight * (raw[:ocp.N_Y, n] - self.end_ref)
         return np.concatenate([stage_res.T.ravel(), end_res])
@@ -152,7 +156,9 @@ class AircraftShootingProblem:
         """Weighted output Jacobians (C_k wrt state, D_k wrt control) per stage
         plus the end-term state Jacobian, by forward differences with
         wrap-aware angle rows over one batch of the N+1 nodes (node N with
-        zero controls, of which the end term reads the y-rows and states)."""
+        zero controls, of which the end term reads the y-rows and states);
+        and the residual vector at the nodes, from the batch's unperturbed
+        column of each node."""
         n, n_x = self.n, md.STATE_DIM
         node_u = np.vstack([controls, np.zeros((1, md.CONTROL_DIM))])
         (x_batch, u_batch), steps = ocp.fd_batch(horizon.states, node_u)
@@ -161,7 +167,8 @@ class AircraftShootingProblem:
         jac = ocp.fd_jacobians(raw, steps, ocp.ANGLE_OUTPUT_ROWS)
         stage = jac[:n] * self.stage_weight[None, :, None]
         c_end = jac[n, :ocp.N_Y, :n_x] * self.end_weight[:, None]
-        return stage[:, :, :n_x], stage[:, :, n_x:], c_end
+        residual = self._weighted(raw.reshape(raw.shape[0], n + 1, -1)[:, :, 0])
+        return stage[:, :, :n_x], stage[:, :, n_x:], c_end, residual
 
     def bounds(self):
         return self.u_lb, self.u_ub
@@ -322,19 +329,21 @@ def condensed_gradient(a_mat: np.ndarray, b_mat: np.ndarray, c_stage: np.ndarray
 
 
 def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
-              controls: np.ndarray, residual: np.ndarray | None = None) -> Linearization:
+              controls: np.ndarray) -> Linearization:
     """Jacobians, regularized condensed Hessian, QP factor, M and the
-    gradient of `residual` (by default the residual at `horizon`) at
-    `horizon` and `controls`, and s0 and K (`Linearization`). s0 comes from
-    the solve that the QP's first iteration makes, so a QP started from it
-    has the bits of one that is not.
+    gradient at `horizon` and `controls`, and s0 and K (`Linearization`).
+    The gradient's residual is the one `residual_jacobians` evaluates at
+    the unperturbed columns of its batch; the output kernels work column
+    by column, so it has the bits of `residuals`. s0 comes from the solve
+    that the QP's first iteration makes, so a QP started from it has the
+    bits of one that is not.
 
     Raises `NonFiniteLinearizationError`, naming the first shooting node
     with a non-finite Jacobian entry, and `np.linalg.LinAlgError` if the
     QP's starting free block is not positive definite.
     """
     a_mat, b_mat = problem.dynamics_jacobians(horizon, controls)
-    c_stage, d_stage, c_end = problem.residual_jacobians(horizon, controls)
+    c_stage, d_stage, c_end, residual = problem.residual_jacobians(horizon, controls)
     finite = np.empty(a_mat.shape[0] + 1, dtype=bool)
     finite[:-1] = np.logical_and.reduce(
         [np.isfinite(block).all(axis=(1, 2)) for block in (a_mat, b_mat, c_stage, d_stage)])
@@ -350,8 +359,6 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
     u_lb, u_ub = problem.bounds()
     lb, ub = (u_lb - controls).ravel(), (u_ub - controls).ravel()
     factor = prepare_box_qp(h_mat, lb, ub)
-    if residual is None:
-        residual = problem.residuals(horizon, controls)
     gradient = condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     return Linearization(
         controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
@@ -432,7 +439,7 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
                                    lin.c_end, residual)
         first_step = None
     else:
-        lin = linearize(problem, horizon, controls, residual)
+        lin = linearize(problem, horizon, controls)
         g_vec, first_step = lin.gradient, lin.s0
 
     qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor, first_step=first_step)

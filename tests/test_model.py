@@ -1,6 +1,7 @@
 """Tests for the control-augmented flight model and integrator."""
 
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwnmpc import model as m
+from fwnmpc import sim
 from oracles import random_envelope_states, reference_rk4_step
 
 
@@ -432,9 +434,72 @@ class TestRk4Step:
 
 
 class TestRk4StepFloats:
-    """The fused plain-float step against the array-stage scalar RK4 oracle."""
+    """The generated plain-float step against the array-stage scalar RK4
+    oracle."""
 
     WIND = m.WindVector(1.5, -2.0, 0.3)
+
+    @staticmethod
+    def perturbed(params, rng):
+        """`params` with every field of its three groups scaled by a factor
+        in [0.8, 1.2]."""
+        groups = {g.name: getattr(params, g.name) for g in fields(params)}
+        return replace(params, **{
+            name: replace(group, **{f.name: getattr(group, f.name) * rng.uniform(0.8, 1.2)
+                                    for f in fields(group)})
+            for name, group in groups.items()})
+
+    @pytest.mark.parametrize("wind", [
+        m.WindVector(), m.WindVector(-0.0, 0.0, -0.0), m.WindVector(1.5, -2.0, 0.3),
+        m.WindVector(-4.0, -0.0, 0.7),
+    ])
+    def test_bytes_equal_oracle_across_params_and_winds(self, params, wind):
+        """Perturbed parameter sets, and default and perturbed ones with the
+        zero power coefficients of a motor failure, in each wind; the bound
+        step of `float_step` gives the same bytes."""
+        rng = np.random.default_rng(17)
+        sets = [self.perturbed(params, rng) for _ in range(12)]
+        sets += [sim._zero_thrust(params), sim._zero_thrust(sets[0])]
+        assert all(getattr(p, g.name) != getattr(params, g.name)
+                   for p in sets[:12] for g in fields(params))
+        states = random_envelope_states(rng, 8 * len(sets))
+        controls = np.column_stack([rng.uniform(0.0, 1.0, len(states)),
+                                    rng.uniform(-0.5, 0.5, len(states)),
+                                    rng.uniform(-0.25, 0.25, len(states))])
+        for i, (x, u) in enumerate(zip(states, controls)):
+            p = sets[i % len(sets)]
+            expected = reference_rk4_step(x, u, wind, p, 0.1).tobytes()
+            assert np.array(m.rk4_step_floats(x.tolist(), u.tolist(), wind, p, 0.1)).tobytes() \
+                == expected
+            assert np.array(m.float_step(wind, p)(x.tolist(), u.tolist(), 0.1)).tobytes() \
+                == expected
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, params, trim, dt):
+        x, u = trim.state().as_array().tolist(), trim.control().as_array().tolist()
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            m.rk4_step_floats(x, u, self.WIND, params, dt)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            m.float_step(self.WIND, params)(x, u, dt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rate, xp: xp.tan(rate),              # a function the namespace lacks
+        lambda rate, xp: rate % 1.0,                # an operator the recorder lacks
+        lambda rate, xp: rate if rate > 0.0 else -rate,   # a branch on a value
+        lambda rate, xp: math.exp(rate),            # a function outside the namespace
+        lambda rate, xp: np.float64(2.0) * rate,    # a constant that is no float
+        lambda rate, xp: -rate if xp.any(rate < 0.0) else rate,   # a guard that returns
+    ])
+    def test_generation_refuses_an_unknown_operation(self, edit):
+        """A body using an operation the recorder does not know cannot be
+        traced: generation raises instead of emitting some other step."""
+        def body(x, u, wind, params, xp=np):
+            rates = list(m.derivative(x, u, wind, params, xp))
+            rates[m.IDX_P] = edit(rates[m.IDX_P], xp)
+            return tuple(rates)
+
+        with pytest.raises(TypeError):
+            m._generate_rk4_floats(body)
 
     def test_bytes_equal_oracle_on_random_states(self, params):
         rng = np.random.default_rng(7)

@@ -815,15 +815,19 @@ class TestShiftHorizon:
 
 class TestOnePassOutputs:
     """`residuals` and `residual_jacobians` evaluate the N+1 nodes in one
-    `raw_outputs` call, and equal the two-pass references bit for bit."""
+    `raw_outputs` call, and equal the two-pass references bit for bit; the
+    residual that `residual_jacobians` reads from its batch has the bits of
+    `residuals`."""
 
     @staticmethod
     def assert_bytes_equal_reference(problem, horizon, controls):
         residual = problem.residuals(horizon, controls)
         assert residual.tobytes() == reference_residuals(problem, horizon, controls).tobytes()
-        blocks = problem.residual_jacobians(horizon, controls)
-        for got, want in zip(blocks, reference_residual_jacobians(problem, horizon, controls)):
+        *blocks, at_nodes = problem.residual_jacobians(horizon, controls)
+        for got, want in zip(blocks, reference_residual_jacobians(problem, horizon, controls),
+                             strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert at_nodes.tobytes() == residual.tobytes()
 
     def test_helix_horizon_with_near_axis_node(self, params, refs, trim):
         """Node 5 lies exactly on the axis of a descending helix."""
@@ -1099,8 +1103,8 @@ class TestController:
             jacobians = solver.AircraftShootingProblem.residual_jacobians
 
             def broken(problem, horizon, controls):
-                c_stage, d_stage, c_end = jacobians(problem, horizon, controls)
-                return c_stage, d_stage, np.full_like(c_end, np.nan)
+                c_stage, d_stage, c_end, residual = jacobians(problem, horizon, controls)
+                return c_stage, d_stage, np.full_like(c_end, np.nan), residual
         else:
             def broken(*args, **kwargs):
                 raise error("injected")
