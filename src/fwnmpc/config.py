@@ -84,26 +84,31 @@ def load_model_params(source) -> md.ModelParams:
     )
 
 
+_SEGMENT_KEYS = {"line": ("type", "b", "chi_p_deg", "gamma_p_deg"),
+                 "arc": ("type", "c", "r_signed", "chi_p_deg", "gamma_p_deg"),
+                 "loiter": ("type", "c", "r_signed")}
+
+
 def _load_segment(node: dict, index: int) -> pth.PathSegment:
     where = f"segments[{index}]"
     node = _require_mapping(node, where)
     kind = node.get("type")
-    if kind == "line":
-        _check_keys(node, ("type", "b", "chi_p_deg", "gamma_p_deg"), where)
-        return pth.LineSegment(b=np.asarray(node["b"], dtype=float),
-                               chi_p=np.radians(float(node["chi_p_deg"])),
-                               gamma_p=np.radians(float(node.get("gamma_p_deg", 0.0))))
-    if kind == "arc":
-        _check_keys(node, ("type", "c", "r_signed", "chi_p_deg", "gamma_p_deg"), where)
-        return pth.ArcSegment(c=np.asarray(node["c"], dtype=float),
-                              r_signed=float(node["r_signed"]),
-                              chi_p=np.radians(float(node["chi_p_deg"])),
-                              gamma_p=np.radians(float(node.get("gamma_p_deg", 0.0))))
-    if kind == "loiter":
-        _check_keys(node, ("type", "c", "r_signed"), where)
-        return pth.LoiterSegment(c=np.asarray(node["c"], dtype=float),
-                                 r_signed=float(node["r_signed"]))
-    raise ConfigError(f"{where}: segment type must be line, arc, or loiter")
+    if kind not in _SEGMENT_KEYS:
+        raise ConfigError(f"{where}: segment type must be line, arc, or loiter")
+    _check_keys(node, _SEGMENT_KEYS[kind], where)
+    try:
+        if kind == "line":
+            return pth.LineSegment(b=node["b"], chi_p=np.radians(float(node["chi_p_deg"])),
+                                   gamma_p=np.radians(float(node.get("gamma_p_deg", 0.0))))
+        if kind == "arc":
+            return pth.ArcSegment(c=node["c"], r_signed=float(node["r_signed"]),
+                                  chi_p=np.radians(float(node["chi_p_deg"])),
+                                  gamma_p=np.radians(float(node.get("gamma_p_deg", 0.0))))
+        return pth.LoiterSegment(c=node["c"], r_signed=float(node["r_signed"]))
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing required key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 _OCP_DEG_FIELDS = {"phi_ref_max_deg": "phi_ref_max", "theta_ref_max_deg": "theta_ref_max",
@@ -164,6 +169,8 @@ def load_scenario(source) -> Scenario:
         if key not in node:
             raise ConfigError(f"scenario: missing required key {key!r}")
 
+    if not isinstance(node["segments"], list):
+        raise ConfigError("segments: expected a list of segments")
     segments = tuple(_load_segment(seg, i) for i, seg in enumerate(node["segments"]))
     if not segments:
         raise ConfigError("scenario: segments list is empty")

@@ -13,20 +13,21 @@ forming the condensed Jacobian J; g = J^T r takes one O(N) adjoint pass.
 A warm controller period runs as a real-time iteration (Diehl, Bock and
 Schloeder 2005) in two phases. The preparation phase, `NmpcController.prepare`,
 runs between periods: it shifts the last accepted horizon by one node and
-builds a `Linearization` there: the Jacobians, H, the QP factor, and the
-gradient and M = J_u^T J_x0 at the shifted node 0, the prediction x_pred,
-and the QP's first Newton step there, s0 + K (x_meas - x_pred).
+builds a `Linearization` there: H, the QP factor, and the gradient and
+M = J_u^T J_x0 at the shifted node 0, the prediction x_pred, and the QP's
+first Newton step there, s0 + K (x_meas - x_pred).
 The feedback phase, `step`, embeds the measurement (initial-value
 embedding): it solves the prepared QP for g = gradient + M (x_meas - x_pred)
 from that first step and sends the full step's first control, with no
-rollout. The next preparation runs that period's line search, node 0 held
-at the control sent. A period whose measurement is off the prediction, or
-that follows a line search that halved, takes the rollout feedback instead:
-g from a rollout from the measurement, the prepared QP and the line search.
-If the rollout lands on another discrete context (segment index or helix
-leg), or the weights or wind changed, it linearizes synchronously; so does a
-cold start. A period in which a QP stops at its iteration limit keeps its
-controls and is flagged degraded.
+rollout. Every warm period with a preparation for its weights and wind
+embeds. The next preparation runs that period's line search from the
+measurement with node 0 held at the control sent; its baseline is the warm
+plan with the same node 0, which it keeps if every step length raises the
+objective, so the objective never increases. A cold start, a period without
+a usable preparation, and one whose weights or wind changed roll out from
+the measurement instead and linearize there (`sqp_iterate`). A period in
+which a QP stops at its iteration limit keeps its controls and is flagged
+degraded.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from fwnmpc.nmpc.qp import QpFactor, first_newton_step, prepare_box_qp, solve_bo
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
 _REG = 1e-8          # added to H's diagonal before the QP
-# largest max|x_meas - x_pred| (angle rows wrapped) that a period embeds into
-# the prepared linearization; a larger one takes the rollout path
-_EMBED_MAX_DX0 = 0.05
 _ANGLE_ROWS = np.array(md.ANGLE_STATES)
 
 
@@ -75,16 +73,11 @@ class OcpSolution:
     # (np.linalg.LinAlgError), "domain" (any other md.ModelDomainError) or
     # "floating_point" (FloatingPointError); "" if it did not degrade
     degraded_reason: str = ""
-    # "prepared", or "synchronous:<cause>" with a cause of "cold" (no warm
-    # start), "not_prepared" (no `prepare` since the last step),
-    # "context_changed" (the rollout's segment index or helix leg differs from
-    # the prepared one), "weights_changed" (the weights or the wind differ) or
-    # "prepare_failed" (`prepare` raised); for a degraded period, the
-    # linearization the period was offered
-    linearization: str = ""
-    # "embedded", or "rollout:<cause>" with a cause of "no_preparation",
-    # "after_halving", "weights_changed", "queue_changed" or "dx0_over_bound"
-    # (see `NmpcController`)
+    # "embedded", or "rollout:<cause>" with a cause of "cold" (no warm start),
+    # "not_prepared" (no `prepare` since the last step), "prepare_failed"
+    # (`prepare` raised) or "weights_changed" (the weights or the wind differ
+    # from the preparation's); a rollout linearizes at the rollout from the
+    # measurement (see `NmpcController`)
     feedback: str = ""
     wall_time_s: float = 0.0      # feedback latency: measurement in, control out
     axis_nodes: int = 0           # near-axis arc/loiter nodes of the final horizon
@@ -177,10 +170,9 @@ class AircraftShootingProblem:
 @dataclass(frozen=True)
 class Linearization:
     """The part of one Gauss-Newton iteration that the measured state does
-    not enter: the stage Jacobians at a horizon and its controls, the
-    condensed Hessian H plus the regularization, and the QP's box with the
-    factor of its starting free block; with the discrete context, weights
-    and wind it holds for.
+    not enter, at a horizon and its controls: the condensed Hessian H plus
+    the regularization, and the QP's box with the factor of its starting
+    free block; with the segment index, weights and wind it holds for.
     It also holds the gradient at the horizon's own initial state x0 and M,
     so that g = gradient + M (x_0 - x0) to first order, and the QP's first
     Newton step for that g, s0 + K (x_0 - x0): -H_FF^-1 g_F on its starting
@@ -188,11 +180,6 @@ class Linearization:
     """
 
     controls: np.ndarray          # (N, 3) linearization point
-    a_mat: np.ndarray             # (N, 12, 12)
-    b_mat: np.ndarray             # (N, 12, 3)
-    c_stage: np.ndarray           # (N, 11, 12), weighted
-    d_stage: np.ndarray           # (N, 11, 3), weighted
-    c_end: np.ndarray             # (7, 12), weighted
     h_mat: np.ndarray             # (3N, 3N)
     lb: np.ndarray                # (3N,) the QP's box: the control bounds less `controls`
     ub: np.ndarray                # (3N,)
@@ -202,9 +189,7 @@ class Linearization:
     s0: np.ndarray                # (3N,) the QP's first Newton step for `gradient`
     k_mat: np.ndarray             # (3N, 12) its change per unit change of x0
     x0: np.ndarray                # (12,) the horizon's node 0
-    x_sw0: float                  # the horizon's switching state at node 0
     seg_index: np.ndarray         # (N+1,) segment index per node
-    leg: np.ndarray               # (N+1,) frozen helix leg per node
     stage_weight: np.ndarray
     end_weight: np.ndarray
     wind: md.WindVector
@@ -224,7 +209,6 @@ class SqpIterationResult:
     qp_iters: int
     halvings: int
     accepted: bool
-    linearization: str            # "prepared" or "synchronous:<cause>"
 
 
 def condensed_normal_equations(a_mat: np.ndarray, b_mat: np.ndarray,
@@ -361,12 +345,10 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
     factor = prepare_box_qp(h_mat, lb, ub)
     gradient = condensed_gradient(a_mat, b_mat, c_stage, d_stage, c_end, residual)
     return Linearization(
-        controls=controls, a_mat=a_mat, b_mat=b_mat, c_stage=c_stage, d_stage=d_stage,
-        c_end=c_end, h_mat=h_mat, lb=lb, ub=ub, factor=factor, gradient=gradient, m_mat=m_mat,
-        s0=first_newton_step(h_mat, gradient, lb, ub, factor), k_mat=factor.newton_step(m_mat),
-        x0=horizon.states[0], x_sw0=float(horizon.x_sw[0]), seg_index=horizon.seg_index,
-        leg=horizon.context.leg, stage_weight=problem.stage_weight,
-        end_weight=problem.end_weight, wind=problem.wind)
+        controls=controls, h_mat=h_mat, lb=lb, ub=ub, factor=factor, gradient=gradient,
+        m_mat=m_mat, s0=first_newton_step(h_mat, gradient, lb, ub, factor),
+        k_mat=factor.newton_step(m_mat), x0=horizon.states[0], seg_index=horizon.seg_index,
+        stage_weight=problem.stage_weight, end_weight=problem.end_weight, wind=problem.wind)
 
 
 def _same_weights(prepared: Linearization, problem: AircraftShootingProblem) -> bool:
@@ -375,86 +357,49 @@ def _same_weights(prepared: Linearization, problem: AircraftShootingProblem) -> 
             and prepared.wind == problem.wind)
 
 
-def _unusable(prepared: Linearization | None, problem: AircraftShootingProblem,
-              horizon: ocp.Horizon) -> str | None:
-    """Why `prepared` cannot serve the iteration at `horizon`, or None."""
-    if prepared is None:
-        return "not_prepared"
-    if not (np.array_equal(prepared.seg_index, horizon.seg_index)
-            and np.array_equal(prepared.leg, horizon.context.leg)):
-        return "context_changed"
-    if not _same_weights(prepared, problem):
-        return "weights_changed"
-    return None
-
-
-def _line_search(problem: AircraftShootingProblem, x0: np.ndarray, controls: np.ndarray,
-                 delta: np.ndarray, obj0: float, held: np.ndarray | None = None):
-    """Full step, halving on objective increase: (controls, horizon,
-    residual, objective) of the first candidate clip(controls + alpha delta),
-    alpha = 1, 1/2, ..., with node 0 set to `held` if given, whose rollout
-    from `x0` does not raise the objective over `obj0`, else of the last
-    one; and the halvings, _MAX_HALVINGS + 1 when none was accepted."""
+def _line_search(problem: AircraftShootingProblem, x0: np.ndarray, delta: np.ndarray,
+                 base: tuple):
+    """Full step, halving on objective increase, from the baseline `base`,
+    the (controls, horizon, residual, objective) of a rollout from `x0`:
+    that tuple of the first candidate clip(controls + alpha delta),
+    alpha = 1, 1/2, ..., whose rollout from `x0` does not raise the
+    objective over the baseline's, else `base` itself; and the halvings,
+    _MAX_HALVINGS + 1 when none was accepted."""
+    controls, obj0 = base[0], base[3]
     u_lb, u_ub = problem.bounds()
     for halvings in range(_MAX_HALVINGS + 1):
         cand_u = np.clip(controls + 0.5 ** halvings * delta, u_lb, u_ub)
-        if held is not None:
-            cand_u[0] = held
         cand_h = problem.rollout(x0, cand_u)
         cand_r = problem.residuals(cand_h, cand_u)
         cand_obj = problem.objective(cand_r)
         if cand_obj <= obj0 * (1.0 + _OBJ_SLACK) + _OBJ_SLACK:
-            break
-    else:
-        halvings = _MAX_HALVINGS + 1
-    return (cand_u, cand_h, cand_r, cand_obj), halvings
+            return (cand_u, cand_h, cand_r, cand_obj), halvings
+    return base, _MAX_HALVINGS + 1
 
 
 def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
                 controls: np.ndarray, horizon: ocp.Horizon | None = None,
-                residual: np.ndarray | None = None,
-                prepared: Linearization | None = None) -> SqpIterationResult:
-    """One Gauss-Newton iteration with condensing and box-constrained QP.
-
-    `prepared`, a `linearize` result at these `controls`, stands in for the
-    linearization at the rollout from `x0` when the rollout has the same
-    segment index and helix leg at every node and the problem the same
-    weights and wind; otherwise the iteration linearizes synchronously,
-    and its QP starts from the linearization's first Newton step. Either
-    way g comes from the rollout's residual. Raises `ValueError` if
-    `prepared` holds other controls.
-    """
-    if prepared is not None and not np.array_equal(prepared.controls, controls):
-        raise ValueError("the prepared linearization holds other controls")
+                residual: np.ndarray | None = None) -> SqpIterationResult:
+    """One Gauss-Newton iteration with condensing and box-constrained QP,
+    linearized at the rollout from `x0` (`horizon` and `residual`, if
+    given, are that rollout's); its QP starts from the linearization's
+    first Newton step."""
     if horizon is None:
         horizon = problem.rollout(x0, controls)
     if residual is None:
         residual = problem.residuals(horizon, controls)
     obj0 = problem.objective(residual)
-
-    cause = _unusable(prepared, problem, horizon)
-    if cause is None:
-        lin = prepared
-        g_vec = condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage, lin.d_stage,
-                                   lin.c_end, residual)
-        first_step = None
-    else:
-        lin = linearize(problem, horizon, controls)
-        g_vec, first_step = lin.gradient, lin.s0
-
-    qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor, first_step=first_step)
+    lin = linearize(problem, horizon, controls)
+    qp = solve_box_qp(lin.h_mat, lin.gradient, lin.lb, lin.ub, factor=lin.factor,
+                      first_step=lin.s0)
     delta = qp.x.reshape(controls.shape)
-    step_norm = float(np.max(np.abs(delta), initial=0.0))
-
-    best, halvings = _line_search(problem, x0, controls, delta, obj0)
-    accepted = halvings <= _MAX_HALVINGS
-    u_new, h_new, r_new, obj_new = best if accepted else (controls, horizon, residual, obj0)
+    (u_new, h_new, r_new, obj_new), halvings = _line_search(
+        problem, x0, delta, (controls, horizon, residual, obj0))
     return SqpIterationResult(
         controls=u_new, horizon=h_new, residual=r_new, objective=obj_new,
-        objective_before=obj0, step_norm=step_norm, kkt_residual=qp.kkt_residual,
-        qp_status=qp.status, qp_active_set=qp.n_active, qp_iters=qp.n_iter,
-        halvings=halvings, accepted=accepted,
-        linearization="prepared" if cause is None else f"synchronous:{cause}")
+        objective_before=obj0, step_norm=float(np.max(np.abs(delta), initial=0.0)),
+        kkt_residual=qp.kkt_residual, qp_status=qp.status, qp_active_set=qp.n_active,
+        qp_iters=qp.n_iter, halvings=halvings, accepted=halvings <= _MAX_HALVINGS)
 
 
 def apply_throttle_failure_weight(weights: ocp.Weights,
@@ -471,20 +416,18 @@ class NmpcController:
     period (the real-time iteration).
 
     One `step` per controller period, and optionally one `prepare` between
-    a step and the next; not reentrant. Without `prepare`, every period
-    linearizes synchronously. After `prepare`, a period is embedded
-    (`feedback` "embedded") when the queue's segment index and x_sw equal
-    the prediction's node 0, the weights and wind are unchanged and
-    max|dx0| <= `_EMBED_MAX_DX0`, angle rows wrapped; its line search waits
-    for the next `prepare`, or for `settle` after the last period, which
-    return the period's completed solution. Any other warm period rolls out
-    from the measurement (`sqp_iterate`), with `feedback`
-    "rollout:<cause>": "dx0_over_bound", "queue_changed", "weights_changed",
-    "after_halving" (the last period's line search halved) or
-    "no_preparation". All functions below the session are pure, so the
-    object may be moved between threads between calls. `weights` may be
-    replaced between periods, and the new object is read from the next
-    period on; it must not be changed in place.
+    a step and the next; not reentrant. After `prepare`, a warm period with
+    the same weights and wind is embedded (`feedback` "embedded"), however
+    far the measurement lies from the prediction (dx0, angle rows wrapped)
+    and whatever the queue's switching state; its line search waits for the
+    next `prepare`, or for `settle` after the last period, which return the
+    period's completed solution. Any other period rolls out from the
+    measurement and linearizes there (`sqp_iterate`), with `feedback`
+    "rollout:<cause>": "cold", "not_prepared", "prepare_failed" or
+    "weights_changed"; without `prepare`, every period does. All functions
+    below the session are pure, so the object may be moved between threads
+    between calls. `weights` may be replaced between periods, and the new
+    object is read from the next period on; it must not be changed in place.
     """
 
     def __init__(self, params: md.ModelParams, cfg: ocp.OcpConfig,
@@ -510,10 +453,8 @@ class NmpcController:
         self._last_horizon: tuple | None = None
         self._prepared: Linearization | None = None
         self._prepare_failed = False
-        # an embedded period awaiting its line search, and whether the last
-        # such line search halved
+        # an embedded period awaiting its line search
         self._pending: tuple | None = None
-        self._halved = False
 
     def _problem(self, queue: pth.PathQueue, wind: md.WindVector) -> AircraftShootingProblem:
         """The period's problem, a shallow copy that shares its weight,
@@ -538,8 +479,8 @@ class NmpcController:
         Returns `settle()`, then shifts the last accepted horizon by one node
         with the controls the next warm start uses, and linearizes there
         (`linearize`). Prepares nothing before the first successful step. A
-        failure is kept, not raised: the next step then linearizes
-        synchronously.
+        failure is kept, not raised: the next step then rolls out
+        ("rollout:prepare_failed").
         """
         self._prepared = None
         self._prepare_failed = False
@@ -558,10 +499,13 @@ class NmpcController:
         return done
 
     def settle(self) -> OcpSolution | None:
-        """The deferred line search of the last period, if it was embedded:
-        `objective_before` from its warm controls, then `_line_search` with
-        node 0 held at the control sent, both rolled out from its
-        measurement. The accepted horizon is the one `prepare` shifts.
+        """The deferred line search of the last period, if it was embedded,
+        rolled out from its measurement. Its baseline (`objective_before`)
+        is the warm plan with node 0 held at the control sent; the step on
+        nodes 1..N-1 is halved on objective increase (`_line_search`), and
+        the baseline is kept if every length raises the objective, so the
+        objective never increases. The accepted horizon is the one `prepare`
+        shifts.
 
         Returns a new solution of that period with the line search's states,
         controls, objectives and halvings (the one `step` returned is left
@@ -570,19 +514,19 @@ class NmpcController:
         """
         if self._pending is None:
             return None
-        problem, x0, controls, delta, sent = self._pending
+        problem, x0, held, delta, sent = self._pending
         self._pending = None
         try:
-            horizon = problem.rollout(x0, controls)
-            obj0 = problem.objective(problem.residuals(horizon, controls))
+            horizon = problem.rollout(x0, held)
+            residual = problem.residuals(horizon, held)
+            obj0 = problem.objective(residual)
             (u_new, h_new, _, obj), halvings = _line_search(
-                problem, x0, controls, delta, obj0, held=sent.controls[0])
+                problem, x0, delta, (held, horizon, residual, obj0))
         except (md.ModelDomainError, FloatingPointError) as exc:
             self._last_horizon = None
             self._prepare_failed = True
             done = replace(sent, degraded=True, degraded_reason=_degraded_reason(exc))
         else:
-            self._halved = halvings > 0
             self._controls = u_new
             self._last_horizon = (h_new, problem.queue, problem.wind)
             done = replace(sent, states=h_new.states, controls=u_new,
@@ -604,52 +548,52 @@ class NmpcController:
         x0 = measured.as_array()
         problem = self._problem(queue, wind)
         prepared, self._prepared = self._prepared, None
-        after_halving, self._halved = self._halved, False
         prepare_failed, self._prepare_failed = self._prepare_failed, False
-
-        if prepared is None:
-            cause = ("cold" if self._controls is None
-                     else "prepare_failed" if prepare_failed else "not_prepared")
-            offered = f"synchronous:{cause}"
-            feedback = "rollout:no_preparation"
+        if self._controls is None:
+            cause = "cold"
+        elif prepared is None:
+            cause = "prepare_failed" if prepare_failed else "not_prepared"
+        elif not _same_weights(prepared, problem):
+            cause = "weights_changed"
         else:
-            offered = "prepared"
-            dx0 = x0 - prepared.x0
-            dx0[_ANGLE_ROWS] = md.wrap_angle(dx0[_ANGLE_ROWS])
-            feedback = _feedback_path(prepared, problem, queue, dx0, after_halving)
+            cause = None
+        feedback = "embedded" if cause is None else f"rollout:{cause}"
 
         try:
-            if feedback == "embedded":
-                solution = self._embed(problem, x0, prepared, dx0)
+            if cause is None:
+                solution = self._embed(problem, x0, prepared)
             else:
-                solution, horizon = self._solve(problem, x0, prepared)
+                solution, horizon = self._solve(problem, x0)
         except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            solution = self._degraded_solution(_degraded_reason(exc), offered)
+            solution = self._degraded_solution(_degraded_reason(exc))
             solution.feedback = feedback
             solution.wall_time_s = time.perf_counter() - t_start
             return self._last_control, solution
 
-        if prepared is None:
-            solution.linearization = offered
         solution.feedback = feedback
         solution.wall_time_s = time.perf_counter() - t_start
         self._controls = solution.controls
-        if feedback != "embedded":
+        if cause is not None:
             self._last_horizon = (horizon, queue, wind)
-            self._halved = solution.halvings > 0
         self._last_control = md.ControlInput.from_array(solution.controls[0])
         self._last_solution = solution
         return self._last_control, solution
 
-    def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray, lin: Linearization,
-               dx0: np.ndarray) -> OcpSolution:
-        """The embedded feedback: g = gradient + M dx0, the prepared QP on
-        the prepared box from its first step s0 + K dx0, and the full step,
-        whose line search waits for `settle`. When the first step stays in
-        the box, the QP takes it as it is and its second iteration ends the
-        solve at the KKT check, without a solve, so the QP costs one product
-        with H and that check. Until `settle` the solution's states, x_sw
-        and objectives are NaN."""
+    def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray,
+               lin: Linearization) -> OcpSolution:
+        """The embedded feedback: g = gradient + M dx0 for the measurement's
+        offset dx0 from the prediction, angle rows wrapped, the prepared QP
+        on the prepared box from its first step s0 + K dx0, and the full
+        step, whose line search waits for `settle`. When the first step
+        stays in the box, the QP takes it as it is and its second iteration
+        ends the solve at the KKT check, without a solve, so the QP costs
+        one product with H and that check. Until `settle` the solution's
+        states, x_sw and objectives are NaN. A non-finite measurement raises
+        `md.ModelDomainError`, as its rollout would."""
+        dx0 = x0 - lin.x0
+        if not np.all(np.isfinite(dx0)):
+            raise md.ModelDomainError("non-finite measured state")
+        dx0[_ANGLE_ROWS] = md.wrap_angle(dx0[_ANGLE_ROWS])
         # einsum: a fixed-order product, so the bits do not follow the BLAS threads
         g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
         first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
@@ -667,16 +611,20 @@ class NmpcController:
             objective=float("nan"), objective_before=float("nan"),
             kkt_residual=qp.kkt_residual, qp_status=qp.status, qp_active_set=qp.n_active,
             sqp_iters=1, qp_iters=qp.n_iter, halvings=0, obj_nonincrease_ok=True,
-            degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
-            linearization="prepared")
-        self._pending = (problem, x0, lin.controls, delta, solution)
+            degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "")
+        # the deferred line search's baseline and step: node 0 held at the
+        # control sent
+        held = lin.controls.copy()
+        held[0] = plan[0]
+        delta = delta.copy()
+        delta[0] = 0.0
+        self._pending = (problem, x0, held, delta, solution)
         return solution
 
-    def _solve(self, problem: AircraftShootingProblem, x0: np.ndarray,
-               prepared: Linearization | None):
+    def _solve(self, problem: AircraftShootingProblem, x0: np.ndarray):
         """The period's SQP iterations, from the trim controls on a cold
-        start and from `_warm_controls` otherwise; the first one may use
-        `prepared`. Returns the solution and its final horizon."""
+        start and from `_warm_controls` otherwise. Returns the solution and
+        its final horizon."""
         if self._controls is None:
             controls = np.clip(np.tile(self._trim_control, (self.cfg.n_steps, 1)),
                                *problem.bounds())
@@ -694,9 +642,7 @@ class NmpcController:
         qp_iters = 0
         halvings = 0
         for _ in range(n_iter):
-            result = sqp_iterate(problem, x0, controls, horizon=horizon,
-                                 residual=residual, prepared=prepared)
-            prepared = None
+            result = sqp_iterate(problem, x0, controls, horizon=horizon, residual=residual)
             iters_run += 1
             qp_iters += result.qp_iters
             halvings += result.halvings
@@ -720,10 +666,10 @@ class NmpcController:
             qp_active_set=result.qp_active_set, sqp_iters=iters_run, qp_iters=qp_iters,
             halvings=halvings, obj_nonincrease_ok=bool(nonincrease_ok),
             degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
-            linearization=first.linearization, axis_nodes=horizon.axis_nodes)
+            axis_nodes=horizon.axis_nodes)
         return solution, horizon
 
-    def _degraded_solution(self, reason: str, linearization: str) -> OcpSolution:
+    def _degraded_solution(self, reason: str) -> OcpSolution:
         n = self.cfg.n_steps
         if self._last_solution is not None:
             sol = replace(self._last_solution)
@@ -738,29 +684,12 @@ class NmpcController:
         sol.qp_iters = 0
         sol.degraded = True
         sol.degraded_reason = reason
-        sol.linearization = linearization
         return sol
 
 
 def _nonincrease(objective: float, objective_before: float) -> bool:
     """`OcpSolution.obj_nonincrease_ok` of one iteration."""
     return bool(objective <= objective_before * (1.0 + 1e-9) + 1e-9)
-
-
-def _feedback_path(prepared: Linearization, problem: AircraftShootingProblem,
-                   queue: pth.PathQueue, dx0: np.ndarray, after_halving: bool) -> str:
-    """`OcpSolution.feedback` of a period offered `prepared` whose
-    measurement lies `dx0` from the prediction's node 0: the first cause
-    that holds, in this order, or "embedded"."""
-    if after_halving:
-        return "rollout:after_halving"
-    if not _same_weights(prepared, problem):
-        return "rollout:weights_changed"
-    if (queue.current_index, queue.x_sw) != (prepared.seg_index[0], prepared.x_sw0):
-        return "rollout:queue_changed"
-    if not np.max(np.abs(dx0)) <= _EMBED_MAX_DX0:    # NaN: over
-        return "rollout:dx0_over_bound"
-    return "embedded"
 
 
 def _degraded_reason(exc: Exception) -> str:

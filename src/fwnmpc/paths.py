@@ -36,7 +36,7 @@ class LineSegment:
     gamma_p: float         # elevation angle (rad), |gamma_p| < pi/2
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "b", _point(self.b, "terminal point b"))
         _check_elevation(self.gamma_p)
 
 
@@ -50,7 +50,7 @@ class ArcSegment:
     gamma_p: float         # elevation angle (rad), |gamma_p| < pi/2
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "c", _point(self.c, "center c"))
         if self.r_signed == 0.0:
             raise ValueError("arc radius must be nonzero")
         _check_elevation(self.gamma_p)
@@ -64,12 +64,19 @@ class LoiterSegment:
     r_signed: float        # radius (m); sign sets direction (+ clockwise)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "c", _point(self.c, "center c"))
         if self.r_signed == 0.0:
             raise ValueError("loiter radius must be nonzero")
 
 
 PathSegment = Union[LineSegment, ArcSegment, LoiterSegment]
+
+
+def _point(value, name: str) -> np.ndarray:
+    point = np.asarray(value, dtype=float)
+    if point.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector (NED), got shape {point.shape}")
+    return point
 
 
 def _check_elevation(gamma_p: float) -> None:

@@ -126,9 +126,8 @@ class SimLog:
     # wall time of the preparation phase after each period, NaN where none
     # ran (after the last period); report-only, never in CSV
     prep_time_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # `OcpSolution.linearization`, `.feedback` and `.degraded_reason` per
-    # period; report-only, never in CSV
-    linearization: tuple = ()
+    # `OcpSolution.feedback` and `.degraded_reason` per period; report-only,
+    # never in CSV
     degraded_reason: tuple = ()
     feedback: tuple = ()
     # why the run stopped; report-only, never in CSV
@@ -298,7 +297,6 @@ def run(scenario: Scenario) -> SimLog:
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
         qp_iters=np.array([r[7].qp_iters for r in rows], dtype=int),
         prep_time_s=np.array(prep_times),
-        linearization=tuple(r[7].linearization for r in rows),
         feedback=tuple(r[7].feedback for r in rows),
         degraded_reason=tuple(r[7].degraded_reason for r in rows),
         end_reason=end_reason,
@@ -400,8 +398,6 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
     """Human-readable run summary: settled stats, solver timing, events."""
     stats = settled_error_stats(log, settle_time=settle_time)
     wall_ms = 1e3 * log.wall_time_s
-    synchronous = [lin.split(":", 1)[1] for lin in log.linearization
-                   if lin.startswith("synchronous:")]
     rollouts = [path.split(":", 1)[1] for path in log.feedback if path.startswith("rollout:")]
     degraded = int(np.count_nonzero(log.degraded))
     reasons = [r for r, d in zip(log.degraded_reason, log.degraded) if d]
@@ -421,8 +417,6 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f"  p90 {np.percentile(wall_ms, 90):.1f}  p99 {np.percentile(wall_ms, 99):.1f}"
         f"  max {np.max(wall_ms):.1f}",
         f"preparation phase per period (ms): {_percentiles_ms(log.prep_time_s)}",
-        f"synchronous linearizations: {len(synchronous)} of {log.time.shape[0]} periods"
-        + (f" ({_counted(synchronous)})" if synchronous else ""),
         f"embedded feedback: {log.feedback.count('embedded')} of {log.time.shape[0]} periods;"
         f" rollout feedback: {len(rollouts)}"
         + (f" ({_counted(rollouts)})" if rollouts else ""),

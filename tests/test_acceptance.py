@@ -139,6 +139,25 @@ class TestCriterion4SolverTiming:
               f" ({verdict_40} <50 ms target)")
 
 
+class TestOneFeedbackPath:
+    def test_rollouts_only_where_no_preparation_fits(self, helix_run, dubins_run,
+                                                     motor_run):
+        """Every warm period embeds, except motor_failure's two periods whose
+        throttle weight changed at an event."""
+        motor_log = motor_run[0]
+        event_rows = [int(np.argmin(np.abs(motor_log.time - t_ev)))
+                      for t_ev, _ in motor_log.events_applied]
+        assert len(event_rows) == 2
+        for log, weights_changed in ((helix_run[0], []), (dubins_run[0], []),
+                                     (motor_log, event_rows)):
+            rollouts = {i: path for i, path in enumerate(log.feedback) if path != "embedded"}
+            expected = {0: "rollout:cold"} | {i: "rollout:weights_changed"
+                                               for i in weights_changed}
+            assert rollouts == expected, log.scenario_name
+        print("\nONE FEEDBACK PATH PASS: helix and dubins_course embed every warm"
+              " period, motor_failure all but its 2 weight changes")
+
+
 @pytest.fixture(scope="module")
 def params():
     return md.default_params()

@@ -889,7 +889,7 @@ class TestOnePassOutputs:
 
 
 class TestPreparedIteration:
-    """`sqp_iterate` with a prepared linearization."""
+    """What `linearize` prepares for the embedded feedback: M, s0 and K."""
 
     @staticmethod
     def helix_problem(params, refs, trim, n_steps=30):
@@ -902,48 +902,19 @@ class TestPreparedIteration:
         controls[:4, 1] = problem.cfg.phi_ref_max      # start on a roll bound
         return problem, x0, controls
 
-    def test_prepared_at_same_horizon_equals_synchronous(self, params, refs, trim):
-        problem, x0, controls = self.helix_problem(params, refs, trim)
-        horizon = problem.rollout(x0, controls)
-        prepared = solver.linearize(problem, horizon, controls)
-        assert prepared.factor.free.size < controls.size
-        fast = solver.sqp_iterate(problem, x0, controls, prepared=prepared)
-        slow = solver.sqp_iterate(problem, x0, controls)
-        assert fast.linearization == "prepared"
-        assert slow.linearization == "synchronous:not_prepared"
-        for name in ("controls", "residual"):
-            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-        assert fast.horizon.states.tobytes() == slow.horizon.states.tobytes()
-        for name in ("objective", "objective_before", "step_norm", "kkt_residual",
-                     "qp_status", "qp_active_set", "halvings", "accepted"):
-            assert getattr(fast, name) == getattr(slow, name), name
-
-    def test_changed_context_or_weights_linearize_synchronously(self, params, refs, trim):
-        problem, x0, controls = self.helix_problem(params, refs, trim)
-        horizon = problem.rollout(x0, controls)
-        prepared = solver.linearize(problem, horizon, controls)
-        moved = replace(prepared, leg=prepared.leg + 1.0)
-        assert solver.sqp_iterate(problem, x0, controls, prepared=moved).linearization \
-            == "synchronous:context_changed"
-        failed = make_problem(params, refs, problem.queue, wind=problem.wind, n_steps=30,
-                              weights=solver.apply_throttle_failure_weight(problem.weights))
-        assert solver.sqp_iterate(failed, x0, controls, prepared=prepared).linearization \
-            == "synchronous:weights_changed"
-        calm = make_problem(params, refs, problem.queue, n_steps=30)
-        assert solver.sqp_iterate(calm, x0, controls, prepared=prepared).linearization \
-            == "synchronous:weights_changed"
-
     def test_m_matches_central_differences_of_the_gradient(self, params, refs, trim):
         """M = J_u^T J_x0 of a helix linearization against central differences
         of g(x0) = J_u^T r(rollout from x0), J_u held; g(x0) at the
         linearization's own node 0 is its gradient."""
         problem, x0, controls = self.helix_problem(params, refs, trim)
-        lin = solver.linearize(problem, problem.rollout(x0, controls), controls)
+        horizon = problem.rollout(x0, controls)
+        lin = solver.linearize(problem, horizon, controls)
+        blocks = problem.dynamics_jacobians(horizon, controls) \
+            + problem.residual_jacobians(horizon, controls)[:3]
 
         def gradient(x):
             residual = problem.residuals(problem.rollout(x, controls), controls)
-            return solver.condensed_gradient(lin.a_mat, lin.b_mat, lin.c_stage,
-                                             lin.d_stage, lin.c_end, residual)
+            return solver.condensed_gradient(*blocks, residual)
 
         assert gradient(x0).tobytes() == lin.gradient.tobytes()
         fd = np.empty_like(lin.m_mat)
@@ -971,12 +942,6 @@ class TestPreparedIteration:
             assert not np.any(np.delete(got, free, axis=0))
             np.testing.assert_allclose(got[free], expected, rtol=0,
                                        atol=1e-10 * np.max(np.abs(expected)))
-
-    def test_rejects_linearization_at_other_controls(self, params, refs, trim):
-        problem, x0, controls = self.helix_problem(params, refs, trim)
-        prepared = solver.linearize(problem, problem.rollout(x0, controls), controls)
-        with pytest.raises(ValueError):
-            solver.sqp_iterate(problem, x0, controls + 1e-3, prepared=prepared)
 
 
 class TestController:
@@ -1081,7 +1046,7 @@ class TestController:
         bad_state = md.AircraftState(v_a=13.5, gamma=1.55)  # nearly vertical
         control, sol = ctrl.step(bad_state, queue, md.WindVector())
         assert sol.degraded and sol.degraded_reason == "domain"
-        assert sol.linearization == "synchronous:cold"
+        assert sol.feedback == "rollout:cold"
         assert control.u_t == pytest.approx(refs.u_t_trim)
 
     @pytest.mark.parametrize("target, error, reason", [
@@ -1113,14 +1078,14 @@ class TestController:
             patch.setattr(owner, target, broken)
             control, sol = ctrl.step(state, queue, md.WindVector())
         assert sol.degraded and sol.degraded_reason == reason
-        assert sol.linearization == "synchronous:not_prepared"
+        assert sol.feedback == "rollout:not_prepared"
         assert control == good
         _, after = ctrl.step(state, queue, md.WindVector())
         assert not after.degraded and after.degraded_reason == ""
 
 
 class TestRealTimeIteration:
-    """`prepare` between periods, and the linearization each period used."""
+    """`prepare` between periods, and the feedback path each period took."""
 
     @staticmethod
     def controller(params, refs, n_steps=20):
@@ -1134,14 +1099,14 @@ class TestRealTimeIteration:
         labels = []
         for prepare in (False, False, True, True):
             _, sol = ctrl.step(state, queue, md.WindVector())
-            labels.append(sol.linearization)
+            labels.append(sol.feedback)
             assert not sol.degraded
             if prepare:
                 ctrl.prepare()
         _, sol = ctrl.step(state, queue, md.WindVector())
-        labels.append(sol.linearization)
-        assert labels == ["synchronous:cold", "synchronous:not_prepared",
-                          "synchronous:not_prepared", "prepared", "prepared"]
+        labels.append(sol.feedback)
+        assert labels == ["rollout:cold", "rollout:not_prepared", "rollout:not_prepared",
+                          "embedded", "embedded"]
 
     def test_weights_changed(self, params, refs, trim):
         ctrl = self.controller(params, refs)
@@ -1150,10 +1115,12 @@ class TestRealTimeIteration:
         ctrl.prepare()
         ctrl.weights = solver.apply_throttle_failure_weight(ctrl.weights)
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.linearization == "synchronous:weights_changed"
+        assert sol.feedback == "rollout:weights_changed"
 
     def test_context_changed(self, params, refs, trim):
-        """The plant queue switched to the next segment after `prepare`."""
+        """The plant queue switched to the next segment after `prepare`: the
+        period still embeds, and its deferred line search rolls out on the
+        switched queue."""
         segs = (line_queue().segments[0],
                 pth.LineSegment(b=np.array([5000.0, 5000.0, -50.0]), chi_p=np.pi / 2,
                                 gamma_p=0.0))
@@ -1163,12 +1130,14 @@ class TestRealTimeIteration:
         ctrl.prepare()
         _, sol = ctrl.step(state, pth.PathQueue(segments=segs, x_sw=1.0, current_index=1),
                            md.WindVector())
-        assert sol.linearization == "synchronous:context_changed" and not sol.degraded
+        assert sol.feedback == "embedded" and not sol.degraded
+        done = ctrl.settle()
+        assert done.seg_index[0] == 1 and done.x_sw[0] == 1.0 and done.obj_nonincrease_ok
 
     @pytest.mark.parametrize("error", [md.ModelDomainError, np.linalg.LinAlgError,
                                        FloatingPointError])
     def test_prepare_failed(self, params, refs, trim, monkeypatch, error):
-        """`prepare` keeps its failure; the next step linearizes synchronously."""
+        """`prepare` keeps its failure; the next step rolls out."""
         ctrl = self.controller(params, refs)
         state, queue = trim.state(e=3.0, d=-50.0), line_queue()
         ctrl.step(state, queue, md.WindVector())
@@ -1180,9 +1149,9 @@ class TestRealTimeIteration:
             patch.setattr(solver, "linearize", broken)
             ctrl.prepare()
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.linearization == "synchronous:prepare_failed" and not sol.degraded
+        assert sol.feedback == "rollout:prepare_failed" and not sol.degraded
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.linearization == "synchronous:not_prepared"
+        assert sol.feedback == "rollout:not_prepared"
 
     @staticmethod
     def at_prediction(sol, queue, offset=0.0):
@@ -1206,10 +1175,11 @@ class TestRealTimeIteration:
         return ctrl, queue, ctrl.prepare() or sol
 
     def test_step_is_feedback_only(self, params, refs, trim, monkeypatch):
-        """After `prepare`, a warm step computes no Jacobian and no QP factor;
-        an embedded one, measured near the prediction, also no rollout, no
-        residual, no output, no warm start and no QP solve: its QP takes the
-        prepared first step, and the free gradient certifies it."""
+        """After `prepare`, a warm step computes no Jacobian and no QP factor,
+        also far off the prediction; one measured near the prediction also
+        no rollout, no residual, no output, no warm start and no QP solve:
+        its QP takes the prepared first step, and the free gradient
+        certifies it."""
         ctrl = self.controller(params, refs)
         state, queue = trim.state(e=3.0, d=-50.0), line_queue()
         ctrl.step(state, queue, md.WindVector())
@@ -1229,46 +1199,86 @@ class TestRealTimeIteration:
         count(solver.AircraftShootingProblem, "residual_jacobians")
         count(solver, "prepare_box_qp")
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.linearization == "prepared" and calls == []
-        assert sol.feedback == "rollout:dx0_over_bound"
+        assert sol.feedback == "embedded" and calls == []
 
-        ctrl.prepare()
+        sol = ctrl.prepare()
         count(ocp, "propagate_horizon")
         count(solver.AircraftShootingProblem, "residuals")
         count(ocp, "raw_outputs")
         count(solver.NmpcController, "_warm_controls")
         count(qp_module, "_cholesky_solve")
-        offset = np.full(md.STATE_DIM, 0.1 * solver._EMBED_MAX_DX0)
-        state, queue = self.at_prediction(sol, queue, offset)
+        state, queue = self.at_prediction(sol, queue, np.full(md.STATE_DIM, 0.005))
         calls.clear()
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.feedback == "embedded" and sol.linearization == "prepared"
+        assert sol.feedback == "embedded"
         assert calls == [] and sol.qp_iters == 2
         assert np.isnan(sol.objective) and np.isnan(sol.states).all()
 
-    @pytest.mark.parametrize("cause", ["dx0_over_bound", "queue_changed", "weights_changed",
-                                       "no_preparation"])
+    @pytest.mark.parametrize("cause", ["weights_changed", "no_preparation"])
     def test_fallback_takes_the_rollout_path(self, params, refs, trim, monkeypatch, cause):
-        """A period that cannot embed its measurement rolls it out, and its
-        feedback label names why."""
+        """A period without a preparation for its weights rolls its
+        measurement out, and its feedback label names why."""
         ctrl, queue, sol = self.embedding_ready(params, refs, trim)
-        offset = 2.0 * solver._EMBED_MAX_DX0 if cause == "dx0_over_bound" else 0.0
-        state, queue = self.at_prediction(sol, queue, offset)
-        if cause == "queue_changed":
-            queue = replace(queue, x_sw=queue.x_sw + 0.25)
-        elif cause == "weights_changed":
+        state, queue = self.at_prediction(sol, queue)
+        label = cause
+        if cause == "weights_changed":
             ctrl.weights = solver.apply_throttle_failure_weight(ctrl.weights)
         elif cause == "no_preparation":
             ctrl.step(state, queue, md.WindVector())
             state, queue = self.at_prediction(ctrl.settle(), queue)
+            label = "not_prepared"
         iterations = []
         iterate = solver.sqp_iterate
         monkeypatch.setattr(solver, "sqp_iterate",
                             lambda *args, **kwargs: iterations.append(1) or iterate(*args,
                                                                                     **kwargs))
         _, sol = ctrl.step(state, queue, md.WindVector())
-        assert sol.feedback == f"rollout:{cause}"
+        assert sol.feedback == f"rollout:{label}"
         assert iterations == [1] and np.isfinite(sol.objective) and not sol.degraded
+
+    @pytest.mark.parametrize("case", ["dx0_over_bound", "queue_changed"])
+    def test_off_the_prediction_embeds(self, params, refs, trim, monkeypatch, case):
+        """A measurement 0.6 off the prediction, or a queue whose x_sw is not
+        the prediction's, embeds without a Jacobian, and the deferred line
+        search from the measurement does not raise the objective."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        offset = np.zeros(md.STATE_DIM)
+        if case == "dx0_over_bound":
+            offset[[md.IDX_VA, 1, 2]] = [0.6, -0.6, 0.6]
+        state, queue = self.at_prediction(sol, queue, offset)
+        if case == "queue_changed":
+            queue = replace(queue, x_sw=queue.x_sw + 0.25)
+        jacobians = []
+        rk4_jacobians = ocp.rk4_jacobians
+        monkeypatch.setattr(ocp, "rk4_jacobians",
+                            lambda *args: jacobians.append(1) or rk4_jacobians(*args))
+        _, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded" and not sent.degraded and jacobians == []
+        done = ctrl.settle()
+        assert done.obj_nonincrease_ok and done.objective <= done.objective_before
+        assert done.states[0].tobytes() == state.as_array().tobytes()
+        assert done.x_sw[0] == queue.x_sw
+
+    def test_non_finite_measurement_holds_the_last_control(self, params, refs, trim,
+                                                           monkeypatch):
+        """A NaN in the measurement of an embedded period is a domain error
+        before any QP, as a rollout from it would be: the period holds the
+        last control, and the next one solves again."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        state, queue = self.at_prediction(sol, queue)
+        held = md.ControlInput.from_array(sol.controls[0])
+        measured = state.as_array()
+        measured[md.IDX_VA] = np.nan
+        solves = []
+        solve = solver.solve_box_qp
+        monkeypatch.setattr(solver, "solve_box_qp",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+        control, sent = ctrl.step(md.AircraftState.from_array(measured), queue, md.WindVector())
+        assert sent.feedback == "embedded" and solves == []
+        assert sent.degraded and sent.degraded_reason == "domain" and control == held
+        assert ctrl.prepare() is None
+        _, after = ctrl.step(state, queue, md.WindVector())
+        assert not after.degraded and np.all(np.isfinite(after.controls))
 
     def test_embedded_period_completed_by_the_next_prepare(self, params, refs, trim):
         """The deferred line search fills in a new solution; the one `step`
@@ -1288,9 +1298,9 @@ class TestRealTimeIteration:
 
     def test_embedded_step_agrees_with_the_rollout_step(self, params, refs, trim,
                                                         monkeypatch):
-        """On the same prepared linearization, the embedded full step equals
-        the rollout feedback's bit for bit at the prediction, and to second
-        order in dx0 off it."""
+        """The embedded full step equals the step of a rollout from the
+        measurement, linearized there, bit for bit at the prediction, and to
+        second order in dx0 off it."""
         ctrl, queue, sol = self.embedding_ready(params, refs, trim)
 
         def both_steps(offset):
@@ -1298,9 +1308,9 @@ class TestRealTimeIteration:
             embedded, rollout = copy.deepcopy(ctrl), copy.deepcopy(ctrl)
             _, sent = embedded.step(state, at, md.WindVector())
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_EMBED_MAX_DX0", -1.0)
+                patch.setattr(solver, "_same_weights", lambda *args: False)
                 _, rolled = rollout.step(state, at, md.WindVector())
-            assert (sent.feedback, rolled.feedback) == ("embedded", "rollout:dx0_over_bound")
+            assert (sent.feedback, rolled.feedback) == ("embedded", "rollout:weights_changed")
             assert rolled.halvings == 0
             return sent.controls, rolled.controls
 
@@ -1330,8 +1340,7 @@ class TestRealTimeIteration:
         # off the prediction, s0 + K dx0 is the exact first step: one step
         # and the stationarity check, as at the prediction
         ctrl, queue, sol = self.embedding_ready(params, refs, trim)
-        offset = np.full(md.STATE_DIM, 0.1 * solver._EMBED_MAX_DX0)
-        state, queue = self.at_prediction(sol, queue, offset)
+        state, queue = self.at_prediction(sol, queue, np.full(md.STATE_DIM, 0.005))
         counts.clear()
         _, sent = ctrl.step(state, queue, md.WindVector())
         assert sent.feedback == "embedded" and sent.qp_active_set == 0
@@ -1357,7 +1366,7 @@ class TestRealTimeIteration:
 
     def test_deferred_halving_holds_the_control_sent(self, params, refs, trim, monkeypatch):
         """A full step rejected by the deferred line search is halved on
-        nodes 1..N-1 only, and the next period takes the rollout path."""
+        nodes 1..N-1 only, and the next period embeds as well."""
         ctrl, queue, sol = self.embedding_ready(params, refs, trim)
         state, queue = self.at_prediction(sol, queue)
         control, sent = ctrl.step(state, queue, md.WindVector())
@@ -1378,7 +1387,38 @@ class TestRealTimeIteration:
         assert not np.array_equal(done.controls[1:], sent.controls[1:])
         state, queue = self.at_prediction(done, queue)
         _, after = ctrl.step(state, queue, md.WindVector())
-        assert after.feedback == "rollout:after_halving"
+        assert after.feedback == "embedded"
+
+    def test_rejected_deferred_search_keeps_the_held_warm_plan(self, params, refs, trim,
+                                                              monkeypatch):
+        """A deferred line search that rejects all five step lengths keeps
+        its baseline: the warm plan with node 0 held at the control sent,
+        rolled out from the measurement, so the objective does not rise."""
+        ctrl, queue, sol = self.embedding_ready(params, refs, trim)
+        state, queue = self.at_prediction(sol, queue)
+        control, sent = ctrl.step(state, queue, md.WindVector())
+        assert sent.feedback == "embedded"
+        objective = solver.AircraftShootingProblem.objective
+        seen = []
+
+        def reject_every_step(problem, residual):
+            seen.append(objective(problem, residual))
+            return seen[0] if len(seen) == 1 else np.inf
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver.AircraftShootingProblem, "objective", reject_every_step)
+            done = ctrl.prepare()
+        assert len(seen) == 6 and done.halvings == 5
+        assert done.obj_nonincrease_ok and done.objective == done.objective_before == seen[0]
+        warm = np.vstack([sol.controls[1:], sol.controls[-1:]])
+        assert done.controls[0].tobytes() == sent.controls[0].tobytes()
+        assert done.controls[1:].tobytes() == warm[1:].tobytes()
+        assert control == md.ControlInput.from_array(done.controls[0])
+        horizon = make_problem(params, refs, queue).rollout(state.as_array(), done.controls)
+        assert done.states.tobytes() == horizon.states.tobytes()
+        state, queue = self.at_prediction(done, queue)
+        _, after = ctrl.step(state, queue, md.WindVector())
+        assert after.feedback == "embedded" and not after.degraded
 
 
 class TestThrottleFailureWeight:

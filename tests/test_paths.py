@@ -226,6 +226,23 @@ class TestTerminalPoint:
             paths.terminal_point(seg)
 
 
+class TestSegmentPoints:
+    @pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_point_of_another_shape_rejected(self, point):
+        """A terminal point or center is a 3-vector; any other shape is
+        refused when the segment is made, not at its first use."""
+        with pytest.raises(ValueError, match="3-vector"):
+            paths.LineSegment(b=point, chi_p=0.0, gamma_p=0.0)
+        with pytest.raises(ValueError, match="3-vector"):
+            paths.ArcSegment(c=point, r_signed=30.0, chi_p=0.0, gamma_p=0.0)
+        with pytest.raises(ValueError, match="3-vector"):
+            paths.LoiterSegment(c=point, r_signed=30.0)
+
+    def test_point_stored_as_float_array(self):
+        seg = paths.LineSegment(b=[1, 2, 3], chi_p=0.0, gamma_p=0.0)
+        assert seg.b.dtype == float and seg.b.shape == (3,)
+
+
 class TestSwitchingConditions:
     def test_proximity_inside_acceptance_radius(self, cfg):
         seg = paths.ArcSegment(c=np.zeros(3), r_signed=35.0, chi_p=0.0, gamma_p=0.0)

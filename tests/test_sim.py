@@ -137,7 +137,7 @@ class TestRunLoop:
         """The cold period's eight SQP iterations take at most 60 QP
         iterations in all: a QP iteration moves many bounds at once."""
         log = sim.run(dataclasses.replace(BUILTIN_SCENARIOS["helix"](), duration=0.1))
-        assert log.linearization[0] == "synchronous:cold" and log.sqp_iters[0] == 8
+        assert log.feedback[0] == "rollout:cold" and log.sqp_iters[0] == 8
         assert log.qp_iters[0] <= 60
 
     def test_line_guidance_errors_converge_below_millirad(self):
@@ -288,7 +288,7 @@ class TestCsvAndReport:
         assert "wall" not in header
 
     def test_csv_columns_unchanged(self):
-        """Timing, linearization and degraded-reason telemetry stay out of
+        """Timing, feedback-path and degraded-reason telemetry stay out of
         the CSV."""
         assert sim.CSV_COLUMNS == (
             "time", "n", "e", "d", "v_a", "gamma", "xi", "phi", "theta", "p", "q", "r",
@@ -305,9 +305,8 @@ class TestCsvAndReport:
         assert "events" in report
         assert "periods with near-axis rollout nodes: 0" in report
         assert "preparation phase per period (ms): p50 " in report
-        assert "synchronous linearizations: 1 of 31 periods (cold 1)" in report
-        assert "embedded feedback: 30 of 31 periods; rollout feedback: 1 (no_preparation 1)" \
-            in report
+        assert "synchronous linearizations" not in report
+        assert "embedded feedback: 30 of 31 periods; rollout feedback: 1 (cold 1)" in report
         assert "degraded periods: 0\n" in report
         assert f"QP iterations per period: p50 {np.median(log.qp_iters):g}" \
                f"  max {np.max(log.qp_iters)}\n" in report
@@ -321,14 +320,13 @@ class TestCsvAndReport:
         degraded[[2, 4, 5]] = True
         reasons = list(log.degraded_reason)
         reasons[2:6] = ["lin_alg", "", "domain", "lin_alg"]
-        linearization = list(log.linearization)
-        linearization[7:9] = ["synchronous:context_changed"] * 2
+        feedback = list(log.feedback)
+        feedback[7:9] = ["rollout:weights_changed"] * 2
         report = sim.emit_report(dataclasses.replace(
-            log, degraded=degraded, degraded_reason=tuple(reasons),
-            linearization=tuple(linearization)))
+            log, degraded=degraded, degraded_reason=tuple(reasons), feedback=tuple(feedback)))
         assert "degraded periods: 3 (domain 1, lin_alg 2)" in report
-        assert "synchronous linearizations: 3 of 31 periods (cold 1, context_changed 2)" \
-            in report
+        assert "embedded feedback: 28 of 31 periods; rollout feedback: 3" \
+               " (cold 1, weights_changed 2)" in report
 
 
 class TestTwoPhaseController:
@@ -336,7 +334,7 @@ class TestTwoPhaseController:
 
     def test_phases_timed_apart(self):
         log = sim.run(short_line_scenario(duration=1.0))
-        assert log.linearization == ("synchronous:cold",) + ("prepared",) * 10
+        assert log.feedback == ("rollout:cold",) + ("embedded",) * 10
         assert np.all(log.prep_time_s[:-1] > 0.0) and np.isnan(log.prep_time_s[-1])
         assert np.all(log.wall_time_s > 0.0)
 
@@ -344,7 +342,7 @@ class TestTwoPhaseController:
         """A trim cruise embeds every warm period, and each row, the last
         one's too, carries the objective of its deferred line search."""
         log = sim.run(short_line_scenario(duration=1.0))
-        assert log.feedback == ("rollout:no_preparation",) + ("embedded",) * 10
+        assert log.feedback == ("rollout:cold",) + ("embedded",) * 10
         assert np.all(np.isfinite(log.objective)) and np.all(log.obj_nonincrease)
 
     def test_benchmark_probe_sees_every_period_and_qp(self, monkeypatch):
@@ -389,7 +387,7 @@ class TestTwoPhaseController:
         assert counts["step"] == log.time.size == 11
         assert counts["qp_in_prepare"] == 0
         assert counts["qp"] == counts["probed_qp"] >= log.time.size
-        assert log.linearization.count("prepared") == 10
+        assert log.feedback.count("embedded") == 10
 
 
 SCENARIO_YAML = textwrap.dedent("""\
@@ -448,6 +446,34 @@ class TestConfigLoading:
         path.write_text(bad)
         with pytest.raises(cfgio.ConfigError, match="segment type"):
             cfgio.load_scenario(path)
+
+    @pytest.mark.parametrize("index, edit, match", [
+        (0, {"b": None}, "missing required key 'b'"),
+        (1, {"chi_p_deg": None}, "missing required key 'chi_p_deg'"),
+        (2, {"r_signed": None}, "missing required key 'r_signed'"),
+        (1, {"chi_p_deg": "north"}, "north"),
+        (0, {"b": [2000.0, 0.0]}, "3-vector"),
+    ], ids=["missing_b", "missing_chi_p_deg", "missing_r_signed", "chi_p_deg_a_word",
+            "two_element_b"])
+    def test_malformed_segment_names_it(self, index, edit, match):
+        """A missing key, a word where a number belongs or a 2-element point
+        is a `ConfigError` naming the segment, not a bare KeyError or
+        ValueError, nor a failure at the first controller step."""
+        node = yaml.safe_load(SCENARIO_YAML)
+        segment = node["segments"][index]
+        for key, value in edit.items():
+            if value is None:
+                del segment[key]
+            else:
+                segment[key] = value
+        with pytest.raises(cfgio.ConfigError, match=rf"segments\[{index}\]: .*{match}"):
+            cfgio.load_scenario(node)
+
+    def test_segments_not_a_list_rejected(self):
+        node = yaml.safe_load(SCENARIO_YAML)
+        node["segments"] = 5
+        with pytest.raises(cfgio.ConfigError, match="segments: expected a list"):
+            cfgio.load_scenario(node)
 
     def test_loading_from_a_path_closes_the_file(self, tmp_path):
         scenario_path, params_path = tmp_path / "scn.yaml", tmp_path / "params.yaml"
