@@ -7,15 +7,16 @@ out. Each piece of the model (power curve, forces, force balance, attitude
 rates, position kinematics) is written once, and `derivative` composes them
 into one state derivative for the simulation plant, the NMPC prediction
 model and the data generation of `fwnmpc.sysid`, whose two identification
-structures integrate the same rate functions over parameter columns.
+structures integrate the same rate functions: on plain floats for one
+parameter vector, over parameter columns for a batch.
 
 The body is written once and evaluated in elementwise namespaces: under
 `numpy` it broadcasts over state and parameter columns (finite-difference
-batches, parameter trials); under `FLOATS` (`math` trig, a float maximum,
-`bool`) it runs on plain floats. Each expression keeps the form that rounds
-the same in both (`v_a * v_a`, not `v_a ** 2`); only the power curve's
-powers may round apart, libm's `pow` on a float against numpy's loop on an
-array.
+batches); under `FLOATS` (`math` trig, a float maximum, `bool`) it runs on
+plain floats (one state, or one sysid parameter trial). Each expression
+keeps the form that rounds the same in both (`v_a * v_a`, not `v_a ** 2`);
+only the power curve's powers may round apart, libm's `pow` on a float
+against numpy's loop on an array.
 
 The plant, the horizon rollout and the sysid data generation step single
 states, so the plain-float RK4 step is generated code. At import, the body

@@ -542,7 +542,8 @@ class NmpcController:
         """Feedback phase: advance one controller period and return the first
         control. `wall_time_s` of the solution is this call's wall time. A
         line search still pending from an embedded period runs first. Only
-        the rollout path builds the warm start (`_solve`)."""
+        the rollout path builds the warm start (`_solve`). A period that
+        raises holds the last control and leaves nothing to prepare from."""
         t_start = time.perf_counter()
         self.settle()
         x0 = measured.as_array()
@@ -565,6 +566,9 @@ class NmpcController:
             else:
                 solution, horizon = self._solve(problem, x0)
         except (md.ModelDomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            # the last horizon predicts the failed period: the next period
+            # rolls out from its own measurement ("rollout:not_prepared")
+            self._last_horizon = None
             solution = self._degraded_solution(_degraded_reason(exc))
             solution.feedback = feedback
             solution.wall_time_s = time.perf_counter() - t_start

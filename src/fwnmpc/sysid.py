@@ -11,8 +11,16 @@ squares on quasi-static samples to seed the nonlinear estimate.
 Both structures integrate the rate functions of `fwnmpc.model` (the
 attitude rates; the force balance and the body accelerations), so one
 derivative serves the plant, the predictor and the identification
-structures. The simulators vectorize over a batch of parameter vectors,
-which makes the finite-difference residual Jacobians a single batched pass.
+structures. Each structure has one rates function, evaluated in two
+namespaces. A single parameter vector (an estimator trial, a dataset's
+outputs, a validation) integrates each dataset on plain floats, the rates
+under `md.FLOATS`. A batch of parameter vectors (the finite-difference
+residual Jacobian, which carries its own base column) integrates as numpy
+columns in one pass. Both RK4 loops keep the same operand order, so the cl
+residuals agree bit for bit; the ol ones may differ in the last bit where
+the power curve's `**` rounds apart. The estimator's reductions are
+fixed-order `einsum`s, so a fit gives the same bytes at any BLAS thread
+count.
 
 Each structure's facts (parameters, the `ModelParams` field that holds them,
 input, initial-state and output channels, rates) live in one `STRUCTURES`
@@ -25,6 +33,7 @@ flight's outputs for the structure's own outputs at the true parameters.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -173,7 +182,8 @@ def _freeform_offsets(spec: ManeuverSpec, rng: np.random.Generator) -> tuple[np.
 
 
 # ---------------------------------------------------------------------------
-# Structure simulators, batched over parameter vectors.
+# Structure simulators: one parameter vector on plain floats, a batch of
+# them over numpy columns.
 # ---------------------------------------------------------------------------
 
 def _as_param_matrix(params, names) -> np.ndarray:
@@ -210,19 +220,16 @@ def _expand(arr: np.ndarray, b: int) -> np.ndarray:
     return np.repeat(arr, b, axis=-1)
 
 
-def _cl_rates(s, u, cl, consts):
+def _cl_rates(s, u, cl, consts, xp=np):
     phi, theta, p, q, r = s
     phi_ref, theta_ref, v_a, gamma = u
-    return np.stack(md.attitude_rates(phi, theta, p, q, r, v_a, gamma,
-                                      phi_ref, theta_ref, cl))
+    return md.attitude_rates(phi, theta, p, q, r, v_a, gamma, phi_ref, theta_ref, cl, xp)
 
 
-def _ol_rates(s, u, ol, consts):
+def _ol_rates(s, u, ol, consts, xp=np):
     v_a, gamma, delta_t = s
     phi, theta, u_t = u
-    v_a_dot, gamma_dot, delta_t_dot, _ = md.force_balance(v_a, gamma, phi, theta,
-                                                          delta_t, u_t, ol, consts)
-    return np.stack([v_a_dot, gamma_dot, delta_t_dot])
+    return md.force_balance(v_a, gamma, phi, theta, delta_t, u_t, ol, consts, xp)[:3]
 
 
 class Structure(NamedTuple):
@@ -233,7 +240,7 @@ class Structure(NamedTuple):
     inputs: tuple        # input channels, in the order the rates read them
     init: tuple          # channels whose first samples give the initial state
     outputs: tuple       # output channels, in the order the simulator returns them
-    rates: Callable      # (state, inputs, params, constants) -> state rates
+    rates: Callable      # (state, inputs, params, constants, xp) -> tuple of state rates
 
 
 STRUCTURES = {
@@ -251,79 +258,134 @@ def _structure(structure: str) -> Structure:
 
 
 def _integrate(rates, par, consts, h: float, inputs: np.ndarray,
-               init: np.ndarray) -> np.ndarray:
+               init: np.ndarray, b: int) -> np.ndarray:
     """RK4 over the sample intervals with each input channel held at the
     interval's left, midpoint and right samples.
 
-    `inputs` is (I, T, M), the channels in the order `rates` reads them, and
-    `init` the (S, M) initial state. Returns the (S, T, M) trajectory.
+    `inputs` is (I, T, D), the channels in the order `rates` reads them for
+    D datasets, each sample expanded to the M = D * b state columns as the
+    loop reaches it; `init` is the (S, M) initial state. Returns the
+    (S, T, M) trajectory.
     """
-    left, right = inputs[:, :-1], inputs[:, 1:]
-    mid = 0.5 * (left + right)
     x = np.empty((init.shape[0], inputs.shape[1], init.shape[1]))
     x[:, 0] = state = init
-    # per interval, a tuple of the (M,) rows of each channel
-    intervals = zip(zip(*left), zip(*mid), zip(*right))
-    for k, (u_left, u_mid, u_right) in enumerate(intervals, start=1):
-        k1 = rates(state, u_left, par, consts)
-        k2 = rates(state + 0.5 * h * k1, u_mid, par, consts)
-        k3 = rates(state + 0.5 * h * k2, u_mid, par, consts)
-        k4 = rates(state + h * k3, u_right, par, consts)
+    u_right = _expand(inputs[:, 0], b)
+    for k in range(1, inputs.shape[1]):
+        u_left, u_right = u_right, _expand(inputs[:, k], b)
+        u_mid = 0.5 * (u_left + u_right)
+        k1 = np.stack(rates(state, u_left, par, consts))
+        k2 = np.stack(rates(state + 0.5 * h * k1, u_mid, par, consts))
+        k3 = np.stack(rates(state + 0.5 * h * k2, u_mid, par, consts))
+        k4 = np.stack(rates(state + h * k3, u_right, par, consts))
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x[:, k] = state
     return x
 
 
-def _simulate(structure: str, p: np.ndarray, group: list, h: float,
+def _integrate_floats(rates, par, consts, h: float, inputs: np.ndarray,
+                      init: list) -> list:
+    """`_integrate` for one parameter set on plain floats: the rates under
+    `md.FLOATS`, in `_integrate`'s operand order (the midpoint inputs
+    `0.5 * (left + right)`, the stages `state + (0.5 * h) * k` and the
+    update `state + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4)`).
+
+    `inputs` is the (I, T) array of one dataset and `init` the initial
+    state. Returns the T states as lists. Where numpy would return inf or
+    NaN, float arithmetic raises (`**` overflows, `math.cos` of inf, a
+    division by zero); the states from that step on are NaN then.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    left = inputs.T.tolist()
+    mid = (0.5 * (inputs[:, :-1] + inputs[:, 1:])).T.tolist()
+    state, states = init, [init]
+    try:
+        for u_left, u_mid, u_right in zip(left, mid, left[1:]):
+            k1 = rates(state, u_left, par, consts, md.FLOATS)
+            k2 = rates([s + half * k for s, k in zip(state, k1)], u_mid, par, consts,
+                       md.FLOATS)
+            k3 = rates([s + half * k for s, k in zip(state, k2)], u_mid, par, consts,
+                       md.FLOATS)
+            k4 = rates([s + h * k for s, k in zip(state, k3)], u_right, par, consts,
+                       md.FLOATS)
+            state = [s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            states.append(state)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        states += [[math.nan] * len(init)] * (len(left) - len(states))
+    return states
+
+
+def _ol_outputs(x: np.ndarray, theta: np.ndarray, ol, consts) -> np.ndarray:
+    """The ol outputs of the state trajectory `x` under the pitch input
+    `theta`: airspeed, flight path angle and the body accelerations."""
+    v_a, gamma, delta_t = x
+    a_x, a_z = md.specific_forces(v_a, theta - gamma, delta_t, ol, consts)
+    return np.stack([v_a, gamma, a_x, a_z])
+
+
+def _simulate(st: Structure, p: np.ndarray, group: list, h: float,
               consts: md.PhysicalConstants) -> np.ndarray:
-    """Outputs of one structure over datasets of one sample interval for
-    every parameter column of `p` (P, B) at once: (n_outputs, T, D * B), with
-    T the longest dataset's length and the columns dataset-major.
+    """State trajectories of one structure over datasets of one sample
+    interval for every parameter column of `p` (P, B) at once:
+    (S, T, D * B), with T the longest dataset's length and the columns
+    dataset-major.
 
     A shorter dataset's inputs are padded to T by holding its last sample.
     The integration is causal and every column is elementwise-independent,
     so a dataset's first `t.size` samples are bit-identical to its own pass;
     the padded tail is the caller's to discard."""
-    st = _structure(structure)
     b = p.shape[1]
     n = max(ds.t.size for ds in group)
     # the model's rate functions read parameters by field name, so each
     # field here is one row of parameter columns
     par = SimpleNamespace(**dict(zip(st.param_names, np.tile(p, (1, len(group))))))
-    inputs = _expand(np.array([[np.pad(np.asarray(ds.inputs[name], dtype=float),
-                                       (0, n - ds.t.size), mode="edge")
-                                for ds in group] for name in st.inputs]).transpose(0, 2, 1), b)
+    inputs = np.array([[np.pad(np.asarray(ds.inputs[name], dtype=float),
+                               (0, n - ds.t.size), mode="edge")
+                        for ds in group] for name in st.inputs]).transpose(0, 2, 1)
     init = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
                               for ds in group] for name in st.init]), b)
     # unstable parameter trials may overflow; the estimator checks for
     # non-finite cost explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _integrate(st.rates, par, consts, h, inputs, init)
-        if structure == "cl":
-            return x
-        v_a, gamma, delta_t = x
-        alpha = inputs[st.inputs.index("theta")] - gamma
-        # the expanded inputs are the largest array of the pass; release
-        # them before the force stage allocates its temporaries
-        del inputs
-        a_x, a_z = md.specific_forces(v_a, alpha, delta_t, par, consts)
-    return np.stack([v_a, gamma, a_x, a_z])
+        return _integrate(st.rates, par, consts, h, inputs, init, b)
+
+
+def _simulate_floats(st: Structure, par, ds: Dataset,
+                     consts: md.PhysicalConstants) -> np.ndarray:
+    """The state trajectory of one structure over one dataset for the
+    parameter fields of `par`, plain floats: (S, T, 1)."""
+    inputs = np.array([np.asarray(ds.inputs[name], dtype=float) for name in st.inputs])
+    init = [_initial_value({**ds.inputs, **ds.outputs}[name]) for name in st.init]
+    return np.array(_integrate_floats(st.rates, par, consts, ds.dt, inputs, init)).T[..., None]
 
 
 def _simulate_datasets(structure: str, p: np.ndarray, datasets: list,
                        consts: md.PhysicalConstants) -> list:
     """Each dataset's (n_outputs, T_i, B) outputs for the parameter columns of
-    `p`, from one `_simulate` pass per sample interval."""
+    `p`. A single column integrates each dataset on plain floats; a batch
+    takes one `_simulate` pass over columns per sample interval. The ol body
+    accelerations are formed per dataset, on its own samples, so the force
+    stage's temporaries stay the size of one dataset."""
+    st = _structure(structure)
     b = p.shape[1]
-    groups: dict = {}
-    for i, ds in enumerate(datasets):
-        groups.setdefault(round(ds.dt, 12), []).append(i)
-    sims: list = [None] * len(datasets)
-    for h, idxs in groups.items():
-        x = _simulate(structure, p, [datasets[i] for i in idxs], h, consts)
-        for j, i in enumerate(idxs):
-            sims[i] = x[:, :datasets[i].t.size, j * b:(j + 1) * b]
-    return sims
+    if b == 1:
+        par = SimpleNamespace(**dict(zip(st.param_names, p[:, 0].tolist())))
+        states = [_simulate_floats(st, par, ds, consts) for ds in datasets]
+    else:
+        par = SimpleNamespace(**dict(zip(st.param_names, p)))
+        groups: dict = {}
+        for i, ds in enumerate(datasets):
+            groups.setdefault(round(ds.dt, 12), []).append(i)
+        states = [None] * len(datasets)
+        for h, idxs in groups.items():
+            x = _simulate(st, p, [datasets[i] for i in idxs], h, consts)
+            for j, i in enumerate(idxs):
+                states[i] = x[:, :datasets[i].t.size, j * b:(j + 1) * b]
+    if st.outputs == st.init:      # cl: the outputs are the states
+        return states
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_ol_outputs(x, np.asarray(ds.inputs["theta"], dtype=float)[:, None], par,
+                            consts) for x, ds in zip(states, datasets)]
 
 
 def simulate_structure(structure: str, params, dataset: Dataset,
@@ -334,8 +396,7 @@ def simulate_structure(structure: str, params, dataset: Dataset,
     parameter vector or (n_outputs, T, B) for a batch.
     """
     p = _as_param_matrix(params, _structure(structure).param_names)
-    out = _simulate(structure, p, [dataset], dataset.dt,
-                    constants or md.PhysicalConstants())
+    out = _simulate_datasets(structure, p, [dataset], constants or md.PhysicalConstants())[0]
     return out[:, :, 0] if _squeeze(params) else out
 
 
@@ -351,24 +412,27 @@ def residual_vector(structure: str, params, datasets: list, weights: dict | None
     """Channel-normalized output residuals stacked over all datasets.
 
     Shape (n_res,) for a single parameter vector, (n_res, B) for a batch.
-    All datasets of one sample interval are integrated together in one
-    padded pass, so one evaluation is one integration, and the batch columns
-    are what keeps the finite-difference Jacobians cheap.
+    A single vector integrates each dataset on plain floats. A batch
+    integrates all datasets of one sample interval together in one padded
+    pass over its columns, which is what keeps the finite-difference
+    Jacobians cheap.
     """
     st = _structure(structure)
     w = _channel_weights(structure, weights)
     p = _as_param_matrix(params, st.param_names)
-    b = p.shape[1]
     sims = _simulate_datasets(structure, p, datasets, constants or md.PhysicalConstants())
 
-    parts = []
+    res = np.empty((sum(sim[..., 0].size for sim in sims), p.shape[1]))
+    row = 0
     for ds, sim in zip(datasets, sims):
         meas = np.stack([np.asarray(ds.outputs[name], dtype=float)
                          for name in st.outputs])
-        res = (sim - meas[:, :, None]) / w[:, None, None]
-        parts.append(res.reshape(-1, b))
-    stacked_res = np.concatenate(parts, axis=0)
-    return stacked_res[:, 0] if _squeeze(params) else stacked_res
+        # this dataset's rows of `res`, viewed in the layout of `sim`
+        block = res[row:row + sim[..., 0].size].reshape(sim.shape)
+        np.subtract(sim, meas[:, :, None], out=block)
+        block /= w[:, None, None]
+        row += sim[..., 0].size
+    return res[:, 0] if _squeeze(params) else res
 
 
 def output_error_cost(structure: str, params, datasets: list, weights: dict | None = None,
@@ -377,7 +441,14 @@ def output_error_cost(structure: str, params, datasets: list, weights: dict | No
     r = residual_vector(structure, params, datasets, weights, constants)
     if r.ndim != 1:
         raise ValueError("output_error_cost expects a single parameter vector")
-    return float(r @ r)
+    return _sum_squares(r)
+
+
+def _sum_squares(r: np.ndarray) -> float:
+    """`r @ r` as an `einsum`: a fixed-order reduction, so its bits do not
+    follow the BLAS thread count."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.einsum("i,i->", r, r))
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +541,29 @@ def estimate(structure: str, initial_params, datasets: list,
     def res(vec):
         return residual_vector(structure, vec, datasets, weights, constants)
 
-    def jacobian(vec, r0):
+    def jacobian(vec):
         # step small enough that forward-difference truncation stays below
         # the 1e-5 agreement bound against a central-difference oracle
         steps = np.maximum(5e-8 * np.abs(vec), 1e-10)
-        batch = np.repeat(vec[:, None], n_par, axis=1)
-        batch[np.arange(n_par), np.arange(n_par)] += steps
+        # column 0 is the base point, so every difference is taken within
+        # one batch on the column integrator (the float one may round apart)
+        batch = np.repeat(vec[:, None], n_par + 1, axis=1)
+        batch[np.arange(n_par), np.arange(1, n_par + 1)] += steps
         r_batch = residual_vector(structure, batch, datasets, weights, constants)
-        # in place: the same operations as `(r_batch - r0) / steps`, without
-        # two (n_res, n_par) temporaries
-        r_batch -= r0[:, None]
-        r_batch /= steps[None, :]
-        return r_batch
+        # in place: the same operations as `(r_batch[:, 1:] - r_batch[:, :1])
+        # / steps`, without two (n_res, n_par) temporaries
+        jac = r_batch[:, 1:]
+        jac -= r_batch[:, :1]
+        jac /= steps[None, :]
+        return jac
+
+    def gram(jac):
+        # `jac.T @ jac` as an `einsum`: a fixed-order reduction, so the fit's
+        # bits do not follow the BLAS thread count
+        return np.einsum("ij,ik->jk", jac, jac)
 
     r = res(p)
-    with np.errstate(over="ignore"):
-        cost = float(r @ r)
+    cost = _sum_squares(r)
     if not np.isfinite(cost):
         return _failed_report(structure, names, p, init, cost, "non-finite initial cost")
 
@@ -495,13 +573,14 @@ def estimate(structure: str, initial_params, datasets: list,
     converged = False
     jac = jac_at = None
     for _ in range(max_iter):
-        jac, jac_at = jacobian(p, r), p
-        grad = jac.T @ r
+        jac = None       # the last Jacobian goes before the next is formed
+        jac, jac_at = jacobian(p), p
+        grad = np.einsum("ij,i->j", jac, r)
         if np.linalg.norm(grad, np.inf) < grad_tol:
             converged = True
             message = "gradient tolerance reached"
             break
-        h_mat = jac.T @ jac
+        h_mat = gram(jac)
         d_vec = np.maximum(np.diag(h_mat), 1e-12)
         accepted = False
         while lam <= 1e10:
@@ -512,8 +591,7 @@ def estimate(structure: str, initial_params, datasets: list,
                 continue
             p_try = p + step
             r_try = res(p_try)
-            with np.errstate(over="ignore"):
-                cost_try = float(r_try @ r_try)
+            cost_try = _sum_squares(r_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 p, r, cost = p_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-12)
@@ -535,13 +613,15 @@ def estimate(structure: str, initial_params, datasets: list,
     # an accepted last step (step tolerance or iteration cap) moved p away
     # from the point of the last Jacobian
     if jac_at is not p:
-        jac = jacobian(p, r)
+        jac = None
+        jac = jacobian(p)
     dof = max(r.size - n_par, 1)
     sigma_sq = cost / dof
+    h_mat = gram(jac)
     try:
-        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
+        cov = sigma_sq * np.linalg.inv(h_mat)
     except np.linalg.LinAlgError:
-        cov = sigma_sq * np.linalg.pinv(jac.T @ jac)
+        cov = sigma_sq * np.linalg.pinv(h_mat)
     std = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     return FitReport(structure=structure, param_names=names, params=p,

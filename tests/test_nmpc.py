@@ -1263,7 +1263,8 @@ class TestRealTimeIteration:
                                                            monkeypatch):
         """A NaN in the measurement of an embedded period is a domain error
         before any QP, as a rollout from it would be: the period holds the
-        last control, and the next one solves again."""
+        last control and leaves nothing to prepare from, so the next one
+        rolls out from its own measurement."""
         ctrl, queue, sol = self.embedding_ready(params, refs, trim)
         state, queue = self.at_prediction(sol, queue)
         held = md.ControlInput.from_array(sol.controls[0])
@@ -1278,6 +1279,7 @@ class TestRealTimeIteration:
         assert sent.degraded and sent.degraded_reason == "domain" and control == held
         assert ctrl.prepare() is None
         _, after = ctrl.step(state, queue, md.WindVector())
+        assert after.feedback == "rollout:not_prepared"
         assert not after.degraded and np.all(np.isfinite(after.controls))
 
     def test_embedded_period_completed_by_the_next_prepare(self, params, refs, trim):

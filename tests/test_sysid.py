@@ -5,7 +5,7 @@ import pytest
 
 from fwnmpc import model as md
 from fwnmpc import sysid
-from oracles import train_validate_split
+from oracles import run_at_thread_count, train_validate_split
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,23 @@ def cl_sets(params):
 @pytest.fixture(scope="module")
 def ol_sets(params):
     return sysid.make_training_sets(params, "ol")
+
+
+# noisy fits of both structures at four iterations; prints the bytes of
+# their params, covariance and cost
+_FIT_SNIPPET = """
+from fwnmpc import model as md
+from fwnmpc import sysid
+params = md.default_params()
+for structure in ("cl", "ol"):
+    truth = getattr(params, sysid.STRUCTURES[structure].params_field).as_array()
+    noisy = [sysid.add_output_noise(ds, seed=5 + i)
+             for i, ds in enumerate(sysid.make_training_sets(params, structure))]
+    init = sysid.perturb_params(truth, 0.2, seed=3)
+    report = sysid.estimate(structure, init, noisy, constants=params.constants, max_iter=4)
+    print(structure, report.n_iter, report.params.tobytes().hex(),
+          report.covariance.tobytes().hex(), report.cost.hex())
+"""
 
 
 class TestGenerate211:
@@ -174,13 +191,74 @@ class TestOutputErrorCost:
         diverging = base.copy()
         diverging[0] = 100.0      # unstable roll damping: overflows after the short set
         batch = np.column_stack([base * 1.05, diverging, base * 0.97])
-        for p in (base * 1.05, batch):
+        n_short = 5 * short.t.size
+        for p in (base * 1.05, diverging, batch):
             got = sysid.residual_vector("cl", p, sets)
             oracle = np.concatenate([sysid.residual_vector("cl", p, [ds]) for ds in sets])
             assert got.tobytes() == oracle.tobytes()
-        n_short = 5 * short.t.size
         assert np.all(np.isfinite(got[:n_short]))
         assert not np.all(np.isfinite(got[n_short:, 1]))
+        # on plain floats the diverging vector raises inside the integration
+        # (`math.cos` of inf); it returns non-finite rows instead, and the
+        # short dataset's rows are those of its own call
+        single = sysid.residual_vector("cl", diverging, sets)
+        assert np.all(np.isfinite(single[:n_short]))
+        assert not np.all(np.isfinite(single[n_short:]))
+
+
+class TestFloatPath:
+    """One parameter vector integrates on plain floats, a batch on columns."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cl_single_vector_equals_batch_column(self, params, cl_sets, seed):
+        vec = sysid.perturb_params(params.closed_loop, 0.2, seed=seed)
+        single = sysid.residual_vector("cl", vec, cl_sets)
+        batch = sysid.residual_vector("cl", np.column_stack([vec, vec * 1.01]), cl_sets)
+        assert single.tobytes() == np.ascontiguousarray(batch[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ol_single_vector_agrees_with_batch_column(self, params, ol_sets, seed):
+        # the power curve's `delta_t ** 2` and `** 3` are libm's `pow` on a
+        # float and numpy's power loop on an array, which may round apart in
+        # the last bit (about 50 of 10 256 residuals differ, by <= 2.7e-15)
+        vec = sysid.perturb_params(params.open_loop, 0.2, seed=seed)
+        single = sysid.residual_vector("ol", vec, ol_sets, constants=params.constants)
+        batch = sysid.residual_vector("ol", np.column_stack([vec, vec * 1.01]), ol_sets,
+                                      constants=params.constants)
+        np.testing.assert_allclose(single, batch[:, 0], rtol=0, atol=1e-12)
+
+    def test_shape_follows_the_parameters(self, params, cl_sets):
+        vec = params.closed_loop.as_array()
+        n_res = 5 * sum(ds.t.size for ds in cl_sets)
+        assert sysid.residual_vector("cl", vec, cl_sets).shape == (n_res,)
+        assert sysid.residual_vector("cl", params.closed_loop, cl_sets).shape == (n_res,)
+        assert sysid.residual_vector("cl", vec[:, None], cl_sets).shape == (n_res, 1)
+        batch = np.column_stack([vec, vec, vec])
+        assert sysid.residual_vector("cl", batch, cl_sets).shape == (n_res, 3)
+
+    @pytest.mark.parametrize("channel, value", [
+        ("v_a", 0.0),        # the flight path rate divides by zero
+        ("u_t", 1e200),      # the power curve's `**` overflows
+        ("theta", np.inf),   # `math.cos` of inf
+    ], ids=["zero_division", "overflow", "domain"])
+    def test_float_error_gives_non_finite_rows(self, params, ol_sets, channel, value):
+        """Where numpy returns inf or NaN, float arithmetic raises; the
+        integration turns that into NaN states from that step on."""
+        ds = ol_sets[0]
+        chans = {**ds.inputs, **ds.outputs}
+        chans[channel] = np.full(ds.t.size, value)
+        bad = sysid.Dataset(structure="ol", t=ds.t,
+                            inputs={k: chans[k] for k in ds.inputs},
+                            outputs={k: chans[k] for k in ds.outputs})
+        vec = params.open_loop.as_array()
+        sim = sysid.simulate_structure("ol", vec, bad, params.constants)
+        assert sim.shape == (4, ds.t.size)
+        assert np.all(np.isnan(sim[:, 1:]))
+        r = sysid.residual_vector("ol", vec, [bad, ds], constants=params.constants)
+        n_bad = 4 * ds.t.size
+        assert not np.any(np.isfinite(r[:n_bad].reshape(4, -1)[:, 1:]))
+        assert r[n_bad:].tobytes() == sysid.residual_vector(
+            "ol", vec, [ds], constants=params.constants).tobytes()
 
 
 class TestFitStaticCurves:
@@ -299,6 +377,43 @@ class TestEstimate:
         jac = (sysid.residual_vector("cl", batch, cl_sets) - r0[:, None]) / steps
         cov = (r0 @ r0) / (r0.size - vec.size) * np.linalg.inv(jac.T @ jac)
         np.testing.assert_allclose(report.param_std, np.sqrt(np.diag(cov)), rtol=1e-9)
+
+    def test_trials_and_jacobian_batches_call_residual_vector(self, params, ol_sets,
+                                                               monkeypatch):
+        """Every trial is one module-level `residual_vector` call with a 1-D
+        result, and every Jacobian one with a 2-D result whose first column
+        is the point itself, so no difference mixes the float integrator
+        with the column one."""
+        calls = []
+        original = sysid.residual_vector
+
+        def spy(structure, p, *args, **kwargs):
+            out = original(structure, p, *args, **kwargs)
+            calls.append((np.array(p, copy=True), out))
+            return out
+
+        monkeypatch.setattr(sysid, "residual_vector", spy)
+        init = sysid.perturb_params(params.open_loop, 0.2, seed=5)
+        report = sysid.estimate("ol", init, ol_sets, constants=params.constants, max_iter=2)
+        assert report.n_iter == 2
+        singles = [p for p, out in calls if out.ndim == 1]
+        batches = [p for p, out in calls if out.ndim == 2]
+        assert len(singles) >= 3 and all(p.shape == (10,) for p in singles)
+        # one per iteration, and one at the returned point for the covariance
+        assert len(batches) == 3
+        for p in batches:
+            assert p.shape == (10, 11)
+            steps = p[:, 1:] - p[:, :1]
+            assert np.count_nonzero(steps) == 10 and np.all(np.diag(steps) > 0)
+        assert batches[-1][:, 0].tobytes() == report.params.tobytes()
+
+    def test_fit_bytes_do_not_follow_blas_threads(self):
+        """Noisy fits of both structures give the same params, covariance
+        and cost bytes at one and at two BLAS threads: the estimator's
+        reductions are fixed-order `einsum`s."""
+        outputs = [run_at_thread_count(_FIT_SNIPPET, threads=threads) for threads in (1, 2)]
+        assert outputs[0].count("\n") == 2
+        assert outputs[0] == outputs[1]
 
     def test_identifiable_mask_flags_weak_directions(self, params, ol_sets):
         noisy = [sysid.add_output_noise(ds, seed=7 + i) for i, ds in enumerate(ol_sets)]
