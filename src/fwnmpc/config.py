@@ -198,8 +198,7 @@ def load_scenario(source) -> Scenario:
 
     noise = node.get("measurement_noise")
     if noise is not None:
-        noise = {str(k): float(v) for k, v in _require_mapping(noise,
-                                                               "measurement_noise").items()}
+        noise = dict(_require_mapping(noise, "measurement_noise"))
 
     try:
         return Scenario(

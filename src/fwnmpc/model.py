@@ -13,26 +13,21 @@ parameter vector, over parameter columns for a batch.
 The body is written once and evaluated in elementwise namespaces: under
 `numpy` it broadcasts over state and parameter columns (finite-difference
 batches); under `FLOATS` (`math` trig, a float maximum, `bool`) it runs on
-plain floats (one state, or one sysid parameter trial). Each expression
+plain floats, as the generated steps below do. Each expression
 keeps the form that rounds the same in both (`v_a * v_a`, not `v_a ** 2`);
 only the power curve's powers may round apart, libm's `pow` on a float
 against numpy's loop on an array.
 
-The plant, the horizon rollout and the sysid data generation step single
-states, so the plain-float RK4 step is generated code. At import, the body
-is evaluated once more in a recording namespace whose values are symbols:
-the state, the control and every wind and parameter field. From that record
-`_generate_rk4_floats` emits one straight-line function for the four stages,
-the angle wrap and the finite check, which takes the wind and parameter
-fields as arguments, so it serves every parameter set. It computes the
-float operations of four `FLOATS` evaluations in the same operand order and
-gives their bits: a repeated expression is computed once, a single-use one
-is written inline but never moved across the `|cos gamma|` guard, and a
-stage position nothing reads is dropped. An operation the recorder does not
-know raises at generation. The source holds only names the recorder made,
-float and int literals from the body, whose `repr` reads back as the same
-number, and the body's own error messages; nothing in it comes from
-outside input.
+The RK4 step is written once, as `rk4` over a list of state rows: numpy
+rows for state columns, floats or symbols for one state. The plant, the
+horizon rollout and the sysid trials step single states through generated
+code: `compile_float_step` evaluates a step body built on `rk4` once more in
+a recording namespace whose values are symbols, and emits the record as one
+straight-line function with the float operations and operand order of the
+body under `FLOATS`, so it gives their bits. The model's step takes the wind
+and parameter fields as arguments, so it serves every parameter set. An
+operation the recorder does not know raises at generation; the source holds
+only names the recorder made, literals from the body and its own messages.
 
 Conventions: NED inertial axes (altitude is -d), all angles in radians,
 angles stored wrapped to (-pi, pi].
@@ -40,6 +35,7 @@ angles stored wrapped to (-pi, pi].
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -74,10 +70,15 @@ class ModelDomainError(ValueError):
 
 def wrap_angle(angle):
     """Wrap an angle (scalar or array) to the half-open interval (-pi, pi]."""
-    wrapped = np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), TWO_PI)
+    wrapped = _wrap(np.asarray(angle, dtype=float))
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
+
+
+def _wrap(angle):
+    """`wrap_angle` on a float, an array or a symbol of the recording namespace."""
+    return math.pi - ((math.pi - angle) % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -415,18 +416,34 @@ def derivative(x, u, wind: WindVector, params: ModelParams, xp=np) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The generated plain-float RK4 step. `derivative` is evaluated once more, on
-# symbols in a recording namespace, and the record is emitted as one
-# straight-line function of the coefficient tuple `c` (the wind and parameter
-# fields in `_STEP_GROUPS` order), the state, the control and dt.
+# Integration: the one RK4 step, and the plain-float steps generated from it.
+# A step body is evaluated once on symbols in a recording namespace, and the
+# record is emitted as one straight-line function of float lists and dt.
 # ---------------------------------------------------------------------------
 
-_STEP_GROUPS = ((None, WindVector), ("closed_loop", ClosedLoopParams),
-                ("open_loop", OpenLoopParams), ("constants", PhysicalConstants))
-_WIND_COEFFICIENTS = attrgetter(*(f.name for f in fields(WindVector)))
-_PARAM_COEFFICIENTS = attrgetter(*(f"{group}.{f.name}" for group, cls in _STEP_GROUPS[1:]
-                                   for f in fields(cls)))
-_N_COEFFICIENTS = sum(len(fields(cls)) for _, cls in _STEP_GROUPS)
+def rk4(rates, x, u_left, u_mid, u_right, h, *args) -> list:
+    """One classical RK4 step of `rates(state, inputs, *args)` from the state
+    rows `x` (floats, numpy rows or symbols), with the inputs at the
+    interval's left end, midpoint and right end; the plant and the predictor
+    pass one control three times. The stage sums keep one operand order,
+    `x + (0.5 h) k` and `x + (h / 6) (((k1 + 2 k2) + 2 k3) + k4)`, so every
+    form gives the bits of the others wherever the rates do."""
+    half = 0.5 * h
+    k1 = rates(x, u_left, *args)
+    k2 = rates([s + half * k for s, k in zip(x, k1)], u_mid, *args)
+    k3 = rates([s + half * k for s, k in zip(x, k2)], u_mid, *args)
+    k4 = rates([s + h * k for s, k in zip(x, k3)], u_right, *args)
+    sixth = h / 6.0
+    return [s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+            for s, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _rk4_wrapped(rates, x, u, dt, wind, params, xp=np) -> list:
+    """One `rk4` step of the state `rates` under one control, angles wrapped."""
+    y = rk4(rates, x, u, u, u, dt, wind, params, xp)
+    for i in ANGLE_STATES:
+        y[i] = _wrap(y[i])
+    return y
 
 
 def _binary(op: str):
@@ -445,6 +462,7 @@ class _Symbol:
     __sub__, __rsub__ = _binary("-")
     __mul__, __rmul__ = _binary("*")
     __truediv__, __rtruediv__ = _binary("/")
+    __mod__, __rmod__ = _binary("%")
     __pow__, __rpow__ = _binary("**")
 
     def __init__(self, rec: "_Recorder", node: int):
@@ -512,105 +530,102 @@ class _Recorder:
         raise TypeError(f"the recording namespace has no `{name}`")
 
 
-def _trace(body, raise_at: int | None = None):
-    """The recorder after `body(x, u, wind, params, xp)` on symbols, and the
-    rates. Nodes 0-11 are the state x0..x11; then come u0..u2 and c0..c26."""
+def _trace(body, sizes: dict, raise_at: int | None = None):
+    """The recorder after `body` on the symbols `{name}0..` of each entry of
+    `sizes` and `dt`, and the nodes of its results."""
     rec = _Recorder(raise_at)
-    x = [rec.record(f"x{i}") for i in range(STATE_DIM)]
-    u = [rec.record(f"u{i}") for i in range(CONTROL_DIM)]
-    c = iter([rec.record(f"c{j}") for j in range(_N_COEFFICIENTS)])
-    groups = {group: SimpleNamespace(**{f.name: next(c) for f in fields(cls)})
-              for group, cls in _STEP_GROUPS}
-    wind = groups.pop(None)
-    return rec, [r.node for r in body(x, u, wind, SimpleNamespace(**groups), rec)]
+    args = [[rec.record(f"{name}{i}") for i in range(n)] for name, n in sizes.items()]
+    return rec, [y.node for y in body(*args, rec.record("dt"), rec)]
 
 
-def _generate_rk4_floats(body=derivative):
-    """Compile the plain-float RK4 step `(c, x, u, dt) -> list` of `body`.
+def compile_float_step(body, filename: str, **sizes: int):
+    """Compile `body(*lists, dt, xp) -> list` into the plain-float function
+    `step(*lists, dt) -> list`, the list arguments named and sized by `sizes`.
 
-    The state derivative is written out once per stage: a node used once
-    is inlined into its user unless a guard lies between them, a node used
-    more often or a rate gets a name, and an unused one (a stage's position
-    input) is dropped. The message of each guard comes from tracing the body
-    again with that guard true. The source holds only names made here and
-    literal text from the body.
+    A node of the record used once is inlined into its user unless a guard
+    lies between them, a node used more often or a result gets a name, and
+    a node no result or guard reads is dropped. Each guard's message comes
+    from tracing the body again with that guard true. The step refuses
+    dt <= 0 and raises ModelDomainError on a non-finite result. Its source
+    is registered in `linecache` under `filename`, for tracebacks and `pdb`.
     """
-    rec, rates = _trace(body)
-    messages = []
-    for k in range(len(rec.guards)):
+    rec, results = _trace(body, sizes)
+    messages = {}
+    for k, node in enumerate(rec.guards):
         try:
-            _trace(body, raise_at=k)
+            _trace(body, sizes, raise_at=k)
         except ModelDomainError as exc:
-            messages.append(str(exc))
+            messages[node] = str(exc)
         else:
             raise TypeError("a guard of the body raises no ModelDomainError")
-    guard = dict(zip(rec.guards, messages))
-    segment = [sum(g < k for g in rec.guards) for k in range(len(rec.nodes) + 1)]
-    uses, user = [0] * len(rec.nodes), [len(rec.nodes)] * len(rec.nodes)
-    for k, (_, args) in enumerate(rec.nodes):
-        for a in args:
+    n = len(rec.nodes)
+    live, uses, user = [False] * n, [0] * n, [n] * n
+    for k in (*results, *rec.guards):
+        live[k] = True
+    for k in reversed(range(n)):
+        for a in rec.nodes[k][1] if live[k] else ():
             if isinstance(a, int):
+                live[a] = True
                 uses[a] += 1
                 user[a] = k
-    for r in rates:
-        uses[r] += 2     # a rate is read by the stage sums, so it is named
+    for k in results:
+        uses[k] += 2     # read by the finite check and the return, so named
+    segment = [sum(g < k for g in rec.guards) for k in range(n + 1)]
 
-    lines = [f"{', '.join(f'c{j}' for j in range(_N_COEFFICIENTS))} = c",
-             f"{', '.join(f'x{i}' for i in range(STATE_DIM))} = x",
-             f"{', '.join(f'u{i}' for i in range(CONTROL_DIM))} = u",
-             "if dt <= 0.0:",
-             "    raise ValueError('integration step dt must be > 0')",
-             "half = 0.5 * dt"]
-
-    def stage(state: list) -> list:
-        text = {}
-        for k, (fmt, args) in enumerate(rec.nodes):
-            if k in guard:
-                lines.append(f"if {text[args[0]]}:")
-                lines.append(f"    raise ModelDomainError({guard[k]!r})")
-                continue
-            if not uses[k]:
-                continue
-            src = state[k] if k < STATE_DIM else fmt.format(
-                *(text[a] if isinstance(a, int) else a for a in args))
+    lines = [f"{', '.join(f'{name}{i}' for i in range(size))}, = {name}"
+             for name, size in sizes.items()]
+    lines += ["if dt <= 0.0:", "    raise ValueError('integration step dt must be > 0')"]
+    text = {}
+    for k, (fmt, args) in enumerate(rec.nodes):
+        if k in messages:
+            lines += [f"if {text[args[0]]}:", f"    raise ModelDomainError({messages[k]!r})"]
+        elif uses[k]:
+            src = fmt.format(*(text[a] if isinstance(a, int) else a for a in args))
             if src.isidentifier() or (uses[k] == 1 and segment[k] == segment[user[k]]):
                 text[k] = src
             else:
-                text[k] = f"t{len(lines)}"
-                lines.append(f"{text[k]} = {src}")
-        return [text[r] for r in rates]
-
-    k1 = stage([f"x{i}" for i in range(STATE_DIM)])
-    k2 = stage([f"(x{i} + (half * {k}))" for i, k in enumerate(k1)])
-    k3 = stage([f"(x{i} + (half * {k}))" for i, k in enumerate(k2)])
-    k4 = stage([f"(x{i} + (dt * {k}))" for i, k in enumerate(k3)])
-    lines.append("sixth = dt / 6.0")
-    lines += [f"y{i} = x{i} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-              for i, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))]
-    lines += [f"y{i} = {math.pi!r} - (({math.pi!r} - y{i}) % {TWO_PI!r})" for i in ANGLE_STATES]
-    y = [f"y{i}" for i in range(STATE_DIM)]
+                text[k] = f"t{k}"
+                lines.append(f"t{k} = {src}")
+    y = [text[k] for k in results]
     lines.append(f"if not ({' and '.join(f'isfinite({v})' for v in y)}):")
     lines.append("    raise ModelDomainError('non-finite state after integration step')")
     lines.append(f"return [{', '.join(y)}]")
-    source = "def rk4_step(c, x, u, dt):\n" + "".join(f"    {line}\n" for line in lines)
+    source = f"def step({', '.join(sizes)}, dt):\n" + "".join(f"    {line}\n" for line in lines)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
                  "ModelDomainError": ModelDomainError}
-    exec(compile(source, "<generated rk4_step_floats>", "exec"), namespace)
-    return namespace["rk4_step"]
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"]
+
+
+_STEP_GROUPS = ((None, WindVector), ("closed_loop", ClosedLoopParams),
+                ("open_loop", OpenLoopParams), ("constants", PhysicalConstants))
+_WIND_COEFFICIENTS = attrgetter(*(f.name for f in fields(WindVector)))
+_PARAM_COEFFICIENTS = attrgetter(*(f"{group}.{f.name}" for group, cls in _STEP_GROUPS[1:]
+                                   for f in fields(cls)))
+_N_COEFFICIENTS = sum(len(fields(cls)) for _, cls in _STEP_GROUPS)
+
+
+def _generate_rk4_floats(rates=derivative):
+    """The plain-float step `(c, x, u, dt) -> list` of `_rk4_wrapped` over
+    the state `rates`. It takes the wind and parameter fields as one tuple
+    `c`, in `_STEP_GROUPS` order, so one function serves every set."""
+    def body(c, x, u, dt, xp):
+        c = iter(c)
+        groups = {group: SimpleNamespace(**{f.name: next(c) for f in fields(cls)})
+                  for group, cls in _STEP_GROUPS}
+        return _rk4_wrapped(rates, x, u, dt, groups.pop(None), SimpleNamespace(**groups), xp)
+
+    return compile_float_step(body, "<generated fwnmpc.model rk4_step>",
+                              c=_N_COEFFICIENTS, x=STATE_DIM, u=CONTROL_DIM)
 
 
 _RK4_FLOATS = _generate_rk4_floats()
 
 
 def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float) -> list:
-    """One RK4 step of a single state held as a list of floats.
-
-    Runs the step generated from `derivative`, whose float operations are
-    those of four `FLOATS` evaluations with the stage sums of the array
-    form, `x + (0.5*dt)*k` and `x + (dt/6)*(((k1 + 2k2) + 2k3) + k4)`, so a
-    step gives the bits of the array-stage scalar step. `u` is a sequence of
-    three floats.
-    """
+    """One RK4 step of a single state held as a list of floats, `u` a
+    sequence of three: the step generated from `rk4` over `derivative`."""
     return float_step(wind, params)(x, u, dt)
 
 
@@ -631,24 +646,18 @@ def derivative_array(x, u, wind: WindVector, params: ModelParams):
 
 
 def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float):
-    """Classical fourth-order Runge-Kutta step with post-step angle wrap.
+    """One `rk4` step of `derivative` with the post-step angle wrap.
 
     A single state of shape (12,) runs through `rk4_step_floats`; state
-    columns of shape (12, B) are integrated as arrays.
+    columns of shape (12, B) step as numpy rows.
     """
     x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     if x.ndim == 1:
-        u = np.asarray(u, dtype=float).tolist()
-        return np.array(rk4_step_floats(x.tolist(), u, wind, params, dt))
+        return np.array(rk4_step_floats(x.tolist(), u.tolist(), wind, params, dt))
     if dt <= 0.0:
         raise ValueError("integration step dt must be > 0")
-    k1 = derivative_array(x, u, wind, params)
-    k2 = derivative_array(x + 0.5 * dt * k1, u, wind, params)
-    k3 = derivative_array(x + 0.5 * dt * k2, u, wind, params)
-    k4 = derivative_array(x + dt * k3, u, wind, params)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    for idx in ANGLE_STATES:
-        x_next[idx] = wrap_angle(x_next[idx])
+    x_next = np.array(_rk4_wrapped(derivative, x, u, dt, wind, params))
     if not np.all(np.isfinite(x_next)):
         raise ModelDomainError("non-finite state after integration step")
     return x_next

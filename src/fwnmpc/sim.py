@@ -11,6 +11,7 @@ only enters through the seeded measurement-noise generator.
 from __future__ import annotations
 
 import io
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,13 @@ class Scenario:
             tick = ev.time / self.plant_dt
             if abs(tick - round(tick)) > 1e-9:
                 raise ValueError(f"event at t={ev.time} not on the plant time grid")
+        for key, sigma in (self.measurement_noise or {}).items():
+            if key not in md.STATE_NAMES:
+                raise ValueError(f"measurement_noise: unknown state channel {key!r}")
+            if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Real)
+                                               and 0 <= sigma < np.inf):
+                raise ValueError(f"measurement_noise: {key}: expected a finite number >= 0, "
+                                 f"got {sigma!r}")
 
 
 @dataclass
@@ -192,11 +200,8 @@ def run(scenario: Scenario) -> SimLog:
                                       scenario.wind, scenario.guidance)
     x = state0.as_array()
     rng = np.random.default_rng(scenario.seed)
-    noise_idx = []
-    for key, sigma in (scenario.measurement_noise or {}).items():
-        if key not in md.STATE_NAMES:
-            raise ValueError(f"unknown measurement-noise channel {key!r}")
-        noise_idx.append((md.STATE_NAMES.index(key), float(sigma)))
+    noise_idx = [(md.STATE_NAMES.index(key), float(sigma))
+                 for key, sigma in (scenario.measurement_noise or {}).items()]
 
     plant_now = plant_params
     motor_failed = False

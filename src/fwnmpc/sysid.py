@@ -9,18 +9,17 @@ output residuals; static force/power curves are fit first by linear least
 squares on quasi-static samples to seed the nonlinear estimate.
 
 Both structures integrate the rate functions of `fwnmpc.model` (the
-attitude rates; the force balance and the body accelerations), so one
-derivative serves the plant, the predictor and the identification
-structures. Each structure has one rates function, evaluated in two
-namespaces. A single parameter vector (an estimator trial, a dataset's
-outputs, a validation) integrates each dataset on plain floats, the rates
-under `md.FLOATS`. A batch of parameter vectors (the finite-difference
-residual Jacobian, which carries its own base column) integrates as numpy
-columns in one pass. Both RK4 loops keep the same operand order, so the cl
-residuals agree bit for bit; the ol ones may differ in the last bit where
-the power curve's `**` rounds apart. The estimator's reductions are
-fixed-order `einsum`s, so a fit gives the same bytes at any BLAS thread
-count.
+attitude rates; the force balance and the body accelerations) with its one
+RK4 step, `md.rk4`, so one derivative and one integrator serve the plant,
+the predictor and the identification structures. A batch of parameter
+vectors (the finite-difference residual Jacobian, which carries its own base
+column) steps `md.rk4` on numpy rows, all datasets of one sample interval in
+one pass. A single vector (an estimator trial, a dataset's outputs, a
+validation) steps each dataset through the structure's plain-float step,
+generated from `md.rk4` over its rates. The cl residuals of both agree bit
+for bit; the ol ones may differ in the last bit where the power curve's
+`**` rounds apart. The estimator's reductions are fixed-order `einsum`s, so
+a fit gives the same bytes at any BLAS thread count.
 
 Each structure's facts (parameters, the `ModelParams` field that holds them,
 input, initial-state and output channels, rates) live in one `STRUCTURES`
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -101,7 +100,7 @@ class ManeuverSpec:
 
 @dataclass
 class Dataset:
-    """Uniformly sampled input/output records for one experiment."""
+    """Uniformly sampled input/output records for one experiment, in increasing time."""
 
     structure: str                 # cl | ol | static | full
     t: np.ndarray
@@ -114,6 +113,8 @@ class Dataset:
         dt = np.diff(self.t)
         if self.t.size < 2 or np.max(np.abs(dt - dt[0])) > 1e-9:
             raise ValueError("dataset must be uniformly sampled")
+        if not np.all(dt > 0.0):
+            raise ValueError("dataset time must increase")
         n = self.t.size
         for name, arr in {**self.inputs, **self.outputs}.items():
             arr = np.asarray(arr, dtype=float)
@@ -182,8 +183,8 @@ def _freeform_offsets(spec: ManeuverSpec, rng: np.random.Generator) -> tuple[np.
 
 
 # ---------------------------------------------------------------------------
-# Structure simulators: one parameter vector on plain floats, a batch of
-# them over numpy columns.
+# Structure simulators: one parameter vector through a generated float step,
+# a batch of them over numpy columns.
 # ---------------------------------------------------------------------------
 
 def _as_param_matrix(params, names) -> np.ndarray:
@@ -257,62 +258,25 @@ def _structure(structure: str) -> Structure:
     return STRUCTURES[structure]
 
 
-def _integrate(rates, par, consts, h: float, inputs: np.ndarray,
-               init: np.ndarray, b: int) -> np.ndarray:
-    """RK4 over the sample intervals with each input channel held at the
-    interval's left, midpoint and right samples.
-
-    `inputs` is (I, T, D), the channels in the order `rates` reads them for
-    D datasets, each sample expanded to the M = D * b state columns as the
-    loop reaches it; `init` is the (S, M) initial state. Returns the
-    (S, T, M) trajectory.
-    """
-    x = np.empty((init.shape[0], inputs.shape[1], init.shape[1]))
-    x[:, 0] = state = init
-    u_right = _expand(inputs[:, 0], b)
-    for k in range(1, inputs.shape[1]):
-        u_left, u_right = u_right, _expand(inputs[:, k], b)
-        u_mid = 0.5 * (u_left + u_right)
-        k1 = np.stack(rates(state, u_left, par, consts))
-        k2 = np.stack(rates(state + 0.5 * h * k1, u_mid, par, consts))
-        k3 = np.stack(rates(state + 0.5 * h * k2, u_mid, par, consts))
-        k4 = np.stack(rates(state + h * k3, u_right, par, consts))
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x[:, k] = state
-    return x
+_CONSTANT_NAMES = tuple(f.name for f in fields(md.PhysicalConstants))
 
 
-def _integrate_floats(rates, par, consts, h: float, inputs: np.ndarray,
-                      init: list) -> list:
-    """`_integrate` for one parameter set on plain floats: the rates under
-    `md.FLOATS`, in `_integrate`'s operand order (the midpoint inputs
-    `0.5 * (left + right)`, the stages `state + (0.5 * h) * k` and the
-    update `state + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4)`).
+def _generate_step(name: str, st: Structure):
+    """The plain-float `md.rk4` step `(c, x, u_left, u_mid, u_right, dt)` of a
+    structure's rates, `c` its parameters in vector order, then the constants."""
+    n, k = len(st.param_names), len(st.inputs)
 
-    `inputs` is the (I, T) array of one dataset and `init` the initial
-    state. Returns the T states as lists. Where numpy would return inf or
-    NaN, float arithmetic raises (`**` overflows, `math.cos` of inf, a
-    division by zero); the states from that step on are NaN then.
-    """
-    half, sixth = 0.5 * h, h / 6.0
-    left = inputs.T.tolist()
-    mid = (0.5 * (inputs[:, :-1] + inputs[:, 1:])).T.tolist()
-    state, states = init, [init]
-    try:
-        for u_left, u_mid, u_right in zip(left, mid, left[1:]):
-            k1 = rates(state, u_left, par, consts, md.FLOATS)
-            k2 = rates([s + half * k for s, k in zip(state, k1)], u_mid, par, consts,
-                       md.FLOATS)
-            k3 = rates([s + half * k for s, k in zip(state, k2)], u_mid, par, consts,
-                       md.FLOATS)
-            k4 = rates([s + h * k for s, k in zip(state, k3)], u_right, par, consts,
-                       md.FLOATS)
-            state = [s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            states.append(state)
-    except (OverflowError, ZeroDivisionError, ValueError):
-        states += [[math.nan] * len(init)] * (len(left) - len(states))
-    return states
+    def body(c, x, u_left, u_mid, u_right, dt, xp):
+        par = SimpleNamespace(**dict(zip(st.param_names, c)))
+        consts = SimpleNamespace(**dict(zip(_CONSTANT_NAMES, c[n:])))
+        return md.rk4(st.rates, x, u_left, u_mid, u_right, dt, par, consts, xp)
+
+    return md.compile_float_step(body, f"<generated fwnmpc.sysid {name} step>",
+                                 c=n + len(_CONSTANT_NAMES), x=len(st.init),
+                                 u_left=k, u_mid=k, u_right=k)
+
+
+_FLOAT_STEPS = {name: _generate_step(name, st) for name, st in STRUCTURES.items()}
 
 
 def _ol_outputs(x: np.ndarray, theta: np.ndarray, ol, consts) -> np.ndarray:
@@ -328,7 +292,9 @@ def _simulate(st: Structure, p: np.ndarray, group: list, h: float,
     """State trajectories of one structure over datasets of one sample
     interval for every parameter column of `p` (P, B) at once:
     (S, T, D * B), with T the longest dataset's length and the columns
-    dataset-major.
+    dataset-major. `md.rk4` steps each interval on numpy rows, each input
+    channel held at the interval's left, midpoint and right samples, which
+    are expanded to the state columns as the loop reaches them.
 
     A shorter dataset's inputs are padded to T by holding its last sample.
     The integration is causal and every column is elementwise-independent,
@@ -342,21 +308,39 @@ def _simulate(st: Structure, p: np.ndarray, group: list, h: float,
     inputs = np.array([[np.pad(np.asarray(ds.inputs[name], dtype=float),
                                (0, n - ds.t.size), mode="edge")
                         for ds in group] for name in st.inputs]).transpose(0, 2, 1)
-    init = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
-                              for ds in group] for name in st.init]), b)
+    x = np.empty((len(st.init), n, b * len(group)))
+    x[:, 0] = state = _expand(np.array([[_initial_value({**ds.inputs, **ds.outputs}[name])
+                                         for ds in group] for name in st.init]), b)
+    u_right = _expand(inputs[:, 0], b)
     # unstable parameter trials may overflow; the estimator checks for
     # non-finite cost explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return _integrate(st.rates, par, consts, h, inputs, init, b)
+        for k in range(1, n):
+            u_left, u_right = u_right, _expand(inputs[:, k], b)
+            state = md.rk4(st.rates, state, u_left, 0.5 * (u_left + u_right), u_right, h,
+                           par, consts)
+            x[:, k] = state
+    return x
 
 
-def _simulate_floats(st: Structure, par, ds: Dataset,
-                     consts: md.PhysicalConstants) -> np.ndarray:
-    """The state trajectory of one structure over one dataset for the
-    parameter fields of `par`, plain floats: (S, T, 1)."""
+def _simulate_floats(structure: str, c: tuple, ds: Dataset) -> np.ndarray:
+    """The state trajectory of one structure over one dataset through its
+    generated step, `c` the step's coefficients: (S, T, 1). Where numpy
+    would return inf or NaN, the step raises (`**` overflows, `math.cos` of
+    inf, a division by zero, a non-finite state); the states from that
+    sample on are NaN then."""
+    st, step = STRUCTURES[structure], _FLOAT_STEPS[structure]
     inputs = np.array([np.asarray(ds.inputs[name], dtype=float) for name in st.inputs])
-    init = [_initial_value({**ds.inputs, **ds.outputs}[name]) for name in st.init]
-    return np.array(_integrate_floats(st.rates, par, consts, ds.dt, inputs, init)).T[..., None]
+    left = inputs.T.tolist()
+    mid = (0.5 * (inputs[:, :-1] + inputs[:, 1:])).T.tolist()
+    h = ds.dt
+    states = [[_initial_value({**ds.inputs, **ds.outputs}[name]) for name in st.init]]
+    try:
+        for u_left, u_mid, u_right in zip(left, mid, left[1:]):
+            states.append(step(c, states[-1], u_left, u_mid, u_right, h))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        states += [[math.nan] * len(st.init)] * (len(left) - len(states))
+    return np.array(states).T[..., None]
 
 
 def _simulate_datasets(structure: str, p: np.ndarray, datasets: list,
@@ -370,7 +354,8 @@ def _simulate_datasets(structure: str, p: np.ndarray, datasets: list,
     b = p.shape[1]
     if b == 1:
         par = SimpleNamespace(**dict(zip(st.param_names, p[:, 0].tolist())))
-        states = [_simulate_floats(st, par, ds, consts) for ds in datasets]
+        c = (*p[:, 0].tolist(), *(getattr(consts, name) for name in _CONSTANT_NAMES))
+        states = [_simulate_floats(structure, c, ds) for ds in datasets]
     else:
         par = SimpleNamespace(**dict(zip(st.param_names, p)))
         groups: dict = {}

@@ -1,6 +1,7 @@
 """Tests for the control-augmented flight model and integrator."""
 
 import math
+import traceback
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -484,7 +485,7 @@ class TestRk4StepFloats:
 
     @pytest.mark.parametrize("edit", [
         lambda rate, xp: xp.tan(rate),              # a function the namespace lacks
-        lambda rate, xp: rate % 1.0,                # an operator the recorder lacks
+        lambda rate, xp: rate // 1.0,               # an operator the recorder lacks
         lambda rate, xp: rate if rate > 0.0 else -rate,   # a branch on a value
         lambda rate, xp: math.exp(rate),            # a function outside the namespace
         lambda rate, xp: np.float64(2.0) * rate,    # a constant that is no float
@@ -500,6 +501,37 @@ class TestRk4StepFloats:
 
         with pytest.raises(TypeError):
             m._generate_rk4_floats(body)
+
+    def test_columns_equal_oracle(self, params):
+        """A (12, B) batch steps every column to the oracle's bytes. An
+        array's `**` and a float's may round apart in the power curve, so
+        the byte comparison takes c_t2 = c_t3 = 0, where the powers only
+        meet zeros; with the default curve the columns agree to rounding."""
+        rng = np.random.default_rng(23)
+        xs = random_envelope_states(rng, 300).T
+        us = np.array([rng.uniform(0.0, 1.0, 300), rng.uniform(-0.5, 0.5, 300),
+                       rng.uniform(-0.25, 0.25, 300)])
+        linear = replace(params, open_loop=replace(params.open_loop, c_t2=0.0, c_t3=0.0))
+        for p in (linear, params):
+            batch = m.rk4_step_array(xs, us, self.WIND, p, 0.1)
+            for j in range(xs.shape[1]):
+                expected = reference_rk4_step(xs[:, j], us[:, j], self.WIND, p, 0.1)
+                if p is linear:
+                    assert batch[:, j].tobytes() == expected.tobytes()
+                else:
+                    np.testing.assert_allclose(batch[:, j], expected, rtol=1e-13, atol=1e-13)
+
+    def test_generated_source_shows_in_tracebacks(self, params, trim):
+        """A domain error raised inside the generated step shows its source
+        line, as `pdb` does, through `linecache`."""
+        x = trim.state().as_array()
+        x[m.IDX_GAMMA] = 1.55
+        with pytest.raises(m.ModelDomainError) as exc:
+            m.rk4_step_floats(x.tolist(), trim.control().as_array().tolist(), self.WIND,
+                              params, 0.1)
+        frame = traceback.extract_tb(exc.value.__traceback__)[-1]
+        assert frame.filename == "<generated fwnmpc.model rk4_step>"
+        assert frame.line.startswith("raise ModelDomainError(")
 
     def test_bytes_equal_oracle_on_random_states(self, params):
         rng = np.random.default_rng(7)

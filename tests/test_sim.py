@@ -513,6 +513,24 @@ class TestConfigLoading:
         with pytest.raises(cfgio.ConfigError, match=rf"{re.escape(key)}: expected"):
             cfgio.load_scenario(node)
 
+    @pytest.mark.parametrize("noise", [
+        "{n: abc}", "{bogus: 1.0}", "{v_a: -0.1}", "{v_a: .nan}", "{v_a: true}", "[0.1]",
+    ], ids=["not_a_number", "unknown_channel", "negative", "nan", "bool", "not_a_mapping"])
+    def test_bad_measurement_noise_names_it(self, tmp_path, noise):
+        """Malformed measurement noise fails at load, as a `ConfigError`
+        naming `measurement_noise`, not inside `sim.run`."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML + f"measurement_noise: {noise}\n")
+        with pytest.raises(cfgio.ConfigError, match="measurement_noise"):
+            cfgio.load_scenario(path)
+
+    def test_measurement_noise_checked_when_the_scenario_is_built(self):
+        with pytest.raises(ValueError, match="measurement_noise: unknown state channel"):
+            short_line_scenario(measurement_noise={"bogus": 1.0})
+        scenario = cfgio.load_scenario({**yaml.safe_load(SCENARIO_YAML),
+                                        "measurement_noise": {"v_a": 1, "phi": 0.005}})
+        assert scenario.measurement_noise == {"v_a": 1, "phi": 0.005}
+
     def test_integral_integer_fields_load(self, tmp_path):
         path = tmp_path / "scn.yaml"
         path.write_text(SCENARIO_YAML.replace("n_steps: 15", "n_steps: 15.0") + "seed: 7\n")

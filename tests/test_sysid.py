@@ -1,5 +1,9 @@
 """Tests for the grey-box identification pipeline."""
 
+import traceback
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -38,6 +42,17 @@ for structure in ("cl", "ol"):
     print(structure, report.n_iter, report.params.tobytes().hex(),
           report.covariance.tobytes().hex(), report.cost.hex())
 """
+
+
+def lm_jacobian(structure, vec, datasets):
+    """The forward-difference residual Jacobian as `estimate` forms it: one
+    batch whose column 0 is the point itself, every column differenced
+    against that column."""
+    steps = np.maximum(5e-8 * np.abs(vec), 1e-10)
+    batch = np.repeat(vec[:, None], vec.size + 1, axis=1)
+    batch[np.arange(vec.size), np.arange(1, vec.size + 1)] += steps
+    r_batch = sysid.residual_vector(structure, batch, datasets)
+    return (r_batch[:, 1:] - r_batch[:, :1]) / steps
 
 
 class TestGenerate211:
@@ -236,6 +251,60 @@ class TestFloatPath:
         batch = np.column_stack([vec, vec, vec])
         assert sysid.residual_vector("cl", batch, cl_sets).shape == (n_res, 3)
 
+    @pytest.mark.parametrize("structure", ["cl", "ol"])
+    def test_generated_steps_equal_rk4_under_floats(self, params, structure):
+        """Each structure's generated step gives the bytes of `md.rk4` over
+        its rates under `md.FLOATS`, sample by sample along a training set,
+        at three perturbed parameter sets."""
+        st = sysid.STRUCTURES[structure]
+        step = sysid._FLOAT_STEPS[structure]
+        consts = params.constants
+        ds = sysid.make_training_sets(params, structure)[1]
+        inputs = np.array([ds.inputs[name] for name in st.inputs])
+        mid = 0.5 * (inputs[:, :-1] + inputs[:, 1:])
+        truth = getattr(params, st.params_field)
+        for seed in range(3):
+            vec = sysid.perturb_params(truth, 0.2, seed=seed).tolist()
+            par = SimpleNamespace(**dict(zip(st.param_names, vec)))
+            c = (*vec, consts.m, consts.g, consts.s_wing, consts.rho_air)
+            x = [float(ds.outputs.get(name, ds.inputs.get(name))[0]) for name in st.init]
+            for k in range(ds.t.size - 1):
+                args = inputs[:, k].tolist(), mid[:, k].tolist(), inputs[:, k + 1].tolist()
+                want = md.rk4(st.rates, x, *args, ds.dt, par, consts, md.FLOATS)
+                got = step(c, x, *args, ds.dt)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                x = want
+
+    def test_diverging_vector_gives_nan_rows_from_the_failing_sample(self, params, cl_sets):
+        """The unstable roll damping of `l_p = 100` leaves the finite domain
+        inside the run: the samples before are the states, every one from
+        the failing step on is NaN, and the step there raises."""
+        ds = cl_sets[0]
+        vec = params.closed_loop.as_array()
+        vec[0] = 100.0
+        sim = sysid.simulate_structure("cl", vec, ds)
+        bad = int(np.flatnonzero(~np.all(np.isfinite(sim), axis=0))[0])
+        assert 1 < bad < ds.t.size - 1
+        assert np.all(np.isfinite(sim[:, :bad]))
+        assert np.all(np.isnan(sim[:, bad:]))
+        inputs = np.array([ds.inputs[name] for name in sysid.CL_INPUTS])
+        left, right = inputs[:, bad - 1], inputs[:, bad]
+        c = (*vec.tolist(), *(getattr(params.constants, f.name)
+                              for f in fields(md.PhysicalConstants)))
+        with pytest.raises((OverflowError, ZeroDivisionError, ValueError)):
+            sysid._FLOAT_STEPS["cl"](c, sim[:, bad - 1].tolist(), left.tolist(),
+                                     (0.5 * (left + right)).tolist(), right.tolist(), ds.dt)
+
+    @pytest.mark.parametrize("structure", ["cl", "ol"])
+    def test_generated_source_shows_in_tracebacks(self, structure):
+        st = sysid.STRUCTURES[structure]
+        u = [0.0] * len(st.inputs)
+        with pytest.raises(ValueError, match="dt must be > 0") as exc:
+            sysid._FLOAT_STEPS[structure]([1.0] * 14, [0.0] * len(st.init), u, u, u, 0.0)
+        frame = traceback.extract_tb(exc.value.__traceback__)[-1]
+        assert frame.filename == f"<generated fwnmpc.sysid {structure} step>"
+        assert frame.line == "raise ValueError('integration step dt must be > 0')"
+
     @pytest.mark.parametrize("channel, value", [
         ("v_a", 0.0),        # the flight path rate divides by zero
         ("u_t", 1e200),      # the power curve's `**` overflows
@@ -334,11 +403,7 @@ class TestEstimate:
         """LM's internal forward-difference gradient against a central oracle."""
         vec = params.closed_loop.as_array() * 1.03
         r0 = sysid.residual_vector("cl", vec, cl_sets)
-        steps = np.maximum(5e-8 * np.abs(vec), 1e-10)  # mirror the LM internals
-        batch = np.repeat(vec[:, None], vec.size, axis=1)
-        batch[np.arange(vec.size), np.arange(vec.size)] += steps
-        jac = (sysid.residual_vector("cl", batch, cl_sets) - r0[:, None]) / steps
-        grad_fd = jac.T @ r0
+        grad_fd = lm_jacobian("cl", vec, cl_sets).T @ r0
 
         grad_cd = np.empty_like(vec)
         for i in range(vec.size):
@@ -371,10 +436,7 @@ class TestEstimate:
         assert report.n_iter == 1
         vec = report.params
         r0 = sysid.residual_vector("cl", vec, cl_sets)
-        steps = np.maximum(5e-8 * np.abs(vec), 1e-10)  # mirror the LM internals
-        batch = np.repeat(vec[:, None], vec.size, axis=1)
-        batch[np.arange(vec.size), np.arange(vec.size)] += steps
-        jac = (sysid.residual_vector("cl", batch, cl_sets) - r0[:, None]) / steps
+        jac = lm_jacobian("cl", vec, cl_sets)
         cov = (r0 @ r0) / (r0.size - vec.size) * np.linalg.inv(jac.T @ jac)
         np.testing.assert_allclose(report.param_std, np.sqrt(np.diag(cov)), rtol=1e-9)
 
@@ -485,7 +547,8 @@ class TestDatasetCsv:
         "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n0.025,0\n",
         "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n0.025,x,0\n",
         "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n",
-    ], ids=["header_only", "ragged_row", "not_a_number", "single_row"])
+        "structure=cl\ntime,in:phi_ref,out:phi\n0,0,0\n-0.025,0,0\n-0.05,0,0\n",
+    ], ids=["header_only", "ragged_row", "not_a_number", "single_row", "decreasing_time"])
     def test_malformed_file_names_its_path(self, tmp_path, body):
         path = tmp_path / "bad_set.csv"
         path.write_text(body)
@@ -493,9 +556,13 @@ class TestDatasetCsv:
             sysid.load_dataset(path)
 
     def test_nonuniform_sampling_rejected(self):
-        with pytest.raises(ValueError):
-            sysid.Dataset(structure="cl", t=np.array([0.0, 0.1, 0.3]),
-                          inputs={}, outputs={})
+        """An uneven time axis, and an even one that does not increase, which
+        the simulators would integrate backwards or not at all."""
+        for t, message in ((np.array([0.0, 0.1, 0.3]), "uniformly sampled"),
+                           (-0.025 * np.arange(10), "must increase"),
+                           (np.zeros(4), "must increase")):
+            with pytest.raises(ValueError, match=message):
+                sysid.Dataset(structure="cl", t=t, inputs={}, outputs={})
 
     def test_report_text_renders(self, params, cl_sets):
         report = sysid.estimate("cl", params.closed_loop.as_array(), cl_sets)
