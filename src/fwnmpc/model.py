@@ -623,38 +623,24 @@ def _generate_rk4_floats(rates=derivative):
 _RK4_FLOATS = _generate_rk4_floats()
 
 
-def rk4_step_floats(x: list, u, wind: WindVector, params: ModelParams, dt: float) -> list:
-    """One RK4 step of a single state held as a list of floats, `u` a
-    sequence of three: the step generated from `rk4` over `derivative`."""
-    return float_step(wind, params)(x, u, dt)
-
-
 def float_step(wind: WindVector, params: ModelParams):
-    """`rk4_step_floats` with `wind` and `params` bound: `step(x, u, dt)`,
-    for a loop that steps many states under one wind and parameter set."""
+    """One RK4 step of a single state held as a list of floats, with `wind`
+    and `params` bound: `step(x, u, dt)`, `u` a sequence of three; the step
+    generated from `rk4` over `derivative`, for a loop that steps many
+    states under one wind and parameter set."""
     return partial(_RK4_FLOATS, _WIND_COEFFICIENTS(wind) + _PARAM_COEFFICIENTS(params))
-
-
-def derivative_array(x, u, wind: WindVector, params: ModelParams):
-    """`derivative` as an array: a single state of shape (12,) on plain
-    floats, state columns of shape (12, B) under `numpy`."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.ndim == 1:
-        return np.array(derivative(x.tolist(), u.tolist(), wind, params, FLOATS))
-    return np.stack(derivative(x, u, wind, params))
 
 
 def rk4_step_array(x, u, wind: WindVector, params: ModelParams, dt: float):
     """One `rk4` step of `derivative` with the post-step angle wrap.
 
-    A single state of shape (12,) runs through `rk4_step_floats`; state
+    A single state of shape (12,) runs through `float_step`; state
     columns of shape (12, B) step as numpy rows.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim == 1:
-        return np.array(rk4_step_floats(x.tolist(), u.tolist(), wind, params, dt))
+        return np.array(float_step(wind, params)(x.tolist(), u.tolist(), dt))
     if dt <= 0.0:
         raise ValueError("integration step dt must be > 0")
     x_next = np.array(_rk4_wrapped(derivative, x, u, dt, wind, params))

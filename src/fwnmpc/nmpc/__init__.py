@@ -1,7 +1,8 @@
 """Single-shooting NMPC with condensing: path following, airspeed
 stabilization, soft angle-of-attack constraint, box-constrained controls.
-The controls are the only decision variables; every iteration propagates
-the horizon from the measured state (see `fwnmpc.nmpc.solver`)."""
+The controls are the only decision variables. Every line search propagates
+the horizon from the measured state; an embedded period linearizes at the
+prediction before the measurement arrives (see `fwnmpc.nmpc.solver`)."""
 
 from fwnmpc.nmpc.ocp import (
     OcpConfig,

@@ -193,7 +193,7 @@ def propagate_horizon(x0: np.ndarray, controls: np.ndarray, queue: pth.PathQueue
 
     The per-node loop works on plain floats only: the switching recursion of
     the plant-side queue (`pth.terminal_conditions` and `pth.advance_switch`)
-    and one `rk4_step_floats` step. The ground velocity is worked out only
+    and one `md.float_step` step. The ground velocity is worked out only
     where a bearing test needs it. The frozen path context is then built in
     one vectorized pass per run of nodes on the same segment (see
     `pth.HorizonContext.fill_run`), which refuses helix legs already passed

@@ -15,8 +15,9 @@ face, the Newton step of a quadratic is exact. Otherwise the step is
 projected onto the box, x(alpha) = clip(x + alpha step), and alpha halves
 from 1 until the decrease of the quadratic is at least 1e-4 of
 -grad . (x(alpha) - x). One iteration can thus move any number of bounds,
-and the loop ends when the KKT residual is within its tolerance. The
-iteration is deterministic: it has no ties to break.
+and the loop ends when the KKT residual is within its tolerance,
+1e-10 max(1, |g|_inf), relative to g so that H x + g rounding at g's scale
+can end it. The iteration is deterministic: it has no ties to break.
 
 The free block H_FF is factored by a blocked Cholesky factorization, anew
 only when the free set changes. The first iteration works on the starting
@@ -131,7 +132,9 @@ def solve_box_qp(h_mat: np.ndarray, g_vec: np.ndarray, lb: np.ndarray,
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     n = g_vec.shape[0]
-    tol = 1e-10
+    # relative to |g|_inf; a non-finite g keeps 1e-10, so it never ends optimal
+    g_inf = float(np.max(np.abs(g_vec), initial=0.0))
+    tol = 1e-10 * (g_inf if 1.0 < g_inf < np.inf else 1.0)
     max_iter = 3 * n + 10
 
     x, state = _start(lb, ub)

@@ -1,33 +1,36 @@
 """Gauss-Newton SQP over the shooting horizon and the controller session.
 
-Each iteration re-propagates the horizon from the measured state (so the
-shooting gaps vanish identically), linearizes dynamics and weighted outputs,
-condenses the continuity constraints into a dense control-space QP with box
-bounds, solves it by projected Newton, and applies the full step with
-objective-increase fallback to step halving.
+One Gauss-Newton iteration is written once, in two halves around the
+measurement: the real-time iteration of Diehl, Bock and Schloeder (2005).
+`linearize`, at a horizon and its controls, linearizes the dynamics and the
+weighted outputs and condenses the continuity constraints into a dense
+control-space QP with box bounds: H and its factor, the gradient and
+M = J_u^T J_x0 at the horizon's node 0, and the QP's first Newton step
+s0 + K dx0 for an offset dx0 of that node. `_feedback` solves the QP for
+g = gradient + M dx0 by projected Newton from that first step, and
+`_line_search` applies the step with objective-increase fallback to step
+halving, each candidate rolled out from the measured state (so the shooting
+gaps vanish identically).
 
 Condensing builds H = J^T J stage by stage with a forward sensitivity pass
 and a backward adjoint pass (Andersson et al. 2013), in O(N^2) and without
 forming the condensed Jacobian J; g = J^T r takes one O(N) adjoint pass.
 
-A warm controller period runs as a real-time iteration (Diehl, Bock and
-Schloeder 2005) in two phases. The preparation phase, `NmpcController.prepare`,
-runs between periods: it shifts the last accepted horizon by one node and
-builds a `Linearization` there: H, the QP factor, and the gradient and
-M = J_u^T J_x0 at the shifted node 0, the prediction x_pred, and the QP's
-first Newton step there, s0 + K (x_meas - x_pred).
-The feedback phase, `step`, embeds the measurement (initial-value
-embedding): it solves the prepared QP for g = gradient + M (x_meas - x_pred)
-from that first step and sends the full step's first control, with no
-rollout. Every warm period with a preparation for its weights and wind
-embeds. The next preparation runs that period's line search from the
-measurement with node 0 held at the control sent; its baseline is the warm
-plan with the same node 0, which it keeps if every step length raises the
-objective, so the objective never increases. A cold start, a period without
-a usable preparation, and one whose weights or wind changed roll out from
-the measurement instead and linearize there (`sqp_iterate`). A period in
-which a QP stops at its iteration limit keeps its controls and is flagged
-degraded.
+A warm controller period runs the halves apart. The preparation phase,
+`NmpcController.prepare`, runs between periods: it shifts the last accepted
+horizon by one node and linearizes there, at the prediction. The feedback
+phase, `step`, embeds the measurement (initial-value embedding): `_feedback`
+at its offset from the prediction, and the full step's first control is
+sent, with no rollout. Every warm period with a preparation for its weights
+and wind embeds. The next preparation runs that period's line search from
+the measurement with node 0 held at the control sent; its baseline is the
+warm plan with the same node 0, which it keeps if every step length raises
+the objective, so the objective never increases. A cold start, a period
+without a usable preparation, and one whose weights or wind changed run the
+whole iteration at the measurement instead (`sqp_iterate`): `linearize` at
+the rollout from it, `_feedback` at dx0 = 0 and the line search with node 0
+free, `cold_start_sqp_iter` times on a cold start. A period in which a QP
+stops at its iteration limit keeps its controls and is flagged degraded.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fwnmpc import guidance as gd
 from fwnmpc import model as md
 from fwnmpc import paths as pth
 from fwnmpc.nmpc import ocp
-from fwnmpc.nmpc.qp import QpFactor, first_newton_step, prepare_box_qp, solve_box_qp
+from fwnmpc.nmpc.qp import QpFactor, QpResult, first_newton_step, prepare_box_qp, solve_box_qp
 
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
@@ -189,6 +192,7 @@ class Linearization:
     s0: np.ndarray                # (3N,) the QP's first Newton step for `gradient`
     k_mat: np.ndarray             # (3N, 12) its change per unit change of x0
     x0: np.ndarray                # (12,) the horizon's node 0
+    residual: np.ndarray          # r at the horizon, a line search's baseline
     seg_index: np.ndarray         # (N+1,) segment index per node
     stage_weight: np.ndarray
     end_weight: np.ndarray
@@ -199,14 +203,10 @@ class Linearization:
 class SqpIterationResult:
     controls: np.ndarray
     horizon: ocp.Horizon
-    residual: np.ndarray
     objective: float
     objective_before: float
     step_norm: float
-    kkt_residual: float
-    qp_status: str
-    qp_active_set: int
-    qp_iters: int
+    qp: QpResult
     halvings: int
     accepted: bool
 
@@ -347,8 +347,9 @@ def linearize(problem: AircraftShootingProblem, horizon: ocp.Horizon,
     return Linearization(
         controls=controls, h_mat=h_mat, lb=lb, ub=ub, factor=factor, gradient=gradient,
         m_mat=m_mat, s0=first_newton_step(h_mat, gradient, lb, ub, factor),
-        k_mat=factor.newton_step(m_mat), x0=horizon.states[0], seg_index=horizon.seg_index,
-        stage_weight=problem.stage_weight, end_weight=problem.end_weight, wind=problem.wind)
+        k_mat=factor.newton_step(m_mat), x0=horizon.states[0], residual=residual,
+        seg_index=horizon.seg_index, stage_weight=problem.stage_weight,
+        end_weight=problem.end_weight, wind=problem.wind)
 
 
 def _same_weights(prepared: Linearization, problem: AircraftShootingProblem) -> bool:
@@ -357,49 +358,70 @@ def _same_weights(prepared: Linearization, problem: AircraftShootingProblem) -> 
             and prepared.wind == problem.wind)
 
 
-def _line_search(problem: AircraftShootingProblem, x0: np.ndarray, delta: np.ndarray,
-                 base: tuple):
-    """Full step, halving on objective increase, from the baseline `base`,
-    the (controls, horizon, residual, objective) of a rollout from `x0`:
-    that tuple of the first candidate clip(controls + alpha delta),
-    alpha = 1, 1/2, ..., whose rollout from `x0` does not raise the
-    objective over the baseline's, else `base` itself; and the halvings,
+def _feedback(lin: Linearization, x0: np.ndarray, bounds: tuple):
+    """The QP half of the iteration at the measured state `x0`: the QP for
+    g = gradient + M dx0 from the first step s0 + K dx0, dx0 the offset of
+    `x0` from the linearization's node 0 with angle rows wrapped. Returns
+    the QP's result, its step (N, 3) and the plan clip(controls + step) to
+    `bounds`. At dx0 = 0 the products add exact zeros, so the QP has the
+    bits of the linearization's own. A non-finite `x0` raises
+    `md.ModelDomainError`, as its rollout would, and so does a non-finite
+    plan."""
+    dx0 = x0 - lin.x0
+    if not np.all(np.isfinite(dx0)):
+        raise md.ModelDomainError("non-finite measured state")
+    dx0[_ANGLE_ROWS] = md.wrap_angle(dx0[_ANGLE_ROWS])
+    # einsum: a fixed-order product, so the bits do not follow the BLAS threads
+    g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
+    first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
+    qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor,
+                      first_step=first_step)
+    delta = qp.x.reshape(lin.controls.shape)
+    plan = np.clip(lin.controls + delta, *bounds)
+    if not np.all(np.isfinite(plan)):
+        raise md.ModelDomainError("non-finite controls out of SQP")
+    return qp, delta, plan
+
+
+def _line_search(problem: AircraftShootingProblem, x0: np.ndarray, controls: np.ndarray,
+                 delta: np.ndarray, base: tuple | None = None):
+    """The line-search half of the iteration: the first candidate
+    clip(controls + alpha delta), alpha = 1, 1/2, ..., whose rollout from
+    `x0` does not raise the objective over the baseline's, the rollout of
+    `controls` from `x0` (`base`, its (horizon, objective), or rolled out
+    here if None). Returns that candidate's (controls, horizon, objective),
+    else the baseline's; the baseline's objective; and the halvings,
     _MAX_HALVINGS + 1 when none was accepted."""
-    controls, obj0 = base[0], base[3]
+    if base is None:
+        horizon = problem.rollout(x0, controls)
+        base = horizon, problem.objective(problem.residuals(horizon, controls))
+    obj0 = base[1]
     u_lb, u_ub = problem.bounds()
     for halvings in range(_MAX_HALVINGS + 1):
         cand_u = np.clip(controls + 0.5 ** halvings * delta, u_lb, u_ub)
         cand_h = problem.rollout(x0, cand_u)
-        cand_r = problem.residuals(cand_h, cand_u)
-        cand_obj = problem.objective(cand_r)
+        cand_obj = problem.objective(problem.residuals(cand_h, cand_u))
         if cand_obj <= obj0 * (1.0 + _OBJ_SLACK) + _OBJ_SLACK:
-            return (cand_u, cand_h, cand_r, cand_obj), halvings
-    return base, _MAX_HALVINGS + 1
+            return (cand_u, cand_h, cand_obj), obj0, halvings
+    return (controls, *base), obj0, _MAX_HALVINGS + 1
 
 
 def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
-                controls: np.ndarray, horizon: ocp.Horizon | None = None,
-                residual: np.ndarray | None = None) -> SqpIterationResult:
-    """One Gauss-Newton iteration with condensing and box-constrained QP,
-    linearized at the rollout from `x0` (`horizon` and `residual`, if
-    given, are that rollout's); its QP starts from the linearization's
-    first Newton step."""
+                controls: np.ndarray, horizon: ocp.Horizon | None = None) -> SqpIterationResult:
+    """One whole Gauss-Newton iteration at the measured state `x0`:
+    `linearize` at the rollout of `controls` from `x0` (`horizon`, if given,
+    is that rollout), `_feedback` at dx0 = 0, and `_line_search` with node 0
+    free, whose baseline is the linearization's residual."""
     if horizon is None:
         horizon = problem.rollout(x0, controls)
-    if residual is None:
-        residual = problem.residuals(horizon, controls)
-    obj0 = problem.objective(residual)
     lin = linearize(problem, horizon, controls)
-    qp = solve_box_qp(lin.h_mat, lin.gradient, lin.lb, lin.ub, factor=lin.factor,
-                      first_step=lin.s0)
-    delta = qp.x.reshape(controls.shape)
-    (u_new, h_new, r_new, obj_new), halvings = _line_search(
-        problem, x0, delta, (controls, horizon, residual, obj0))
+    qp, delta, _ = _feedback(lin, x0, problem.bounds())
+    (u_new, h_new, obj), obj0, halvings = _line_search(
+        problem, x0, controls, delta, (horizon, problem.objective(lin.residual)))
     return SqpIterationResult(
-        controls=u_new, horizon=h_new, residual=r_new, objective=obj_new,
-        objective_before=obj0, step_norm=float(np.max(np.abs(delta), initial=0.0)),
-        kkt_residual=qp.kkt_residual, qp_status=qp.status, qp_active_set=qp.n_active,
-        qp_iters=qp.n_iter, halvings=halvings, accepted=halvings <= _MAX_HALVINGS)
+        controls=u_new, horizon=h_new, objective=obj, objective_before=obj0,
+        step_norm=float(np.max(np.abs(delta), initial=0.0)), qp=qp, halvings=halvings,
+        accepted=halvings <= _MAX_HALVINGS)
 
 
 def apply_throttle_failure_weight(weights: ocp.Weights,
@@ -501,11 +523,11 @@ class NmpcController:
     def settle(self) -> OcpSolution | None:
         """The deferred line search of the last period, if it was embedded,
         rolled out from its measurement. Its baseline (`objective_before`)
-        is the warm plan with node 0 held at the control sent; the step on
-        nodes 1..N-1 is halved on objective increase (`_line_search`), and
-        the baseline is kept if every length raises the objective, so the
-        objective never increases. The accepted horizon is the one `prepare`
-        shifts.
+        is the warm plan with node 0 held at the control sent, which
+        `_line_search` rolls out itself; the step on nodes 1..N-1 is halved
+        on objective increase, and the baseline is kept if every length
+        raises the objective, so the objective never increases. The accepted
+        horizon is the one `prepare` shifts.
 
         Returns a new solution of that period with the line search's states,
         controls, objectives and halvings (the one `step` returned is left
@@ -517,11 +539,7 @@ class NmpcController:
         problem, x0, held, delta, sent = self._pending
         self._pending = None
         try:
-            horizon = problem.rollout(x0, held)
-            residual = problem.residuals(horizon, held)
-            obj0 = problem.objective(residual)
-            (u_new, h_new, _, obj), halvings = _line_search(
-                problem, x0, delta, (held, horizon, residual, obj0))
+            (u_new, h_new, obj), obj0, halvings = _line_search(problem, x0, held, delta)
         except (md.ModelDomainError, FloatingPointError) as exc:
             self._last_horizon = None
             self._prepare_failed = True
@@ -585,28 +603,13 @@ class NmpcController:
 
     def _embed(self, problem: AircraftShootingProblem, x0: np.ndarray,
                lin: Linearization) -> OcpSolution:
-        """The embedded feedback: g = gradient + M dx0 for the measurement's
-        offset dx0 from the prediction, angle rows wrapped, the prepared QP
-        on the prepared box from its first step s0 + K dx0, and the full
-        step, whose line search waits for `settle`. When the first step
+        """The embedded feedback: `_feedback` at the measurement, and the
+        full step, whose line search waits for `settle`. When the first step
         stays in the box, the QP takes it as it is and its second iteration
         ends the solve at the KKT check, without a solve, so the QP costs
         one product with H and that check. Until `settle` the solution's
-        states, x_sw and objectives are NaN. A non-finite measurement raises
-        `md.ModelDomainError`, as its rollout would."""
-        dx0 = x0 - lin.x0
-        if not np.all(np.isfinite(dx0)):
-            raise md.ModelDomainError("non-finite measured state")
-        dx0[_ANGLE_ROWS] = md.wrap_angle(dx0[_ANGLE_ROWS])
-        # einsum: a fixed-order product, so the bits do not follow the BLAS threads
-        g_vec = lin.gradient + np.einsum("ij,j->i", lin.m_mat, dx0)
-        first_step = lin.s0 + np.einsum("ij,j->i", lin.k_mat, dx0)
-        qp = solve_box_qp(lin.h_mat, g_vec, lin.lb, lin.ub, factor=lin.factor,
-                          first_step=first_step)
-        delta = qp.x.reshape(lin.controls.shape)
-        plan = np.clip(lin.controls + delta, *problem.bounds())
-        if not np.all(np.isfinite(plan)):
-            raise md.ModelDomainError("non-finite controls out of SQP")
+        states, x_sw and objectives are NaN."""
+        qp, delta, plan = _feedback(lin, x0, problem.bounds())
         n = self.cfg.n_steps
         degraded = qp.status == "iteration_limit"
         solution = OcpSolution(
@@ -636,42 +639,28 @@ class NmpcController:
         else:
             controls = self._warm_controls(problem)
             n_iter = 1
-        horizon = None
-        residual = None
-        nonincrease_ok = True
-        first = None
-        result = None
-        qp_status = None      # the first QP status of the period that is not optimal
-        iters_run = 0
-        qp_iters = 0
-        halvings = 0
-        for _ in range(n_iter):
-            result = sqp_iterate(problem, x0, controls, horizon=horizon, residual=residual)
-            iters_run += 1
-            qp_iters += result.qp_iters
-            halvings += result.halvings
-            if first is None:
-                first = result
-            if qp_status is None and result.qp_status != "optimal":
-                qp_status = result.qp_status
-            nonincrease_ok &= _nonincrease(result.objective, result.objective_before)
-            controls, horizon, residual = result.controls, result.horizon, result.residual
-            if result.step_norm < 1e-10:
-                break
-
-        if not np.all(np.isfinite(controls)):
-            raise md.ModelDomainError("non-finite controls out of SQP")
+        iterations = [sqp_iterate(problem, x0, controls)]
+        while len(iterations) < n_iter and iterations[-1].step_norm >= 1e-10:
+            iterations.append(sqp_iterate(problem, x0, iterations[-1].controls,
+                                          iterations[-1].horizon))
+        first, last = iterations[0], iterations[-1]
+        # the first QP status of the period that is not optimal
+        qp_status = next((it.qp.status for it in iterations if it.qp.status != "optimal"),
+                         "optimal")
         degraded = qp_status == "iteration_limit"
         solution = OcpSolution(
-            states=horizon.states, controls=controls,
-            seg_index=horizon.seg_index.copy(), x_sw=horizon.x_sw.copy(),
-            objective=result.objective, objective_before=float(first.objective_before),
-            kkt_residual=result.kkt_residual, qp_status=qp_status or result.qp_status,
-            qp_active_set=result.qp_active_set, sqp_iters=iters_run, qp_iters=qp_iters,
-            halvings=halvings, obj_nonincrease_ok=bool(nonincrease_ok),
+            states=last.horizon.states, controls=last.controls,
+            seg_index=last.horizon.seg_index.copy(), x_sw=last.horizon.x_sw.copy(),
+            objective=last.objective, objective_before=first.objective_before,
+            kkt_residual=last.qp.kkt_residual, qp_status=qp_status,
+            qp_active_set=last.qp.n_active, sqp_iters=len(iterations),
+            qp_iters=sum(it.qp.n_iter for it in iterations),
+            halvings=sum(it.halvings for it in iterations),
+            obj_nonincrease_ok=all(_nonincrease(it.objective, it.objective_before)
+                                   for it in iterations),
             degraded=degraded, degraded_reason="qp_iteration_limit" if degraded else "",
-            axis_nodes=horizon.axis_nodes)
-        return solution, horizon
+            axis_nodes=last.horizon.axis_nodes)
+        return solution, last.horizon
 
     def _degraded_solution(self, reason: str) -> OcpSolution:
         n = self.cfg.n_steps

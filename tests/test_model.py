@@ -105,9 +105,9 @@ def force_balance(state, control, params):
 
 
 def batch_derivative(state, control, wind, params):
-    """One column through the batch path of `derivative_array`."""
-    return m.derivative_array(state.as_array()[:, None], control.as_array()[:, None],
-                              wind, params)[:, 0]
+    """One column through the numpy column path of `derivative`."""
+    return np.stack(m.derivative(state.as_array()[:, None], control.as_array()[:, None],
+                                 wind, params))[:, 0]
 
 
 class TestAttitudeDynamics:
@@ -209,8 +209,8 @@ class TestVelocityDynamics:
         with pytest.raises(m.ModelDomainError):
             batch_derivative(st_, m.ControlInput(), m.WindVector(), params)
         with pytest.raises(m.ModelDomainError):
-            m.derivative_array(st_.as_array(), m.ControlInput().as_array(),
-                               m.WindVector(), params)
+            m.derivative(st_.as_array().tolist(), m.ControlInput().as_array().tolist(),
+                         m.WindVector(), params, m.FLOATS)
 
 
 class TestKinematics:
@@ -308,13 +308,14 @@ class TestFullDerivative:
         n = xs.shape[1]
         us = rng.uniform([0, -0.3, -0.2], [1, 0.3, 0.2], size=(n, 3)).T
         wind = m.WindVector(1.0, 0.5, -0.2)
-        batch = m.derivative_array(xs, us, wind, params)
+        batch = np.stack(m.derivative(xs, us, wind, params))
         ol = params.open_loop
         same_power = m.power_curve(xs[m.IDX_DELTA_T], ol) == np.array(
             [m.power_curve(d, ol) for d in xs[m.IDX_DELTA_T].tolist()])
         assert same_power[:5].all() and same_power[-1]
         for i in range(n):
-            single = m.derivative_array(xs[:, i], us[:, i], wind, params)
+            single = np.array(m.derivative(xs[:, i].tolist(), us[:, i].tolist(), wind, params,
+                                           m.FLOATS))
             if same_power[i]:
                 assert batch[:, i].tobytes() == single.tobytes()
             else:
@@ -327,8 +328,7 @@ class TestFullDerivative:
         xs[m.IDX_GAMMA, 2] = 1.55
         us = np.repeat(trim.control().as_array()[:, None], 4, axis=1)
         with pytest.raises(m.ModelDomainError) as single:
-            m.rk4_step_floats(xs[:, 2].tolist(), us[:, 2].tolist(), m.WindVector(),
-                              params, 0.1)
+            m.float_step(m.WindVector(), params)(xs[:, 2].tolist(), us[:, 2].tolist(), 0.1)
         with pytest.raises(m.ModelDomainError) as batch:
             m.rk4_step_array(xs, us, m.WindVector(), params, 0.1)
         assert str(batch.value) == str(single.value)
@@ -470,16 +470,12 @@ class TestRk4StepFloats:
         for i, (x, u) in enumerate(zip(states, controls)):
             p = sets[i % len(sets)]
             expected = reference_rk4_step(x, u, wind, p, 0.1).tobytes()
-            assert np.array(m.rk4_step_floats(x.tolist(), u.tolist(), wind, p, 0.1)).tobytes() \
-                == expected
             assert np.array(m.float_step(wind, p)(x.tolist(), u.tolist(), 0.1)).tobytes() \
                 == expected
 
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_rejected(self, params, trim, dt):
         x, u = trim.state().as_array().tolist(), trim.control().as_array().tolist()
-        with pytest.raises(ValueError, match="dt must be > 0"):
-            m.rk4_step_floats(x, u, self.WIND, params, dt)
         with pytest.raises(ValueError, match="dt must be > 0"):
             m.float_step(self.WIND, params)(x, u, dt)
 
@@ -527,8 +523,7 @@ class TestRk4StepFloats:
         x = trim.state().as_array()
         x[m.IDX_GAMMA] = 1.55
         with pytest.raises(m.ModelDomainError) as exc:
-            m.rk4_step_floats(x.tolist(), trim.control().as_array().tolist(), self.WIND,
-                              params, 0.1)
+            m.float_step(self.WIND, params)(x.tolist(), trim.control().as_array().tolist(), 0.1)
         frame = traceback.extract_tb(exc.value.__traceback__)[-1]
         assert frame.filename == "<generated fwnmpc.model rk4_step>"
         assert frame.line.startswith("raise ModelDomainError(")
@@ -541,7 +536,7 @@ class TestRk4StepFloats:
                                     rng.uniform(-0.25, 0.25, 500)])
         for x, u in zip(states, controls):
             expected = reference_rk4_step(x, u, self.WIND, params, 0.1)
-            got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.1)
+            got = m.float_step(self.WIND, params)(x.tolist(), u.tolist(), 0.1)
             assert np.array(got).tobytes() == expected.tobytes()
             assert m.rk4_step_array(x, u, self.WIND, params, 0.1).tobytes() \
                 == expected.tobytes()
@@ -551,7 +546,7 @@ class TestRk4StepFloats:
         x = trim.state(xi=0.3).as_array()
         x[m.IDX_VA] = 0.6 * m.PROP_SPEED_FLOOR
         u = trim.control().as_array()
-        got = m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.01)
+        got = m.float_step(self.WIND, params)(x.tolist(), u.tolist(), 0.01)
         expected = reference_rk4_step(x, u, self.WIND, params, 0.01)
         assert np.array(got).tobytes() == expected.tobytes()
 
@@ -566,7 +561,7 @@ class TestRk4StepFloats:
         with pytest.raises(m.ModelDomainError, match=message) as expected:
             reference_rk4_step(x, u, self.WIND, params, 0.1)
         with pytest.raises(m.ModelDomainError, match=message) as got:
-            m.rk4_step_floats(x.tolist(), u.tolist(), self.WIND, params, 0.1)
+            m.float_step(self.WIND, params)(x.tolist(), u.tolist(), 0.1)
         assert str(got.value) == str(expected.value)
 
 
@@ -591,8 +586,9 @@ class TestTrim:
         assert 0.3 < trim.u_t < 0.7
 
     def test_state_is_equilibrium(self, params, trim):
-        der = m.derivative_array(trim.state().as_array(), trim.control().as_array(),
-                                 m.WindVector(), params)
+        der = np.array(m.derivative(trim.state().as_array().tolist(),
+                                    trim.control().as_array().tolist(), m.WindVector(), params,
+                                    m.FLOATS))
         np.testing.assert_allclose(der[3:], np.zeros(9), atol=1e-9)
 
     def test_lateral_subsystem_stable(self, params):

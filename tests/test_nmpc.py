@@ -113,8 +113,9 @@ class TestSensitivities:
         def column(j):
             up = u.copy()
             up[j] += h
-            return (md.derivative_array(x, up, wind, params)
-                    - md.derivative_array(x, u, wind, params)) / h
+            return (np.array(md.derivative(x.tolist(), up.tolist(), wind, params, md.FLOATS))
+                    - np.array(md.derivative(x.tolist(), u.tolist(), wind, params,
+                                             md.FLOATS))) / h
 
         col_phi = column(md.IDX_PHI_REF)
         assert col_phi[md.IDX_P] == pytest.approx(cl.l_ephi, rel=1e-6)
@@ -129,8 +130,8 @@ class TestSensitivities:
         for j in range(md.CONTROL_DIM):
             up = u.copy()
             up[j] += 1e-6
-            diff = md.derivative_array(x, up, wind, params) \
-                - md.derivative_array(x, u, wind, params)
+            diff = np.array(md.derivative(x.tolist(), up.tolist(), wind, params, md.FLOATS)) \
+                - np.array(md.derivative(x.tolist(), u.tolist(), wind, params, md.FLOATS))
             np.testing.assert_allclose(diff[:3], 0.0, atol=1e-15)
 
 
@@ -467,15 +468,13 @@ class TestAircraftSqp:
         cfg = problem.cfg
         x0 = trim.state(d=-50.0).as_array()
         controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (12, 1))
-        horizon = residual = None
+        horizon = None
         for _ in range(60):
-            res = solver.sqp_iterate(problem, x0, controls, horizon=horizon,
-                                     residual=residual)
-            controls, horizon, residual = res.controls, res.horizon, res.residual
+            res = solver.sqp_iterate(problem, x0, controls, horizon=horizon)
+            controls, horizon = res.controls, res.horizon
             if res.step_norm < 1e-12:
                 break
-        final = solver.sqp_iterate(problem, x0, controls, horizon=horizon,
-                                   residual=residual)
+        final = solver.sqp_iterate(problem, x0, controls, horizon=horizon)
         assert final.step_norm <= 1e-8
 
     def test_objective_never_increases(self, params, refs, trim):
@@ -483,12 +482,11 @@ class TestAircraftSqp:
         problem = make_problem(params, refs, queue, n_steps=15)
         x0 = trim.state(e=25.0, d=-45.0).as_array()
         controls = np.tile([trim.u_t, 0.0, trim.theta_ref], (15, 1))
-        horizon = residual = None
+        horizon = None
         for _ in range(12):
-            res = solver.sqp_iterate(problem, x0, controls, horizon=horizon,
-                                     residual=residual)
+            res = solver.sqp_iterate(problem, x0, controls, horizon=horizon)
             assert res.objective <= res.objective_before * (1 + 1e-12) + 1e-12
-            controls, horizon, residual = res.controls, res.horizon, res.residual
+            controls, horizon = res.controls, res.horizon
 
     def test_quadratic_cost_identity(self, params, refs, trim):
         """Reported objective equals the weight-matrix quadratic form."""
@@ -942,6 +940,35 @@ class TestPreparedIteration:
             assert not np.any(np.delete(got, free, axis=0))
             np.testing.assert_allclose(got[free], expected, rtol=0,
                                        atol=1e-10 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("on_bound", [False, True])
+    def test_whole_iteration_solves_the_linearizations_own_qp(self, params, refs, trim,
+                                                              on_bound):
+        """`sqp_iterate` reaches the QP through `_feedback` at dx0 = 0, whose
+        products add exact zeros: its QP result has the bytes of the QP for
+        the linearization's own gradient from s0. With the roll of nodes 0-3
+        on its bound, s0 is +0.0 on the fixed set, so no -0.0 moves a bit."""
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        if not on_bound:
+            controls[:, 1] = 0.3
+        lin = solver.linearize(problem, problem.rollout(x0, controls), controls)
+        fixed = np.setdiff1d(np.arange(controls.size), lin.factor.free)
+        assert (fixed.size > 0) == on_bound
+        assert not np.any(lin.s0[fixed]) and not np.any(np.signbit(lin.s0[fixed]))
+        want = solve_box_qp(lin.h_mat, lin.gradient, lin.lb, lin.ub, factor=lin.factor,
+                            first_step=lin.s0)
+        got = solver.sqp_iterate(problem, x0, controls).qp
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.status, got.n_iter, got.n_active, got.kkt_residual) \
+            == (want.status, want.n_iter, want.n_active, want.kkt_residual)
+
+    def test_linearization_keeps_the_residual_at_its_horizon(self, params, refs, trim):
+        """The residual `linearize` keeps, the baseline of `sqp_iterate`'s
+        line search, has the bytes of `residuals` at the horizon."""
+        problem, x0, controls = self.helix_problem(params, refs, trim)
+        horizon = problem.rollout(x0, controls)
+        lin = solver.linearize(problem, horizon, controls)
+        assert lin.residual.tobytes() == problem.residuals(horizon, controls).tobytes()
 
 
 class TestController:

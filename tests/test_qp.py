@@ -426,11 +426,10 @@ class TestAgainstReferenceLoop:
             else:
                 assert_optimal_kkt_point(h, g_case, lb, ub, res)
 
-    def test_free_gradient_over_tol_falls_back_to_a_newton_step(self, monkeypatch):
-        """g so large that the free gradient after the exact first Newton
-        step stays above the tolerance, at the rounding level of H x + g:
-        every later iteration solves for its step, and the iteration stops
-        at its limit on the Newton point."""
+    def test_large_gradient_ends_optimal_at_the_newton_point(self, monkeypatch):
+        """g so large that H x + g after the exact first Newton step rounds
+        above 1e-10: the tolerance is relative to |g|_inf, so the second
+        iteration's KKT check ends the solve there, without a solve."""
         rng = np.random.default_rng(11)
         n = 70
         h = random_spd(rng, n, cond=1e3)
@@ -448,8 +447,33 @@ class TestAgainstReferenceLoop:
 
         monkeypatch.setattr(qp_module.QpFactor, "newton_step", counted)
         res = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
-        assert res.status == "iteration_limit" and len(solves) == res.n_iter - 1
+        assert res.status == "optimal" and res.n_iter == 2 and solves == []
         assert res.kkt_residual < 1e-12 * np.max(np.abs(g))
+        x = np.linalg.solve(h, -g)
+        np.testing.assert_allclose(res.x, x, rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+    def test_inexact_first_step_falls_back_to_a_newton_step(self, monkeypatch):
+        """A first step that is not the Newton step leaves the free gradient
+        above the tolerance, so the next iteration solves for its step and
+        ends on the Newton point."""
+        rng = np.random.default_rng(11)
+        n = 70
+        h = random_spd(rng, n, cond=1e3)
+        g = rng.normal(size=n)
+        lb, ub = -1e12 * np.ones(n), 1e12 * np.ones(n)
+        factor = prepare_box_qp(h, lb, ub)
+        step = 0.5 * first_newton_step(h, g, lb, ub, factor)
+        solves = []
+        newton_step = qp_module.QpFactor.newton_step
+
+        def counted(factor, grad):
+            solves.append(grad)
+            return newton_step(factor, grad)
+
+        monkeypatch.setattr(qp_module.QpFactor, "newton_step", counted)
+        res = solve_box_qp(h, g, lb, ub, factor=factor, first_step=step)
+        assert res.status == "optimal" and len(solves) == res.n_iter - 2 >= 1
+        assert res.kkt_residual <= 1e-10
         x = np.linalg.solve(h, -g)
         np.testing.assert_allclose(res.x, x, rtol=0, atol=1e-12 * np.max(np.abs(x)))
 

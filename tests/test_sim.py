@@ -1,11 +1,13 @@
 """Tests for the closed-loop harness, config loading, and the CLI."""
 
 import dataclasses
+import importlib
 import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +390,30 @@ class TestTwoPhaseController:
         assert counts["qp_in_prepare"] == 0
         assert counts["qp"] == counts["probed_qp"] >= log.time.size
         assert log.feedback.count("embedded") == 10
+
+    def test_benchmark_tracer_finds_the_names_it_patches(self, monkeypatch):
+        """The benchmark's tracer (`bench/tracer.py`) patches the program's
+        functions by name: it installs on this tree and puts every original
+        back, and its SQP span reads the `halvings` and `accepted` of each
+        real `sqp_iterate` result of a cold start under it."""
+        from fwnmpc.nmpc import solver as nmpc_solver
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracer = importlib.import_module("tracer")
+        sc = short_line_scenario()
+        trim = md.solve_trim(sc.plant_params, 13.5, 0.0)
+        ctrl = nmpc_solver.NmpcController(sc.plant_params, sc.ocp, sc.weights,
+                                          nmpc_ocp.References.from_trim(trim))
+        originals = {key: key[0].__dict__[key[1]] for key in tracer.all_patched_attributes()}
+        with tracer.Tracer() as traced:
+            assert all(owner.__dict__[attr] is not original
+                       for (owner, attr), original in originals.items())
+            _, sol = ctrl.step(trim.state(e=3.0, d=-50.0), pth.PathQueue(segments=sc.segments),
+                               md.WindVector())
+        assert all(owner.__dict__[attr] is original
+                   for (owner, attr), original in originals.items())
+        sqp = traced.stats.stat("nmpc.sqp", tracer.COLD)
+        assert sol.feedback == "rollout:cold" and sqp.calls == sol.sqp_iters > 1
+        assert sqp.units == sol.halvings and 0 <= sqp.extra <= sqp.calls
 
 
 SCENARIO_YAML = textwrap.dedent("""\
