@@ -57,11 +57,22 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
-def _build_dataclass(cls, node: dict, where: str):
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(node, names, where)
+def _build_dataclass(cls, node, where: str, deg_fields=None, integers=()):
+    """`cls` from the mapping `node`, whose keys are `cls`'s field names,
+    except that each `deg_fields` key holds its field in degrees; the
+    `integers` keys load with `_integer`, the others with `_float`."""
+    node = _require_mapping(node, where)
+    deg_fields = deg_fields or {}
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in deg_fields.values()]
+    _check_keys(node, names + list(deg_fields), where)
+    kwargs = {}
+    for key, value in node.items():
+        if key in deg_fields:
+            kwargs[deg_fields[key]] = float(np.radians(_float(value, f"{where}.{key}")))
+        else:
+            kwargs[key] = (_integer if key in integers else _float)(value, f"{where}.{key}")
     try:
-        return cls(**{k: float(v) for k, v in node.items()})
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -72,15 +83,10 @@ def load_model_params(source) -> md.ModelParams:
     node = _require_mapping(node, "model params")
     _check_keys(node, ("closed_loop", "open_loop", "constants"), "model params")
     return md.ModelParams(
-        closed_loop=_build_dataclass(md.ClosedLoopParams,
-                                     _require_mapping(node.get("closed_loop"),
-                                                      "closed_loop"), "closed_loop"),
-        open_loop=_build_dataclass(md.OpenLoopParams,
-                                   _require_mapping(node.get("open_loop"),
-                                                    "open_loop"), "open_loop"),
-        constants=_build_dataclass(md.PhysicalConstants,
-                                   _require_mapping(node.get("constants"),
-                                                    "constants"), "constants"),
+        closed_loop=_build_dataclass(md.ClosedLoopParams, node.get("closed_loop"),
+                                     "closed_loop"),
+        open_loop=_build_dataclass(md.OpenLoopParams, node.get("open_loop"), "open_loop"),
+        constants=_build_dataclass(md.PhysicalConstants, node.get("constants"), "constants"),
     )
 
 
@@ -114,21 +120,6 @@ def _load_segment(node: dict, index: int) -> pth.PathSegment:
 _OCP_DEG_FIELDS = {"phi_ref_max_deg": "phi_ref_max", "theta_ref_max_deg": "theta_ref_max",
                    "alpha_minus_deg": "alpha_minus", "alpha_plus_deg": "alpha_plus",
                    "delta_alpha_deg": "delta_alpha"}
-_OCP_PLAIN_FIELDS = ("n_steps", "t_step", "t_iter", "cold_start_sqp_iter", "u_t_min", "u_t_max")
-
-
-def _load_ocp(node: dict) -> nmpc_ocp.OcpConfig:
-    node = _require_mapping(node, "ocp")
-    _check_keys(node, list(_OCP_PLAIN_FIELDS) + list(_OCP_DEG_FIELDS), "ocp")
-    kwargs = {}
-    for key, value in node.items():
-        if key in _OCP_DEG_FIELDS:
-            kwargs[_OCP_DEG_FIELDS[key]] = float(np.radians(_float(value, f"ocp.{key}")))
-        elif key in ("n_steps", "cold_start_sqp_iter"):
-            kwargs[key] = _integer(value, f"ocp.{key}")
-        else:
-            kwargs[key] = _float(value, f"ocp.{key}")
-    return nmpc_ocp.OcpConfig(**kwargs)
 
 
 def _load_weights(node: dict) -> nmpc_ocp.Weights:
@@ -140,21 +131,6 @@ def _load_weights(node: dict) -> nmpc_ocp.Weights:
         kwargs[name] = np.asarray(node[name], dtype=float) if name in node \
             else getattr(defaults, name)
     return nmpc_ocp.Weights(**kwargs)
-
-
-def _load_switching(node: dict) -> pth.SwitchConfig:
-    node = _require_mapping(node, "switching")
-    _check_keys(node, ("r_acpt", "eta_acpt_deg", "rho_sw", "sw_threshold"), "switching")
-    kwargs = {}
-    if "r_acpt" in node:
-        kwargs["r_acpt"] = float(node["r_acpt"])
-    if "eta_acpt_deg" in node:
-        kwargs["eta_acpt"] = float(np.radians(float(node["eta_acpt_deg"])))
-    if "rho_sw" in node:
-        kwargs["rho_sw"] = float(node["rho_sw"])
-    if "sw_threshold" in node:
-        kwargs["sw_threshold"] = float(node["sw_threshold"])
-    return pth.SwitchConfig(**kwargs)
 
 
 def load_scenario(source) -> Scenario:
@@ -175,17 +151,16 @@ def load_scenario(source) -> Scenario:
     if not segments:
         raise ConfigError("scenario: segments list is empty")
 
-    initial = _build_dataclass(md.AircraftState,
-                               _require_mapping(node["initial_state"], "initial_state"),
-                               "initial_state")
-    wind = _build_dataclass(md.WindVector, _require_mapping(node.get("wind"), "wind"),
-                            "wind")
+    initial = _build_dataclass(md.AircraftState, node["initial_state"], "initial_state")
+    wind = _build_dataclass(md.WindVector, node.get("wind"), "wind")
     plant = load_model_params(node["model"]) if "model" in node else md.default_params()
     controller = load_model_params(node["controller_model"]) \
         if "controller_model" in node else None
-    guidance_cfg = _build_dataclass(gd.GuidanceConfig,
-                                    _require_mapping(node.get("guidance"), "guidance"),
-                                    "guidance")
+    guidance_cfg = _build_dataclass(gd.GuidanceConfig, node.get("guidance"), "guidance")
+    ocp = _build_dataclass(nmpc_ocp.OcpConfig, node.get("ocp"), "ocp", _OCP_DEG_FIELDS,
+                           integers=("n_steps", "cold_start_sqp_iter"))
+    switching = _build_dataclass(pth.SwitchConfig, node.get("switching"), "switching",
+                                 {"eta_acpt_deg": "eta_acpt"})
 
     events = []
     for i, ev in enumerate(node.get("events", []) or []):
@@ -210,10 +185,10 @@ def load_scenario(source) -> Scenario:
             wind=wind,
             plant_params=plant,
             controller_params=controller,
-            ocp=_load_ocp(node.get("ocp")),
+            ocp=ocp,
             weights=_load_weights(node.get("weights")),
             guidance=guidance_cfg,
-            switching=_load_switching(node.get("switching")),
+            switching=switching,
             events=tuple(events),
             plant_dt=_float(node.get("plant_dt", 0.01), "plant_dt"),
             seed=_integer(node.get("seed", 0), "seed"),

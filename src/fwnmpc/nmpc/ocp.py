@@ -36,11 +36,12 @@ _FD_EPS = float(np.sqrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class OcpConfig:
-    """Horizon, timing, and constraint configuration."""
+    """Horizon, timing, and constraint configuration. The controller period
+    is one shooting interval, `t_step`: each real-time iteration shifts the
+    horizon by one node."""
 
     n_steps: int = 70            # shooting intervals per horizon
-    t_step: float = 0.1          # s, shooting interval
-    t_iter: float = 0.1          # s, controller period
+    t_step: float = 0.1          # s, shooting interval and controller period
     cold_start_sqp_iter: int = 8
     u_t_min: float = 0.0
     u_t_max: float = 1.0
@@ -53,8 +54,8 @@ class OcpConfig:
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError("horizon needs at least 2 shooting intervals")
-        if self.t_step <= 0.0 or self.t_iter <= 0.0:
-            raise ValueError("t_step and t_iter must be > 0")
+        if not 0.0 < self.t_step < np.inf:
+            raise ValueError(f"t_step must be finite and > 0, got {self.t_step!r}")
         if self.cold_start_sqp_iter < 1:
             raise ValueError("cold_start_sqp_iter must be >= 1")
         if not (self.u_t_min < self.u_t_max and self.phi_ref_max > 0.0
@@ -62,6 +63,11 @@ class OcpConfig:
             raise ValueError("control bounds must be ordered and non-empty")
         if not (self.alpha_minus < self.alpha_plus and self.delta_alpha > 0.0):
             raise ValueError("angle-of-attack bounds must be ordered with delta_alpha > 0")
+
+    @property
+    def t_iter(self) -> float:
+        """The controller period: always `t_step` (read-only)."""
+        return self.t_step
 
     def control_lower(self) -> np.ndarray:
         return np.array([self.u_t_min, -self.phi_ref_max, -self.theta_ref_max])

@@ -50,6 +50,7 @@ from fwnmpc.nmpc.qp import QpFactor, QpResult, first_newton_step, prepare_box_qp
 _OBJ_SLACK = 1e-12   # relative slack for the non-increase acceptance test
 _MAX_HALVINGS = 4
 _REG = 1e-8          # added to H's diagonal before the QP
+_FAILED_THROTTLE_WEIGHT = 1.0e6  # r_z of u_t while the motor is out
 _ANGLE_ROWS = np.array(md.ANGLE_STATES)
 
 
@@ -424,11 +425,10 @@ def sqp_iterate(problem: AircraftShootingProblem, x0: np.ndarray,
         accepted=halvings <= _MAX_HALVINGS)
 
 
-def apply_throttle_failure_weight(weights: ocp.Weights,
-                                  magnitude: float = 1.0e6) -> ocp.Weights:
+def apply_throttle_failure_weight(weights: ocp.Weights) -> ocp.Weights:
     """Pin the throttle command to its reference with an overwhelming weight."""
     r_z = weights.r_z.copy()
-    r_z[ocp.Z_U_T] = magnitude
+    r_z[ocp.Z_U_T] = _FAILED_THROTTLE_WEIGHT
     return replace(weights, r_z=r_z)
 
 

@@ -123,6 +123,12 @@ class SwitchConfig:
             raise ValueError("acceptance radius must be > 0")
         if not (0.0 < self.eta_acpt < np.pi / 2):
             raise ValueError("acceptance bearing angle must lie in (0, pi/2)")
+        if not 0.0 < self.rho_sw < np.inf:
+            raise ValueError(f"switch-state growth rate rho_sw must be finite and > 0, "
+                             f"got {self.rho_sw!r}")
+        if not 0.0 <= self.sw_threshold < 1.0:
+            raise ValueError(f"latch threshold sw_threshold must lie in [0, 1), "
+                             f"got {self.sw_threshold!r}")
 
 
 class SwitchingConditions(NamedTuple):

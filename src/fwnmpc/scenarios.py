@@ -81,7 +81,7 @@ def scenario_helix(wind: md.WindVector | None = None, duration: float = 70.0) ->
         v_a_ref=v_ref,
         wind=wind or md.WindVector(),
         plant_params=params,
-        ocp=nmpc_ocp.OcpConfig(n_steps=70, t_step=0.1, t_iter=0.1),
+        ocp=nmpc_ocp.OcpConfig(n_steps=70, t_step=0.1),
     )
 
 
@@ -120,14 +120,14 @@ def scenario_dubins_course(wind: md.WindVector | None = None,
         v_a_ref=v_ref,
         wind=wind,
         plant_params=params,
-        ocp=nmpc_ocp.OcpConfig(n_steps=70, t_step=0.1, t_iter=0.1),
+        ocp=nmpc_ocp.OcpConfig(n_steps=70, t_step=0.1),
     )
 
 
 def scenario_motor_failure(duration: float = 55.0) -> Scenario:
     """Climbing turn to a loiter circle with a motor cut at t=15.5 s and
-    restore at t=34 s; shorter horizon, doubled iteration rate, and the
-    huge throttle weight applied while the motor is out."""
+    restore at t=34 s; a shorter horizon (N=40 over 4 s), and the huge
+    throttle weight applied while the motor is out."""
     params = md.default_params()
     v_ref = 13.5
     climb = np.radians(6.0)
@@ -145,7 +145,7 @@ def scenario_motor_failure(duration: float = 55.0) -> Scenario:
         duration=duration,
         v_a_ref=v_ref,
         plant_params=params,
-        ocp=nmpc_ocp.OcpConfig(n_steps=40, t_step=0.1, t_iter=0.05),
+        ocp=nmpc_ocp.OcpConfig(n_steps=40, t_step=0.1),
         events=(Event(time=15.5, kind="motor_fail"),
                 Event(time=34.0, kind="motor_restore")),
     )

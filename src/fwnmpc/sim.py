@@ -1,11 +1,11 @@
 """Deterministic closed-loop scenario harness.
 
 The plant integrates at a fine fixed step with zero-order-hold controls; the
-controller's feedback phase runs every `t_iter` on the measurement, and its
-preparation phase runs right after, for the next period; scheduled events
-(motor failure/restore) toggle the plant's thrust model and the controller's
-throttle weight. Runs are bit-reproducible for a given scenario: randomness
-only enters through the seeded measurement-noise generator.
+controller's feedback phase runs every shooting interval (`t_step`) on the
+measurement, and its preparation phase runs right after, for the next period;
+events (motor failure/restore) toggle the plant's thrust model and the
+controller's throttle weight. Runs are bit-reproducible for a given scenario:
+randomness only enters through the seeded measurement-noise generator.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class Event:
     def __post_init__(self):
         if self.kind not in _EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.time < 0.0:
-            raise ValueError("event time must be non-negative")
+        if not 0.0 <= self.time < np.inf:
+            raise ValueError(f"event time must be finite and >= 0, got {self.time!r}")
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,15 @@ class Scenario:
     measurement_noise: dict | None = None
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("scenario duration must be > 0")
+        for key in ("duration", "plant_dt"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)!r}")
         times = [ev.time for ev in self.events]
         if times != sorted(times):
             raise ValueError("events must be time-ordered")
-        ratio = self.ocp.t_iter / self.plant_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("controller period must be a multiple of the plant step")
+        ratio = self.ocp.t_step / self.plant_dt
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError("t_step, the controller period, must be a multiple of plant_dt")
         for ev in self.events:
             tick = ev.time / self.plant_dt
             if abs(tick - round(tick)) > 1e-9:
@@ -129,8 +130,9 @@ class SimLog:
     events_applied: tuple
     # near-axis rollout nodes per period; report-only, never in CSV
     axis_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # `OcpSolution.qp_iters` per period; report-only, never in CSV
+    # `OcpSolution.qp_iters` and `.halvings` per period; report-only, never in CSV
     qp_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    halvings: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     # wall time of the preparation phase after each period, NaN where none
     # ran (after the last period); report-only, never in CSV
     prep_time_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -184,7 +186,7 @@ def run(scenario: Scenario) -> SimLog:
     """
     plant_dt = scenario.plant_dt
     n_ticks = int(round(scenario.duration / plant_dt))
-    ctrl_every = int(round(scenario.ocp.t_iter / plant_dt))
+    ctrl_every = int(round(scenario.ocp.t_step / plant_dt))
 
     plant_params = scenario.plant_params
     controller_params = scenario.controller_params or scenario.plant_params
@@ -238,7 +240,7 @@ def run(scenario: Scenario) -> SimLog:
             conds = pth.switching_conditions(queue.current_segment, measured[:3],
                                              v_g, scenario.switching)
             queue = pth.advance_switch_state(queue, conds, scenario.switching,
-                                             scenario.ocp.t_iter)
+                                             scenario.ocp.t_step)
 
             control, sol = controller.step(measured_state, queue, scenario.wind)
             u_arr = control.as_array()
@@ -301,6 +303,7 @@ def run(scenario: Scenario) -> SimLog:
         events_applied=tuple(applied),
         axis_nodes=np.array([r[7].axis_nodes for r in rows], dtype=int),
         qp_iters=np.array([r[7].qp_iters for r in rows], dtype=int),
+        halvings=np.array([r[7].halvings for r in rows], dtype=int),
         prep_time_s=np.array(prep_times),
         feedback=tuple(r[7].feedback for r in rows),
         degraded_reason=tuple(r[7].degraded_reason for r in rows),
@@ -406,6 +409,9 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
     rollouts = [path.split(":", 1)[1] for path in log.feedback if path.startswith("rollout:")]
     degraded = int(np.count_nonzero(log.degraded))
     reasons = [r for r, d in zip(log.degraded_reason, log.degraded) if d]
+    # periods whose every line search rejected every step length
+    stalled = np.count_nonzero((log.sqp_iters > 0) & (
+        log.halvings == (nmpc_solver._MAX_HALVINGS + 1) * log.sqp_iters))
     lines = [
         f"scenario: {log.scenario_name}",
         f"samples: {log.time.shape[0]}  duration: {log.time[-1]:.2f} s",
@@ -426,6 +432,8 @@ def emit_report(log: SimLog, settle_time: float = 30.0) -> str:
         f" rollout feedback: {len(rollouts)}"
         + (f" ({_counted(rollouts)})" if rollouts else ""),
         f"QP iterations per period: p50 {np.median(log.qp_iters):g}  max {np.max(log.qp_iters)}",
+        f"line-search halvings per period: p50 {np.median(log.halvings):g}"
+        f"  max {np.max(log.halvings)}; periods with every step length rejected: {stalled}",
         f"objective non-increase satisfied: {bool(np.all(log.obj_nonincrease))}",
         f"degraded periods: {degraded}" + (f" ({_counted(reasons)})" if reasons else ""),
         f"periods with near-axis rollout nodes: {int(np.count_nonzero(log.axis_nodes))}",

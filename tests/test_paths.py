@@ -333,6 +333,15 @@ class TestAdvanceSwitchState:
             q = paths.advance_switch_state(q, met, self.CFG, 0.1)
         assert q.x_sw == pytest.approx(4 * self.CFG.rho_sw * 0.1)
 
+    def test_threshold_zero_is_allowed(self):
+        """At 0 the state latches once it is strictly inside the segment."""
+        q = self._queue()
+        cfg = paths.SwitchConfig(rho_sw=1.0, sw_threshold=0.0)
+        unmet = paths.SwitchingConditions(False, False, False)
+        assert paths.advance_switch_state(q, unmet, cfg, 0.1).x_sw == 0.0
+        q = paths.advance_switch_state(q, paths.SwitchingConditions(False, False, True), cfg, 0.1)
+        assert paths.advance_switch_state(q, unmet, cfg, 0.1).x_sw == pytest.approx(0.2)
+
     def test_latch_beyond_threshold(self):
         q = self._queue()
         met = paths.SwitchingConditions(False, False, True)

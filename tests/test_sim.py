@@ -95,6 +95,25 @@ class TestRunLoop:
         assert not log.motor_failed[log.time >= 1.5].any()
         assert log.events_applied == ((1.0, "motor_fail"), (1.5, "motor_restore"))
 
+    def test_controller_period_is_the_shooting_interval(self):
+        """There is no `t_iter` to set: its read-only property is `t_step`,
+        and `sim.run` runs the controller every `t_step`."""
+        with pytest.raises(TypeError):
+            nmpc_ocp.OcpConfig(t_iter=0.05)
+        assert nmpc_ocp.OcpConfig().t_iter == nmpc_ocp.OcpConfig().t_step
+        cfg = nmpc_ocp.OcpConfig(n_steps=20, t_step=0.05, cold_start_sqp_iter=3)
+        with pytest.raises(AttributeError):
+            cfg.t_iter = 0.1
+        log = sim.run(short_line_scenario(duration=0.5, ocp=cfg))
+        assert log.time.shape[0] == 11
+        np.testing.assert_allclose(np.diff(log.time), 0.05, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_step", [0.015, 1e-12])
+    def test_controller_period_off_the_plant_grid_rejected(self, t_step):
+        """1e-12 s rounds to 0 plant steps, which would be a period of none."""
+        with pytest.raises(ValueError, match="t_step, the controller period, must be a multiple"):
+            short_line_scenario(ocp=nmpc_ocp.OcpConfig(n_steps=20, t_step=t_step))
+
     def test_event_off_grid_rejected(self):
         with pytest.raises(ValueError):
             short_line_scenario(events=(sim.Event(time=1.0012345, kind="motor_fail"),))
@@ -129,7 +148,7 @@ class TestRunLoop:
             control, sol = ctrl.step(md.AircraftState.from_array(x), queue,
                                      sc.wind)
             predicted = sol.states[1]
-            for _ in range(int(round(sc.ocp.t_iter / sc.plant_dt))):
+            for _ in range(int(round(sc.ocp.t_step / sc.plant_dt))):
                 x = md.rk4_step_array(x, control.as_array(), sc.wind, params,
                                       sc.plant_dt)
             err = np.abs(x - predicted)
@@ -313,6 +332,20 @@ class TestCsvAndReport:
         assert f"QP iterations per period: p50 {np.median(log.qp_iters):g}" \
                f"  max {np.max(log.qp_iters)}\n" in report
         assert log.qp_iters.shape == log.sqp_iters.shape and np.all(log.qp_iters >= 1)
+        assert log.halvings.shape == log.sqp_iters.shape
+        assert np.all((log.halvings >= 0) & (log.halvings <= 5 * log.sqp_iters))
+        assert f"line-search halvings per period: p50 {np.median(log.halvings):g}" \
+               f"  max {np.max(log.halvings)}; periods with every step length rejected: 0\n" \
+               in report
+        # a period is stalled when each of its searches rejected all 5 step
+        # lengths; a period without iterations is not
+        halvings, sqp_iters = log.halvings.copy(), log.sqp_iters.copy()
+        halvings[[2, 5]] = 5
+        halvings[0] = 5 * sqp_iters[0] - 1
+        sqp_iters[7], halvings[7] = 0, 0
+        report = sim.emit_report(dataclasses.replace(log, halvings=halvings,
+                                                     sqp_iters=sqp_iters))
+        assert "max 5; periods with every step length rejected: 2\n" in report
         axis_nodes = np.zeros_like(log.axis_nodes)
         axis_nodes[[1, 3]] = [2, 1]
         report = sim.emit_report(dataclasses.replace(log, axis_nodes=axis_nodes))
@@ -556,6 +589,60 @@ class TestConfigLoading:
         scenario = cfgio.load_scenario({**yaml.safe_load(SCENARIO_YAML),
                                         "measurement_noise": {"v_a": 1, "phi": 0.005}})
         assert scenario.measurement_noise == {"v_a": 1, "phi": 0.005}
+
+    @pytest.mark.parametrize("key, line", [
+        ("plant_dt", "plant_dt: -0.01"), ("plant_dt", "plant_dt: 0"),
+        ("plant_dt", "plant_dt: .nan"), ("duration", "duration: .inf"),
+        ("duration", "duration: 0"),
+        ("t_step", "ocp: {n_steps: 15, cold_start_sqp_iter: 2, t_step: .inf}"),
+        ("t_step", "ocp: {n_steps: 15, cold_start_sqp_iter: 2, t_step: -0.1}"),
+        ("t_step", "ocp: {n_steps: 15, cold_start_sqp_iter: 2, t_step: .nan}"),
+    ], ids=["negative_plant_dt", "zero_plant_dt", "nan_plant_dt", "infinite_duration",
+            "zero_duration", "infinite_t_step", "negative_t_step", "nan_t_step"])
+    def test_bad_clock_input_names_it(self, tmp_path, key, line):
+        """A plant step, duration or shooting interval that is not finite and
+        > 0 fails at load, as a `ConfigError` naming its key, not as a run of
+        no rows or a bare ZeroDivisionError."""
+        top_key = line.split(":")[0]
+        kept = [row for row in SCENARIO_YAML.splitlines() if not row.startswith(top_key + ":")]
+        path = tmp_path / "bad.yaml"
+        path.write_text("\n".join(kept + [line]) + "\n")
+        with pytest.raises(cfgio.ConfigError, match=f"{key} must be finite and > 0"):
+            cfgio.load_scenario(path)
+
+    @pytest.mark.parametrize("value", [".inf", ".nan", "-1"])
+    def test_bad_event_time_names_it(self, tmp_path, value):
+        """An infinite event time is a `ConfigError` naming the event, not a
+        bare OverflowError from the plant-grid check."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML.replace("time: 1.0", f"time: {value}"))
+        with pytest.raises(cfgio.ConfigError, match=r"events\[0\]: event time must be finite"):
+            cfgio.load_scenario(path)
+
+    @pytest.mark.parametrize("switching, key", [
+        ("{rho_sw: -1}", "rho_sw"), ("{rho_sw: 0}", "rho_sw"), ("{rho_sw: .inf}", "rho_sw"),
+        ("{sw_threshold: -0.1}", "sw_threshold"), ("{sw_threshold: 1.0}", "sw_threshold"),
+        ("{sw_threshold: .nan}", "sw_threshold"), ("{rho_sw: fast}", "switching.rho_sw"),
+    ], ids=["negative_rate", "zero_rate", "infinite_rate", "negative_threshold",
+            "threshold_one", "nan_threshold", "rate_a_word"])
+    def test_bad_switching_setting_names_it(self, tmp_path, switching, key):
+        """A switching rate that is not finite and > 0, or a latch threshold
+        outside [0, 1), fails at load, not at the first met terminal
+        condition nor by never or always switching."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML.replace("switching: {eta_acpt_deg: 15.0}",
+                                              f"switching: {switching}"))
+        with pytest.raises(cfgio.ConfigError, match=rf"switching: .*{key}|{key}: expected"):
+            cfgio.load_scenario(path)
+
+    def test_t_iter_is_not_an_ocp_key(self, tmp_path):
+        """The controller period is the shooting interval; there is no key
+        to set it apart."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_YAML.replace("cold_start_sqp_iter: 2",
+                                              "cold_start_sqp_iter: 2, t_iter: 0.1"))
+        with pytest.raises(cfgio.ConfigError, match="t_iter"):
+            cfgio.load_scenario(path)
 
     def test_integral_integer_fields_load(self, tmp_path):
         path = tmp_path / "scn.yaml"
